@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import json
-import os
 import sys
 
 import click
 import numpy as np
 
-from .harness import ExperimentConfig, default_jobs, run_experiment
+from .harness import ExperimentConfig, run_experiment
 
 _COMMON = [
     click.option("--config", "config_path", type=click.Path(exists=True),

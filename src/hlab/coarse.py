@@ -2,7 +2,8 @@
 
 The Dirichlet energy over affine boundary data defines a(U); the dual
 (Neumann) energy defines a*(U).  Both are exactly quadratic in the discrete
-setting, so d(d+1)/2 solves recover each matrix by polarization.  The gap
+setting and the extremals are linear in the data, so the d basis solves of
+each kind determine each matrix through the bilinear form.  The gap
 functional J(U, p, q) and the subadditivity/duality ledgers quantify how
 fast the two pinch together under coarsening.
 """
@@ -10,13 +11,13 @@ fast the two pinch together under coarsening.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import CoefficientField
-from .lattice import TriadicCube, triadic_partition, cell_average
-from .solver import SolveOptions, Solution, solve_dirichlet_affine, solve_neumann_affine
+from .lattice import TriadicCube, triadic_partition
+from .solver import SolveOptions, solve_dirichlet_affine, solve_neumann_affine
 
 __all__ = [
     "CoarseGrainResult",
@@ -43,7 +44,6 @@ class CoarseGrainResult:
     neumann_basis: list          # Solution per basis flux e_i
     iterations: int
     residual: float
-    symmetry_drift: float        # max asymmetry removed by the transpose average
 
 
 @dataclass
@@ -64,7 +64,14 @@ def _unit_vectors(d):
 
 def coarse_matrices(a_field: CoefficientField, cube: TriadicCube,
                     opts: SolveOptions = None) -> CoarseGrainResult:
-    """Compute a(U) and a*(U) on the cube via polarization of the two energies."""
+    """Compute a(U) and a*(U) on the cube from the d basis extremals of each energy.
+
+    With v_i the Dirichlet minimizer of slope e_i and w_i the Neumann
+    maximizer of flux e_i (cube means over cells):
+
+        a(U)_ij       = mean(grad v_i . a grad v_j)
+        a*(U)^-1_ij   = G_ij + G_ji - mean(grad w_i . a grad w_j),  G_ij = mean(d_i w_j)
+    """
     opts = opts or SolveOptions()
     d = a_field.grid.d
     es = _unit_vectors(d)
@@ -73,40 +80,26 @@ def coarse_matrices(a_field: CoefficientField, cube: TriadicCube,
     if cube.side_cells(a_field.grid) == 1:
         sl = cube.cell_slices(a_field.grid)
         acell = np.asarray(a_field.a[sl]).reshape(d, d)
-        return CoarseGrainResult(cube, acell.copy(), acell.copy(),
-                                 [None] * d, [None] * d, 0, 0.0, 0.0)
+        return CoarseGrainResult(cube, acell.copy(), acell.copy(), [None] * d, [None] * d, 0, 0.0)
 
-    iters = 0
-    worst = 0.0
+    dir_basis = [solve_dirichlet_affine(a_field, cube, e, opts) for e in es]
+    neu_basis = [solve_neumann_affine(a_field, cube, e, opts) for e in es]
+    cells = tuple(range(d))
 
-    def account(s: Solution) -> Solution:
-        nonlocal iters, worst
-        iters += s.iterations
-        worst = max(worst, s.residual)
-        return s
+    def form(basis):
+        # mean over cells of grad_i . flux_j, where flux_j = a grad_j
+        grads = np.stack([s.gradient.ravel() for s in basis])
+        fluxes = np.stack([s.flux.ravel() for s in basis])
+        return grads @ fluxes.T / (grads.shape[1] // d)
 
-    def polarize(energy, basis_solutions):
-        diag = [2.0 * basis_solutions[i].energy for i in range(d)]
-        M = np.diag(diag)
-        for i in range(d):
-            for j in range(i + 1, d):
-                cross = energy(es[i] + es[j]) - 0.5 * diag[i] - 0.5 * diag[j]
-                M[i, j] = M[j, i] = cross
-        return M
+    a_up = form(dir_basis)
+    G = np.stack([s.gradient.mean(axis=cells) for s in neu_basis], axis=1)
+    a_lo = np.linalg.inv(G + G.T - form(neu_basis))
 
-    dir_basis = [account(solve_dirichlet_affine(a_field, cube, e, opts)) for e in es]
-    a_up = polarize(lambda p: account(solve_dirichlet_affine(a_field, cube, p, opts)).energy,
-                    dir_basis)
-    neu_basis = [account(solve_neumann_affine(a_field, cube, e, opts)) for e in es]
-    astar_inv = polarize(lambda q: account(solve_neumann_affine(a_field, cube, q, opts)).energy,
-                         neu_basis)
-    a_lo = np.linalg.inv(astar_inv)
-
-    drift = max(np.abs(a_up - a_up.T).max(), np.abs(a_lo - a_lo.T).max())
-    a_up = 0.5 * (a_up + a_up.T)
-    a_lo = 0.5 * (a_lo + a_lo.T)
-    return CoarseGrainResult(cube, a_up, a_lo, dir_basis, neu_basis,
-                             iters, worst, float(drift))
+    basis = dir_basis + neu_basis
+    return CoarseGrainResult(cube, 0.5 * (a_up + a_up.T), 0.5 * (a_lo + a_lo.T),
+                             dir_basis, neu_basis, sum(s.iterations for s in basis),
+                             max(s.residual for s in basis))
 
 
 def J_value(r: CoarseGrainResult, p, q) -> float:

@@ -8,10 +8,9 @@ final statistics are always reduced in a fixed tree over member indices.
 from __future__ import annotations
 
 import json
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -59,6 +58,7 @@ class ExperimentConfig:
             GridSpec(self.grid.get("d", 2), self.grid.get("m", 1), self.grid.get("k", 1))
         if self.solver:
             from .solver import SolveOptions
+            _reject_unknown_keys(self.solver, SolveOptions, "solver.")
             SolveOptions(**self.solver)
 
     def to_json(self) -> str:
@@ -66,7 +66,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls(**json.loads(text))
+        data = json.loads(text)
+        _reject_unknown_keys(data, cls)
+        return cls(**data)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -76,6 +78,14 @@ class ExperimentConfig:
     def load(cls, path) -> "ExperimentConfig":
         with open(path) as fh:
             return cls.from_json(fh.read())
+
+
+def _reject_unknown_keys(data: dict, cls, prefix: str = "") -> None:
+    known = {f.name for f in fields(cls)}
+    unknown = [repr(prefix + k) for k in sorted(data) if k not in known]
+    if unknown:
+        raise ValueError(f"unknown config key {', '.join(unknown)}; "
+                         f"expected one of {sorted(known)}")
 
 
 class EnsembleStats:
@@ -392,9 +402,13 @@ def _exp_coarsen(cfg, jobs):
     fld = field_from_config(cfg.generator, cfg.grid, cfg.master_seed)
     m = fld.grid.m
     levels = [int(s) for s in (cfg.scales or range(m + 1))]
+    outside = [n for n in levels if not 0 <= n <= m]
+    if outside:
+        raise ValueError(f"scales {outside} lie outside the levels [0, {m}] of the grid")
     recs = cascade(fld, fld.grid.macro_cube(), levels, opts)
     write_cascade_csv(os.path.join(cfg.output_dir, "cascade.csv"), recs)
-    sub = subadditivity_ledger(fld, m, max(min(levels), 0)) if m > 0 else None
+    below = [n for n in levels if n < m]
+    sub = subadditivity_ledger(fld, m, min(below), opts) if below else None
     return {
         "kind": "coarsen",
         "levels": levels,

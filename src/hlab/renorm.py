@@ -11,7 +11,6 @@ cutoff chi_r built from a windowed minimal-scale proxy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 import scipy.ndimage
@@ -21,7 +20,7 @@ from .correctors import CorrectorSet, periodic_homogenized_matrix
 from .fields import CoefficientField
 from .lattice import GridSpec, TriadicCube, discrete_gradient, triadic_partition
 from .solver import SolveOptions
-from .harness import ensemble, rate_fit, FitTarget
+from .harness import ensemble, rate_fit
 
 __all__ = [
     "HeatCoarsening",

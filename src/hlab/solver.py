@@ -2,9 +2,10 @@
 
 All problems are symmetric positive (semi)definite and solved by
 preconditioned conjugate gradients on the node grid, matrix-free.  The
-default preconditioner inverts the constant-coefficient operator exactly in
-a fast transform basis, which caps the condition number by the ellipticity
-ratio; 'diagonal' and 'none' remain available.
+preconditioner inverts the constant-coefficient operator exactly in a fast
+transform basis, which caps the condition number by the ellipticity ratio.
+Every Dirichlet problem shares one interior solve and every periodic problem
+one torus solve.
 
 The cell-centered element has zero-energy node modes beyond constants: the
 parity fields (-1)^(i_r + i_s) over two or more axes.  They are projected
@@ -14,7 +15,7 @@ fluxes, and energies are invariant along them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +38,6 @@ __all__ = [
     "solve_periodic_cell",
     "solve_forced",
     "solve_poisson_periodic",
-    "poisson_periodic_nodespace",
 ]
 
 
@@ -52,15 +52,12 @@ class SolverError(RuntimeError):
 class SolveOptions:
     tol: float = 1e-8
     maxiter: int = 10_000
-    preconditioner: str = "spectral"  # spectral | diagonal | none
 
     def __post_init__(self):
         if not 0.0 < self.tol <= 1e-2:
             raise ValueError("tolerance must lie in (0, 1e-2]")
         if self.maxiter < 1:
             raise ValueError("max iterations must be >= 1")
-        if self.preconditioner not in ("spectral", "diagonal", "none"):
-            raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
 
 
 @dataclass
@@ -85,23 +82,6 @@ def _amul(a, g):
 
 def _apply(a, u, h, periodic):
     return gradient_adjoint(_amul(a, discrete_gradient(u, h, periodic)), h, periodic)
-
-
-def _diag_of_operator(a, node_shape, h, periodic):
-    """Diagonal of grad^T a grad, assembled from the 2^d corner sign patterns."""
-    d = a.ndim - 2
-    cells = a.shape[:-2]
-    diag = np.zeros(node_shape)
-    scale = 1.0 / (h * h * 4.0 ** (d - 1))
-    for corner in np.ndindex(*(2,) * d):
-        s = np.array([1.0 if c else -1.0 for c in corner])
-        w = np.einsum("i,...ij,j->...", s, a, s) * scale
-        if periodic:
-            diag += np.roll(w, shift=corner, axis=tuple(range(d)))
-        else:
-            sl = tuple(slice(1, None) if c else slice(None, -1) for c in corner)
-            diag[sl] += w
-    return diag
 
 
 def _parity_modes(shape, periodic):
@@ -131,7 +111,7 @@ def _make_projector(shape, periodic, include_constant):
         modes.insert(0, c / np.linalg.norm(c))
 
     if not modes:
-        return lambda v: v
+        return _identity
 
     def project(v):
         out = v
@@ -140,6 +120,10 @@ def _make_projector(shape, periodic, include_constant):
         return out
 
     return project
+
+
+def _identity(v):
+    return v
 
 
 def _cg(apply_op, b, M, project, tol, maxiter):
@@ -175,26 +159,19 @@ def _cg(apply_op, b, M, project, tol, maxiter):
     )
 
 
-def _preconditioner(opts, a, node_shape, h, bc):
-    """bc in {'dirichlet', 'neumann', 'periodic'}; operates on node-shaped residuals."""
-    if opts.preconditioner == "none":
-        return lambda r: r
-    if opts.preconditioner == "diagonal":
-        diag = _diag_of_operator(a, node_shape, h, periodic=(bc == "periodic"))
-        if bc == "dirichlet":
-            inner = tuple(slice(1, -1) for _ in node_shape)
-            d2 = np.ones_like(diag)
-            d2[inner] = diag[inner]
-            diag = d2
-        diag = np.where(diag > 0, diag, 1.0)
-        return lambda r: r / diag
+def _preconditioner(shape, h, bc):
+    """Exact constant-operator inverse for bc in {'dirichlet', 'neumann', 'periodic'}.
+
+    `shape` is that of the residuals: interior nodes for 'dirichlet', all
+    nodes otherwise.  The symbol is built once per solve.
+    """
     if bc == "periodic":
-        symbol = spectral.torus_symbol(node_shape, h)
+        symbol = spectral.torus_symbol(shape, h)
         return lambda r: spectral.torus_solve_nodespace(r, h, symbol)
     if bc == "dirichlet":
-        # operates directly on interior-node residual arrays
-        return lambda r: spectral.dirichlet_solve_nodespace(r, h)
-    symbol = spectral.torus_symbol(tuple(2 * (n - 1) for n in node_shape), h)
+        symbol = spectral.dirichlet_symbol(shape, h)
+        return lambda r: spectral.dirichlet_solve_nodespace(r, h, symbol)
+    symbol = spectral.torus_symbol(tuple(2 * (n - 1) for n in shape), h)
     return lambda r: spectral.neumann_solve_nodespace(r, h, symbol)
 
 
@@ -204,10 +181,51 @@ def _vol_energy(a, grad, h):
     return float(h**d * 0.5 * np.einsum("...i,...ij,...j->...", grad, a, grad).sum() / vol)
 
 
+def _solution(a, u, h, periodic, res, its):
+    grad = discrete_gradient(u, h, periodic)
+    return Solution(u, grad, _amul(a, grad), res, its, _vol_energy(a, grad, h))
+
+
+def _plane(p, grid):
+    """Node values of the affine function x -> p . x."""
+    axes = np.meshgrid(*[np.arange(n + 1) * grid.h for n in grid.cell_shape], indexing="ij")
+    return sum(p[i] * axes[i] for i in range(grid.d))
+
+
 def _restrict(a_field: CoefficientField, cube: TriadicCube):
     if cube.level == a_field.grid.m and all(z == 0 for z in cube.offset):
         return a_field
     return a_field.restrict(cube)
+
+
+# ---------------------------------------------------------------------------
+# the shared interior-Dirichlet and torus solves
+# ---------------------------------------------------------------------------
+
+
+def _dirichlet_solve(a, u, b, h, opts):
+    """Add to u the zero-boundary v with (grad^T a grad v) = b on the interior nodes."""
+    inner = tuple(slice(1, -1) for _ in range(u.ndim))
+    res, its = 0.0, 0
+    if u[inner].size:
+        def apply_inner(v):
+            full = np.zeros_like(u)
+            full[inner] = v
+            return _apply(a, full, h, periodic=False)[inner]
+
+        M = _preconditioner(u[inner].shape, h, "dirichlet")
+        corr, res, its = _cg(apply_inner, b[inner], M, _identity, opts.tol, opts.maxiter)
+        u[inner] += corr
+    return _solution(a, u, h, False, res, its)
+
+
+def _torus_solve(a, b, h, opts):
+    """Mean-zero periodic u with grad^T a grad u = b, up to the operator kernel."""
+    shape = a.shape[:-2]
+    project = _make_projector(shape, periodic=True, include_constant=True)
+    M = _preconditioner(shape, h, "periodic")
+    u, res, its = _cg(lambda v: _apply(a, v, h, True), b, M, project, opts.tol, opts.maxiter)
+    return u - u.mean(), res, its
 
 
 # ---------------------------------------------------------------------------
@@ -217,43 +235,11 @@ def _restrict(a_field: CoefficientField, cube: TriadicCube):
 
 def solve_dirichlet_affine(a_field: CoefficientField, cube: TriadicCube, p, opts: SolveOptions = None) -> Solution:
     """Minimize the volume-normalized energy over u = l_p on the cube boundary."""
-    opts = opts or SolveOptions()
     sub = _restrict(a_field, cube)
-    grid = sub.grid
-    h, d = grid.h, grid.d
-    p = np.asarray(p, dtype=float)
-    axes = np.meshgrid(*[np.arange(n + 1) * h for n in grid.cell_shape], indexing="ij")
-    lp = sum(p[i] * axes[i] for i in range(d))
-    inner = tuple(slice(1, -1) for _ in range(d))
-
-    u = lp.copy()
-    if u[inner].size:
-        b_full = -_apply(sub.a, lp, h, periodic=False)
-
-        def apply_inner(v):
-            full = np.zeros_like(u)
-            full[inner] = v
-            return _apply(sub.a, full, h, periodic=False)[inner]
-
-        if opts.preconditioner == "diagonal":
-            Mfull = _preconditioner(opts, sub.a, grid.node_shape, h, "dirichlet")
-            M = lambda r: _embed_inner(Mfull, r, inner, grid.node_shape)
-        else:
-            M = _preconditioner(opts, sub.a, tuple(n - 2 for n in grid.node_shape), h, "dirichlet")
-        corr, res, its = _cg(apply_inner, b_full[inner], M, lambda v: v, opts.tol, opts.maxiter)
-        u[inner] += corr
-    else:
-        res, its = 0.0, 0
-
-    grad = discrete_gradient(u, h, periodic=False)
-    flux = _amul(sub.a, grad)
-    return Solution(u, grad, flux, res, its, _vol_energy(sub.a, grad, h))
-
-
-def _embed_inner(Mfull, r, inner, node_shape):
-    full = np.zeros(node_shape)
-    full[inner] = r
-    return Mfull(full)[inner]
+    h = sub.grid.h
+    lp = _plane(np.asarray(p, dtype=float), sub.grid)
+    return _dirichlet_solve(sub.a, lp, -_apply(sub.a, lp, h, periodic=False), h,
+                            opts or SolveOptions())
 
 
 def solve_dirichlet_data(a_field: CoefficientField, cube: TriadicCube, boundary: np.ndarray,
@@ -263,36 +249,13 @@ def solve_dirichlet_data(a_field: CoefficientField, cube: TriadicCube, boundary:
     `boundary` is a full node array; only its boundary values matter (its
     interior serves as the initial lift).
     """
-    opts = opts or SolveOptions()
     sub = _restrict(a_field, cube)
     grid = sub.grid
-    h, d = grid.h, grid.d
     if boundary.shape != grid.node_shape:
         raise ValueError(f"boundary array shape {boundary.shape} != {grid.node_shape}")
-    inner = tuple(slice(1, -1) for _ in range(d))
-
     u = boundary.astype(float, copy=True)
-    if u[inner].size:
-        b_full = -_apply(sub.a, u, h, periodic=False)
-
-        def apply_inner(v):
-            full = np.zeros_like(u)
-            full[inner] = v
-            return _apply(sub.a, full, h, periodic=False)[inner]
-
-        if opts.preconditioner == "diagonal":
-            Mfull = _preconditioner(opts, sub.a, grid.node_shape, h, "dirichlet")
-            M = lambda r: _embed_inner(Mfull, r, inner, grid.node_shape)
-        else:
-            M = _preconditioner(opts, sub.a, tuple(n - 2 for n in grid.node_shape), h, "dirichlet")
-        corr, res, its = _cg(apply_inner, b_full[inner], M, lambda v: v, opts.tol, opts.maxiter)
-        u[inner] += corr
-    else:
-        res, its = 0.0, 0
-
-    grad = discrete_gradient(u, h, periodic=False)
-    flux = _amul(sub.a, grad)
-    return Solution(u, grad, flux, res, its, _vol_energy(sub.a, grad, h))
+    return _dirichlet_solve(sub.a, u, -_apply(sub.a, u, grid.h, periodic=False), grid.h,
+                            opts or SolveOptions())
 
 
 def solve_neumann_affine(a_field: CoefficientField, cube: TriadicCube, q, opts: SolveOptions = None) -> Solution:
@@ -310,7 +273,7 @@ def solve_neumann_affine(a_field: CoefficientField, cube: TriadicCube, q, opts: 
     qcell = np.broadcast_to(q, grid.cell_shape + (d,))
     b = gradient_adjoint(qcell, h, periodic=False)
     project = _make_projector(grid.node_shape, periodic=False, include_constant=True)
-    M = _preconditioner(opts, sub.a, grid.node_shape, h, "neumann")
+    M = _preconditioner(grid.node_shape, h, "neumann")
     w, res, its = _cg(lambda v: _apply(sub.a, v, h, False), b, M, project, opts.tol, opts.maxiter)
 
     grad = discrete_gradient(w, h, periodic=False)
@@ -319,8 +282,7 @@ def solve_neumann_affine(a_field: CoefficientField, cube: TriadicCube, q, opts: 
     abar_cell = sub.a.mean(axis=tuple(range(d)))
     c = np.linalg.solve(abar_cell, q - mean_flux)
     if np.abs(c).max() > 0:
-        axes = np.meshgrid(*[np.arange(n + 1) * h for n in grid.cell_shape], indexing="ij")
-        w = w + sum(c[i] * axes[i] for i in range(d))
+        w = w + _plane(c, grid)
         w = w - w.mean()
         grad = discrete_gradient(w, h, periodic=False)
         flux = _amul(sub.a, grad)
@@ -333,16 +295,12 @@ def solve_neumann_affine(a_field: CoefficientField, cube: TriadicCube, q, opts: 
 
 def solve_periodic_cell(a_field: CoefficientField, e, opts: SolveOptions = None) -> Solution:
     """First-order corrector on the torus: -div a (e + grad phi) = 0, phi mean zero."""
-    opts = opts or SolveOptions()
     grid = a_field.grid
     h, d = grid.h, grid.d
     e = np.asarray(e, dtype=float)
     ecell = np.broadcast_to(e, grid.cell_shape + (d,))
     b = -gradient_adjoint(_amul(a_field.a, ecell), h, periodic=True)
-    project = _make_projector(grid.cell_shape, periodic=True, include_constant=True)
-    M = _preconditioner(opts, a_field.a, grid.cell_shape, h, "periodic")
-    phi, res, its = _cg(lambda v: _apply(a_field.a, v, h, True), b, M, project, opts.tol, opts.maxiter)
-    phi = phi - phi.mean()
+    phi, res, its = _torus_solve(a_field.a, b, h, opts or SolveOptions())
     grad = discrete_gradient(phi, h, periodic=True)
     corrected = grad + e
     flux = _amul(a_field.a, corrected)
@@ -361,38 +319,13 @@ def solve_forced(a_field: CoefficientField, cube: TriadicCube, f, bc: str = "dir
         raise ValueError(f"forcing shape {f.shape} incompatible with the cube grid")
 
     if bc == "dirichlet-zero":
-        inner = tuple(slice(1, -1) for _ in range(d))
-        b_full = -gradient_adjoint(f, h, periodic=False)
-        psi = np.zeros(grid.node_shape)
-        if psi[inner].size:
-            def apply_inner(v):
-                full = np.zeros_like(psi)
-                full[inner] = v
-                return _apply(sub.a, full, h, periodic=False)[inner]
-
-            if opts.preconditioner == "diagonal":
-                Mfull = _preconditioner(opts, sub.a, grid.node_shape, h, "dirichlet")
-                M = lambda r: _embed_inner(Mfull, r, inner, grid.node_shape)
-            else:
-                M = _preconditioner(opts, sub.a, tuple(n - 2 for n in grid.node_shape), h, "dirichlet")
-            corr, res, its = _cg(apply_inner, b_full[inner], M, lambda v: v, opts.tol, opts.maxiter)
-            psi[inner] = corr
-        else:
-            res, its = 0.0, 0
-        periodic = False
-    elif bc == "periodic":
-        b = -gradient_adjoint(f, h, periodic=True)
-        project = _make_projector(grid.cell_shape, periodic=True, include_constant=True)
-        M = _preconditioner(opts, sub.a, grid.cell_shape, h, "periodic")
-        psi, res, its = _cg(lambda v: _apply(sub.a, v, h, True), b, M, project, opts.tol, opts.maxiter)
-        psi = psi - psi.mean()
-        periodic = True
-    else:
+        b = -gradient_adjoint(f, h, periodic=False)
+        return _dirichlet_solve(sub.a, np.zeros(grid.node_shape), b, h, opts)
+    if bc != "periodic":
         raise ValueError(f"unknown boundary condition {bc!r}")
-
-    grad = discrete_gradient(psi, h, periodic=periodic)
-    flux = _amul(sub.a, grad)
-    return Solution(psi, grad, flux, res, its, _vol_energy(sub.a, grad, h))
+    b = -gradient_adjoint(f, h, periodic=True)
+    psi, res, its = _torus_solve(sub.a, b, h, opts)
+    return _solution(sub.a, psi, h, True, res, its)
 
 
 def solve_poisson_periodic(rhs: np.ndarray, h: float, opts: SolveOptions = None) -> np.ndarray:
@@ -406,10 +339,4 @@ def solve_poisson_periodic(rhs: np.ndarray, h: float, opts: SolveOptions = None)
     d = rhs.ndim
     b = cell_to_node_adjoint(rhs - rhs.mean(), periodic=True) * h**d
     u = spectral.torus_solve_nodespace(b, h)
-    return u - u.mean()
-
-
-def poisson_periodic_nodespace(b: np.ndarray, h: float) -> np.ndarray:
-    """Mean-zero periodic solve of the constant operator for a node-space load."""
-    u = spectral.torus_solve_nodespace(b - b.mean(), h)
     return u - u.mean()

@@ -5,6 +5,8 @@ diagonalized by Fourier modes on the torus, by sine modes on the Dirichlet
 interior grid, and by cosine modes on the free (Neumann) node grid.  These
 solves back both the identity-Laplacian problems and the preconditioner that
 keeps conjugate-gradient iteration counts bounded by the ellipticity ratio.
+The torus solve also accepts the symbol of the cell network's nearest-neighbour
+Laplacian, which preconditions the random-conductance solves.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import scipy.fft
 
 __all__ = [
     "torus_symbol",
+    "network_symbol",
+    "dirichlet_symbol",
     "torus_solve_nodespace",
     "dirichlet_solve_nodespace",
     "neumann_solve_nodespace",
@@ -38,29 +42,35 @@ def _symbol_from_1d(sin2, cos2, h):
     return total
 
 
+def _divide_above_floor(bh, symbol):
+    """bh / symbol, and zero on the modes whose symbol is below the eigenvalue floor."""
+    return np.divide(bh, symbol, out=np.zeros_like(bh), where=symbol > _EIG_FLOOR * symbol.max())
+
+
+def _torus_1d(shape):
+    theta = [2.0 * np.pi * np.arange(n) / n for n in shape]
+    return [np.sin(t / 2.0) ** 2 for t in theta], [np.cos(t / 2.0) ** 2 for t in theta]
+
+
 def torus_symbol(shape, h):
-    sin2 = []
-    cos2 = []
-    for n in shape:
-        theta = 2.0 * np.pi * np.arange(n) / n
-        sin2.append(np.sin(theta / 2.0) ** 2)
-        cos2.append(np.cos(theta / 2.0) ** 2)
-    return _symbol_from_1d(sin2, cos2, h)
+    return _symbol_from_1d(*_torus_1d(shape), h)
+
+
+def network_symbol(shape, h):
+    """Symbol of the nearest-neighbour Laplacian of the periodic cell network."""
+    sin2, cos2 = _torus_1d(shape)
+    return _symbol_from_1d(sin2, [np.ones_like(c) for c in cos2], h)
 
 
 def torus_solve_nodespace(b: np.ndarray, h: float, symbol=None) -> np.ndarray:
-    """Pseudoinverse of the periodic constant operator applied to b."""
+    """Pseudoinverse of the periodic constant operator (or of `symbol`'s) applied to b."""
     if symbol is None:
         symbol = torus_symbol(b.shape, h)
-    bh = np.fft.fftn(b)
-    mask = symbol > _EIG_FLOOR * symbol.max()
-    out = np.zeros_like(bh)
-    out[mask] = bh[mask] / symbol[mask]
-    return np.fft.ifftn(out).real
+    return np.fft.ifftn(_divide_above_floor(np.fft.fftn(b), symbol)).real
 
 
-def _sine_symbol(shape, h):
-    # interior nodes: j = 1..N-1 per axis, N = shape[axis] + 1 cells
+def dirichlet_symbol(shape, h):
+    """Sine-basis symbol on an interior node grid of `shape` (N = shape[axis] + 1 cells)."""
     sin2 = []
     cos2 = []
     for n in shape:
@@ -74,12 +84,8 @@ def _sine_symbol(shape, h):
 def dirichlet_solve_nodespace(b: np.ndarray, h: float, symbol=None) -> np.ndarray:
     """Inverse of the constant operator on the zero-boundary interior grid."""
     if symbol is None:
-        symbol = _sine_symbol(b.shape, h)
-    bh = scipy.fft.dstn(b, type=1)
-    mask = symbol > _EIG_FLOOR * symbol.max()
-    out = np.zeros_like(bh)
-    out[mask] = bh[mask] / symbol[mask]
-    return scipy.fft.idstn(out, type=1)
+        symbol = dirichlet_symbol(b.shape, h)
+    return scipy.fft.idstn(_divide_above_floor(scipy.fft.dstn(b, type=1), symbol), type=1)
 
 
 def neumann_solve_nodespace(b: np.ndarray, h: float, symbol=None) -> np.ndarray:

@@ -15,8 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import spectral
 from .fields import CoefficientField
 from .lattice import GridSpec
+from .solver import _cg, _identity
 
 __all__ = [
     "ConductanceNetwork",
@@ -84,44 +86,6 @@ def _net_apply(net: ConductanceNetwork, v):
     return out
 
 
-def _net_symbol(shape, h):
-    d = len(shape)
-    sym = None
-    for j, n in enumerate(shape):
-        theta = 2.0 * np.pi * np.arange(n) / n
-        f = 4.0 * np.sin(theta / 2.0) ** 2 / h**2
-        sh = [1] * d
-        sh[j] = n
-        f = f.reshape(sh)
-        sym = f if sym is None else sym + f
-    return sym
-
-
-def _net_cg(apply_op, b, M, tol, maxiter):
-    from .solver import SolverError
-
-    bnorm = np.sqrt((b * b).sum())
-    x = np.zeros_like(b)
-    if bnorm == 0.0:
-        return x, 0
-    r = b.copy()
-    z = M(r)
-    p = z.copy()
-    rz = (r * z).sum()
-    for it in range(1, maxiter + 1):
-        Ap = apply_op(p)
-        alpha = rz / (p * Ap).sum()
-        x += alpha * p
-        r -= alpha * Ap
-        if np.sqrt((r * r).sum()) <= tol * bnorm:
-            return x, it
-        z = M(r)
-        rz_new = (r * z).sum()
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    raise SolverError(f"network CG failed to converge in {maxiter} iterations")
-
-
 def network_homogenized_matrix(net: ConductanceNetwork, tol: float = 1e-10) -> np.ndarray:
     """Homogenized matrix of the conductance network via its cell problem.
 
@@ -130,19 +94,15 @@ def network_homogenized_matrix(net: ConductanceNetwork, tol: float = 1e-10) -> n
     """
     grid = net.grid
     d, h = grid.d, grid.h
-    sym = _net_symbol(grid.cell_shape, h)
-    mask = sym > 1e-12 * sym.max()
+    sym = spectral.network_symbol(grid.cell_shape, h)
 
     def M(r):
-        rh = np.fft.fftn(r)
-        out = np.zeros_like(rh)
-        out[mask] = rh[mask] / sym[mask]
-        return np.fft.ifftn(out).real
+        return spectral.torus_solve_nodespace(r, h, sym)
 
     abar = np.zeros((d, d))
     for k in range(d):
         b = -_ndiff_adj(net.cond[k], k, h)
-        chi, _ = _net_cg(lambda v: _net_apply(net, v), b - b.mean(), M, tol, 10_000)
+        chi, _, _ = _cg(lambda v: _net_apply(net, v), b - b.mean(), M, _identity, tol, 10_000)
         for j in range(d):
             slope = _ndiff(chi, j, h) + (1.0 if j == k else 0.0)
             abar[j, k] = (net.cond[j] * slope).mean()
@@ -240,11 +200,10 @@ def parabolic_green(a_field: CoefficientField, t_final: float, source,
     if not np.isclose(n_steps * dt, t_final):
         raise ValueError("horizon must be an integer number of steps")
 
-    sym = _net_symbol(grid.cell_shape, h)
-    denom = 1.0 + dt * sym
+    denom = 1.0 + dt * spectral.network_symbol(grid.cell_shape, h)
 
     def M(r):
-        return np.fft.ifftn(np.fft.fftn(r) / denom).real
+        return spectral.torus_solve_nodespace(r, h, denom)
 
     u = np.zeros(grid.cell_shape)
     u[tuple(source)] = 1.0 / h**d          # unit-mass density
@@ -253,7 +212,7 @@ def parabolic_green(a_field: CoefficientField, t_final: float, source,
     iters = 0
     for _ in range(n_steps):
         before = u.sum() * cell_mass
-        u, it = _net_cg(lambda v: v + dt * _net_apply(net, v), u, M, tol, 5000)
+        u, _, it = _cg(lambda v: v + dt * _net_apply(net, v), u, M, _identity, tol, 5000)
         iters += it
         mass_drift = max(mass_drift, abs(u.sum() * cell_mass - before))
 

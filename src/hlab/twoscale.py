@@ -10,14 +10,14 @@ corrector set on one unit cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .fields import CoefficientField
 from .correctors import CorrectorSet
-from .lattice import GridSpec, TriadicCube, weak_norm_estimate
+from .lattice import GridSpec, weak_norm_estimate
 from .solver import SolveOptions, solve_dirichlet_data
 
 __all__ = [

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import hlab.coarse
 from hlab.coarse import (
     CascadeRecord,
     J_value,
@@ -17,6 +19,7 @@ from hlab.coarse import (
 )
 from hlab.fields import make_constant, make_laminate, sample_checkerboard
 from hlab.lattice import GridSpec, TriadicCube
+from hlab.solver import solve_dirichlet_affine, solve_neumann_affine
 
 TOL10 = 1e-7  # ten solver tolerances
 
@@ -47,7 +50,48 @@ class TestCoarseMatrices:
         r = coarse_matrices(f, TriadicCube(1, (0, 0)))
         assert np.array_equal(r.a_upper, r.a_upper.T)
         assert np.array_equal(r.a_lower, r.a_lower.T)
-        assert r.symmetry_drift < TOL10
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.integers(1, 2))
+    def test_bilinear_readout_matches_polarization(self, seed, d, m):
+        # reference: each matrix polarized from energies at e_i, e_j and e_i + e_j
+        f = sample_checkerboard(GridSpec(d, m, 1), seed)
+        cube = TriadicCube(m, (0,) * d)
+        es = np.eye(d)
+
+        def polarize(solve):
+            E = lambda v: solve(f, cube, v).energy
+            diag = [E(e) for e in es]
+            M = np.diag(2.0 * np.array(diag))
+            for i in range(d):
+                for j in range(i + 1, d):
+                    M[i, j] = M[j, i] = E(es[i] + es[j]) - diag[i] - diag[j]
+            return M
+
+        r = coarse_matrices(f, cube)
+        assert np.abs(r.a_upper - polarize(solve_dirichlet_affine)).max() < 1e-12
+        a_lower = np.linalg.inv(polarize(solve_neumann_affine))
+        assert np.abs(r.a_lower - a_lower).max() < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_d_basis_solves_per_kind(self, d, monkeypatch):
+        calls = {"dirichlet": [], "neumann": []}
+
+        def spy(kind, solve):
+            def counted(*args, **kwargs):
+                sol = solve(*args, **kwargs)
+                calls[kind].append(sol.iterations)
+                return sol
+            return counted
+
+        monkeypatch.setattr(hlab.coarse, "solve_dirichlet_affine",
+                            spy("dirichlet", solve_dirichlet_affine))
+        monkeypatch.setattr(hlab.coarse, "solve_neumann_affine",
+                            spy("neumann", solve_neumann_affine))
+        r = coarse_matrices(sample_checkerboard(GridSpec(d, 1, 1), 4), TriadicCube(1, (0,) * d))
+        assert len(calls["dirichlet"]) == d
+        assert len(calls["neumann"]) == d
+        assert r.iterations == sum(calls["dirichlet"]) + sum(calls["neumann"]) > 0
 
     def test_ordering_chain_20_seeds(self):
         # lam I <= a*(U) <= a(U) <= cube mean of a <= Lam I as PSD inequalities

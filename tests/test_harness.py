@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hlab.coarse
 from hlab.harness import (
     EnsembleStats,
     ExperimentConfig,
@@ -44,6 +45,10 @@ class TestConfig:
             ExperimentConfig(kind="walk", ensemble_size=0).validate()
         with pytest.raises(ValueError):
             ExperimentConfig(kind="walk", solver={"tol": 0.5}).validate()
+        with pytest.raises(ValueError, match="solver.preconditioner"):
+            ExperimentConfig(kind="walk", solver={"preconditioner": "none"}).validate()
+        with pytest.raises(ValueError, match="'ensemble'"):
+            ExperimentConfig.from_json(json.dumps({"kind": "walk", "ensemble": 4}))
 
 
 class TestEnsembleStats:
@@ -194,6 +199,41 @@ class TestRunExperiment:
         summary = run_experiment(cfg)
         assert (tmp_path / "cascade.csv").exists()
         assert summary["subadditivity_slacks"]["upper"] >= -1e-7
+
+    def test_coarsen_ledger_gets_solver_options(self, tmp_path, monkeypatch):
+        seen = []
+        ledger = hlab.coarse.subadditivity_ledger
+
+        def spy(a_field, m, n, opts=None):
+            seen.append(opts)
+            return ledger(a_field, m, n, opts)
+
+        monkeypatch.setattr(hlab.coarse, "subadditivity_ledger", spy)
+        cfg = ExperimentConfig(kind="coarsen", generator={"name": "checkerboard"},
+                               grid={"d": 2, "m": 1, "k": 1}, scales=[0, 1],
+                               solver={"tol": 1e-6}, output_dir=str(tmp_path))
+        run_experiment(cfg)
+        assert [o.tol for o in seen] == [1e-6]
+
+    def test_coarsen_without_level_below_m(self, tmp_path):
+        cfg = ExperimentConfig(kind="coarsen", generator={"name": "checkerboard"},
+                               grid={"d": 2, "m": 2, "k": 1}, scales=[2],
+                               output_dir=str(tmp_path))
+        summary = run_experiment(cfg)
+        assert summary["subadditivity_slacks"] is None
+        assert list(summary["gap_by_level"]) == [2]
+
+    @pytest.mark.parametrize("scales", [[0, 3], [-1, 1]])
+    def test_coarsen_scales_outside_grid_rejected(self, tmp_path, monkeypatch, scales):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the scales were checked")
+
+        monkeypatch.setattr(hlab.coarse, "coarse_matrices", no_solve)
+        cfg = ExperimentConfig(kind="coarsen", generator={"name": "checkerboard"},
+                               grid={"d": 2, "m": 2, "k": 1}, scales=scales,
+                               output_dir=str(tmp_path))
+        with pytest.raises(ValueError, match="scales"):
+            run_experiment(cfg)
 
     def test_error_recorded(self, tmp_path):
         cfg = ExperimentConfig(kind="coarsen",
