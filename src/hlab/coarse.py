@@ -25,9 +25,12 @@ __all__ = [
     "coarse_matrices",
     "J_value",
     "duality_defect",
+    "subadditivity_slacks",
     "subadditivity_ledger",
     "multiscale_E",
     "spatial_average_identities",
+    "cascade_record",
+    "cascade",
     "write_cascade_csv",
     "read_cascade_csv",
 ]
@@ -125,31 +128,37 @@ def duality_defect(r: CoarseGrainResult, b: np.ndarray = None) -> dict:
     return {"gap": gap, "bound": bound}
 
 
-def subadditivity_ledger(a_field: CoefficientField, m: int, n: int,
-                         opts: SolveOptions = None) -> dict:
-    """Coarse matrices on the origin level-m cube vs. its level-n children.
+def subadditivity_slacks(parent: CoarseGrainResult, children) -> dict:
+    """Child means of the coarse pair against the parent's, with the smallest slack eigenvalues.
 
     Subadditivity: a(parent) <= arithmetic mean of a(child) and
     a*(parent) >= harmonic mean of a*(child), in the matrix order.  The
     returned slack eigenvalues are nonnegative up to solver noise.
+    """
+    up_mean = np.mean([c.a_upper for c in children], axis=0)
+    lo_harm = np.linalg.inv(np.mean([np.linalg.inv(c.a_lower) for c in children], axis=0))
+    up_slack = np.linalg.eigvalsh(up_mean - parent.a_upper).min()
+    lo_slack = np.linalg.eigvalsh(parent.a_lower - lo_harm).min()
+    return {
+        "a_upper_child_mean": up_mean,
+        "a_lower_child_harmonic": lo_harm,
+        "upper_slack_min_eig": float(up_slack),
+        "lower_slack_min_eig": float(lo_slack),
+    }
+
+
+def subadditivity_ledger(a_field: CoefficientField, m: int, n: int,
+                         opts: SolveOptions = None) -> dict:
+    """Coarse matrices on the origin level-m cube vs. its level-n children.
+
+    Returns the parent and children results with their `subadditivity_slacks`.
     """
     if not 0 <= n < m:
         raise ValueError(f"need 0 <= n < m, got n={n}, m={m}")
     cube = TriadicCube(m, (0,) * a_field.grid.d)
     parent = coarse_matrices(a_field, cube, opts)
     children = [coarse_matrices(a_field, c, opts) for c in triadic_partition(cube, n)]
-    up_mean = np.mean([c.a_upper for c in children], axis=0)
-    lo_harm = np.linalg.inv(np.mean([np.linalg.inv(c.a_lower) for c in children], axis=0))
-    up_slack = np.linalg.eigvalsh(up_mean - parent.a_upper).min()
-    lo_slack = np.linalg.eigvalsh(parent.a_lower - lo_harm).min()
-    return {
-        "parent": parent,
-        "children": children,
-        "a_upper_child_mean": up_mean,
-        "a_lower_child_harmonic": lo_harm,
-        "upper_slack_min_eig": float(up_slack),
-        "lower_slack_min_eig": float(lo_slack),
-    }
+    return {"parent": parent, "children": children, **subadditivity_slacks(parent, children)}
 
 
 def multiscale_E(a_field: CoefficientField, m: int, a_ref: np.ndarray,
@@ -209,25 +218,27 @@ def spatial_average_identities(r: CoarseGrainResult, a_field: CoefficientField =
     return out
 
 
+def cascade_record(level: int, results) -> CascadeRecord:
+    """Partition statistics of the coarse pairs of one level."""
+    ups = np.array([r.a_upper for r in results])
+    gaps = [np.linalg.norm(r.a_upper - r.a_lower, ord=2) for r in results]
+    bounds = [duality_defect(r)["bound"] for r in results]
+    return CascadeRecord(
+        level=level,
+        a_upper_mean=ups.mean(axis=0),
+        a_upper_var=ups.var(axis=0),
+        a_lower_harmonic=np.linalg.inv(
+            np.mean([np.linalg.inv(r.a_lower) for r in results], axis=0)),
+        gap_mean=float(np.mean(gaps)),
+        defect_bound_mean=float(np.mean(bounds)),
+    )
+
+
 def cascade(a_field: CoefficientField, cube: TriadicCube, levels,
             opts: SolveOptions = None) -> list:
     """CascadeRecord per level: partition statistics of the coarse pair."""
-    out = []
-    for n in sorted(levels):
-        results = [coarse_matrices(a_field, c, opts) for c in triadic_partition(cube, n)]
-        ups = np.array([r.a_upper for r in results])
-        gaps = [np.linalg.norm(r.a_upper - r.a_lower, ord=2) for r in results]
-        bounds = [duality_defect(r)["bound"] for r in results]
-        out.append(CascadeRecord(
-            level=n,
-            a_upper_mean=ups.mean(axis=0),
-            a_upper_var=ups.var(axis=0),
-            a_lower_harmonic=np.linalg.inv(
-                np.mean([np.linalg.inv(r.a_lower) for r in results], axis=0)),
-            gap_mean=float(np.mean(gaps)),
-            defect_bound_mean=float(np.mean(bounds)),
-        ))
-    return out
+    return [cascade_record(n, [coarse_matrices(a_field, c, opts) for c in triadic_partition(cube, n)])
+            for n in sorted(levels)]
 
 
 # ---------------------------------------------------------------------------

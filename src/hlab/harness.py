@@ -8,6 +8,7 @@ final statistics are always reduced in a fixed tree over member indices.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, asdict
@@ -53,6 +54,9 @@ class ExperimentConfig:
                              f"expected one of {EXPERIMENT_KINDS}")
         if self.ensemble_size < 1:
             raise ValueError("ensemble size must be >= 1")
+        seed = self.master_seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
+            raise ValueError(f"master_seed must be an integer in [0, 2**64), got {seed!r}")
         if self.grid:
             from .lattice import GridSpec
             GridSpec(self.grid.get("d", 2), self.grid.get("m", 1), self.grid.get("k", 1))
@@ -396,19 +400,35 @@ def _exp_field_gen(cfg, jobs):
 
 
 def _exp_coarsen(cfg, jobs):
-    from .coarse import cascade, subadditivity_ledger, write_cascade_csv
+    from .coarse import cascade_record, coarse_matrices, subadditivity_slacks, write_cascade_csv
+    from .lattice import triadic_partition
 
     opts = _solve_options(cfg)
     fld = field_from_config(cfg.generator, cfg.grid, cfg.master_seed)
     m = fld.grid.m
+    cube = fld.grid.macro_cube()
     levels = [int(s) for s in (cfg.scales or range(m + 1))]
     outside = [n for n in levels if not 0 <= n <= m]
     if outside:
         raise ValueError(f"scales {outside} lie outside the levels [0, {m}] of the grid")
-    recs = cascade(fld, fld.grid.macro_cube(), levels, opts)
-    write_cascade_csv(os.path.join(cfg.output_dir, "cascade.csv"), recs)
+    # each level's partition is solved once; the ledger reads the finest
+    # level's children and the level-m parent from the cascade's results
     below = [n for n in levels if n < m]
-    sub = subadditivity_ledger(fld, m, min(below), opts) if below else None
+    children = parent = None
+    recs = []
+    for n in sorted(levels):
+        results = [coarse_matrices(fld, c, opts) for c in triadic_partition(cube, n)]
+        recs.append(cascade_record(n, results))
+        if below and n == min(below):
+            children = results
+        elif n == m:
+            parent = results[0]
+    write_cascade_csv(os.path.join(cfg.output_dir, "cascade.csv"), recs)
+    sub = None
+    if below:
+        if parent is None:
+            parent = coarse_matrices(fld, cube, opts)
+        sub = subadditivity_slacks(parent, children)
     return {
         "kind": "coarsen",
         "levels": levels,

@@ -171,7 +171,7 @@ def _preconditioner(shape, h, bc):
     if bc == "dirichlet":
         symbol = spectral.dirichlet_symbol(shape, h)
         return lambda r: spectral.dirichlet_solve_nodespace(r, h, symbol)
-    symbol = spectral.torus_symbol(tuple(2 * (n - 1) for n in shape), h)
+    symbol = spectral.neumann_symbol(shape, h)
     return lambda r: spectral.neumann_solve_nodespace(r, h, symbol)
 
 
@@ -328,7 +328,7 @@ def solve_forced(a_field: CoefficientField, cube: TriadicCube, f, bc: str = "dir
     return _solution(sub.a, psi, h, True, res, its)
 
 
-def solve_poisson_periodic(rhs: np.ndarray, h: float, opts: SolveOptions = None) -> np.ndarray:
+def solve_poisson_periodic(rhs: np.ndarray, h: float) -> np.ndarray:
     """Mean-zero periodic solution of -lap u = rhs (cell scalar data).
 
     Constant coefficients: solved exactly in the Fourier basis.

@@ -2,7 +2,10 @@
 
 The operator sum_k Gk^T Gk (Gk = cell-centered gradient component) is
 diagonalized by Fourier modes on the torus, by sine modes on the Dirichlet
-interior grid, and by cosine modes on the free (Neumann) node grid.  These
+interior grid, and by cosine modes on the free (Neumann) node grid.  Each solve
+applies the real transform of its boundary condition: a real FFT on the torus
+(symbols hold the rfftn half-spectrum, the last axis keeping n//2 + 1 modes),
+a DST-I on the Dirichlet interior and a DCT-I on the Neumann grid.  These
 solves back both the identity-Laplacian problems and the preconditioner that
 keeps conjugate-gradient iteration counts bounded by the ellipticity ratio.
 The torus solve also accepts the symbol of the cell network's nearest-neighbour
@@ -12,12 +15,13 @@ Laplacian, which preconditions the random-conductance solves.
 from __future__ import annotations
 
 import numpy as np
-import scipy.fft
+from scipy import fft
 
 __all__ = [
     "torus_symbol",
     "network_symbol",
     "dirichlet_symbol",
+    "neumann_symbol",
     "torus_solve_nodespace",
     "dirichlet_solve_nodespace",
     "neumann_solve_nodespace",
@@ -26,9 +30,14 @@ __all__ = [
 _EIG_FLOOR = 1e-12
 
 
-def _symbol_from_1d(sin2, cos2, h):
-    """Assemble sum_k (4 sin2_k / h^2) prod_{j!=k} cos2_j by outer products."""
-    d = len(sin2)
+def _symbol(theta, h, network=False):
+    """sum_k (4 sin2_k / h^2) prod_{j!=k} cos2_j at the per-axis mode angles theta.
+
+    The cell network's Laplacian has no cos2 weights.
+    """
+    d = len(theta)
+    sin2 = [np.sin(t / 2.0) ** 2 for t in theta]
+    cos2 = [np.ones_like(t) if network else np.cos(t / 2.0) ** 2 for t in theta]
     total = None
     for k in range(d):
         term = None
@@ -47,66 +56,62 @@ def _divide_above_floor(bh, symbol):
     return np.divide(bh, symbol, out=np.zeros_like(bh), where=symbol > _EIG_FLOOR * symbol.max())
 
 
-def _torus_1d(shape):
-    theta = [2.0 * np.pi * np.arange(n) / n for n in shape]
-    return [np.sin(t / 2.0) ** 2 for t in theta], [np.cos(t / 2.0) ** 2 for t in theta]
+def _torus_angles(shape):
+    """Angles 2 pi k / n of the rfftn modes: all n on leading axes, n//2 + 1 on the last."""
+    kept = list(shape[:-1]) + [shape[-1] // 2 + 1]
+    return [2.0 * np.pi * np.arange(k) / n for k, n in zip(kept, shape)]
 
 
 def torus_symbol(shape, h):
-    return _symbol_from_1d(*_torus_1d(shape), h)
+    """rfftn half-spectrum symbol of the periodic constant operator on `shape` nodes."""
+    return _symbol(_torus_angles(shape), h)
 
 
 def network_symbol(shape, h):
-    """Symbol of the nearest-neighbour Laplacian of the periodic cell network."""
-    sin2, cos2 = _torus_1d(shape)
-    return _symbol_from_1d(sin2, [np.ones_like(c) for c in cos2], h)
+    """rfftn half-spectrum symbol of the periodic cell network's nearest-neighbour Laplacian."""
+    return _symbol(_torus_angles(shape), h, network=True)
 
 
 def torus_solve_nodespace(b: np.ndarray, h: float, symbol=None) -> np.ndarray:
-    """Pseudoinverse of the periodic constant operator (or of `symbol`'s) applied to b."""
+    """Pseudoinverse of the periodic constant operator (or of `symbol`'s) applied to b.
+
+    `symbol` is an rfftn half-spectrum, as returned by `torus_symbol`.
+    """
     if symbol is None:
         symbol = torus_symbol(b.shape, h)
-    return np.fft.ifftn(_divide_above_floor(np.fft.fftn(b), symbol)).real
+    return fft.irfftn(_divide_above_floor(fft.rfftn(b), symbol), s=b.shape)
 
 
 def dirichlet_symbol(shape, h):
     """Sine-basis symbol on an interior node grid of `shape` (N = shape[axis] + 1 cells)."""
-    sin2 = []
-    cos2 = []
-    for n in shape:
-        N = n + 1
-        omega = np.pi * np.arange(1, N) / N
-        sin2.append(np.sin(omega / 2.0) ** 2)
-        cos2.append(np.cos(omega / 2.0) ** 2)
-    return _symbol_from_1d(sin2, cos2, h)
+    return _symbol([np.pi * np.arange(1, n + 1) / (n + 1) for n in shape], h)
 
 
 def dirichlet_solve_nodespace(b: np.ndarray, h: float, symbol=None) -> np.ndarray:
     """Inverse of the constant operator on the zero-boundary interior grid."""
     if symbol is None:
         symbol = dirichlet_symbol(b.shape, h)
-    return scipy.fft.idstn(_divide_above_floor(scipy.fft.dstn(b, type=1), symbol), type=1)
+    return fft.idstn(_divide_above_floor(fft.dstn(b, type=1), symbol), type=1)
+
+
+def neumann_symbol(shape, h):
+    """Cosine-basis symbol on a free node grid of `shape` (angles pi k / (n - 1))."""
+    return _symbol([np.pi * np.arange(n) / (n - 1) for n in shape], h)
 
 
 def neumann_solve_nodespace(b: np.ndarray, h: float, symbol=None) -> np.ndarray:
     """Pseudoinverse of the constant operator on the free node grid.
 
-    Free-boundary problems are folded onto a double-size torus by even
-    reflection; boundary-plane loads carry weight 2 per extreme coordinate so
-    the reflected quadratic form matches the boxed one exactly.
+    Boundary-plane loads carry weight 2 per extreme coordinate; the DCT-I of
+    the weighted load is the Fourier transform of its even reflection onto
+    the double-size torus, so the cosine solve matches the boxed quadratic
+    form exactly.
     """
+    if symbol is None:
+        symbol = neumann_symbol(b.shape, h)
     w = b.astype(float, copy=True)
     for axis in range(b.ndim):
-        first = [slice(None)] * b.ndim
-        last = [slice(None)] * b.ndim
-        first[axis] = slice(0, 1)
-        last[axis] = slice(-1, None)
-        w[tuple(first)] *= 2.0
-        w[tuple(last)] *= 2.0
-    for axis in range(b.ndim):
-        mirror = [slice(None)] * w.ndim
-        mirror[axis] = slice(-2, 0, -1)
-        w = np.concatenate([w, w[tuple(mirror)]], axis=axis)
-    v = torus_solve_nodespace(w, h, symbol=symbol)
-    keep = tuple(slice(0, n) for n in b.shape)
-    return v[keep]
+        ends = [slice(None)] * b.ndim
+        ends[axis] = [0, -1]
+        w[tuple(ends)] *= 2.0
+    return fft.idctn(_divide_above_floor(fft.dctn(w, type=1), symbol), type=1)

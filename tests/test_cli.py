@@ -47,6 +47,20 @@ def test_seed_and_out_overrides(runner, tmp_path):
     assert (out / "field.bin").exists()
 
 
+def test_negative_seed_rejected_before_any_solve(runner, tmp_path, monkeypatch):
+    import hlab.harness
+
+    def no_field(*args, **kwargs):
+        raise AssertionError("built a field before the seed was checked")
+
+    monkeypatch.setattr(hlab.harness, "field_from_config", no_field)
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["coarsen", "--seed", "-1", "--out", str(out)])
+    assert result.exit_code == 1
+    assert "ValueError" in result.output and "master_seed" in result.output
+    assert not out.exists()
+
+
 def test_kind_mismatch_rejected(runner, tmp_path):
     cfg = ExperimentConfig(kind="walk")
     path = tmp_path / "cfg.json"

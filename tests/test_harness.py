@@ -49,6 +49,10 @@ class TestConfig:
             ExperimentConfig(kind="walk", solver={"preconditioner": "none"}).validate()
         with pytest.raises(ValueError, match="'ensemble'"):
             ExperimentConfig.from_json(json.dumps({"kind": "walk", "ensemble": 4}))
+        for seed in (-1, 2**64, 1.5, "3", True):
+            with pytest.raises(ValueError, match="master_seed"):
+                ExperimentConfig(kind="walk", master_seed=seed).validate()
+        ExperimentConfig(kind="walk", master_seed=2**64 - 1).validate()
 
 
 class TestEnsembleStats:
@@ -202,18 +206,42 @@ class TestRunExperiment:
 
     def test_coarsen_ledger_gets_solver_options(self, tmp_path, monkeypatch):
         seen = []
-        ledger = hlab.coarse.subadditivity_ledger
+        pair = hlab.coarse.coarse_matrices
 
-        def spy(a_field, m, n, opts=None):
+        def spy(a_field, cube, opts=None):
             seen.append(opts)
-            return ledger(a_field, m, n, opts)
+            return pair(a_field, cube, opts)
 
-        monkeypatch.setattr(hlab.coarse, "subadditivity_ledger", spy)
+        monkeypatch.setattr(hlab.coarse, "coarse_matrices", spy)
         cfg = ExperimentConfig(kind="coarsen", generator={"name": "checkerboard"},
                                grid={"d": 2, "m": 1, "k": 1}, scales=[0, 1],
                                solver={"tol": 1e-6}, output_dir=str(tmp_path))
         run_experiment(cfg)
-        assert [o.tol for o in seen] == [1e-6]
+        assert seen and all(o.tol == 1e-6 for o in seen)
+
+    @pytest.mark.parametrize("d, m, scales", [(2, 2, [0, 1, 2]), (2, 2, [2, 1]),
+                                              (3, 1, [0]), (2, 1, [1])])
+    def test_coarsen_solves_each_cube_once(self, tmp_path, monkeypatch, d, m, scales):
+        solved = []
+        pair = hlab.coarse.coarse_matrices
+
+        def spy(a_field, cube, opts=None):
+            solved.append(cube)
+            return pair(a_field, cube, opts)
+
+        monkeypatch.setattr(hlab.coarse, "coarse_matrices", spy)
+        cfg = ExperimentConfig(kind="coarsen", generator={"name": "checkerboard"},
+                               grid={"d": d, "m": m, "k": 1}, scales=scales,
+                               master_seed=2, output_dir=str(tmp_path))
+        summary = run_experiment(cfg)
+        assert len(solved) == len(set(solved))
+        # the slacks equal those of a ledger that solves its own parent and children
+        below = [n for n in scales if n < m]
+        if below:
+            fld = field_from_config(cfg.generator, cfg.grid, cfg.master_seed)
+            led = hlab.coarse.subadditivity_ledger(fld, m, min(below))
+            assert summary["subadditivity_slacks"] == {
+                "upper": led["upper_slack_min_eig"], "lower": led["lower_slack_min_eig"]}
 
     def test_coarsen_without_level_below_m(self, tmp_path):
         cfg = ExperimentConfig(kind="coarsen", generator={"name": "checkerboard"},

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hlab.fields import make_constant, make_laminate, sample_checkerboard
 from hlab.lattice import GridSpec, TriadicCube, discrete_gradient, gradient_adjoint
@@ -17,6 +18,11 @@ from hlab.solver import (
 )
 
 CUBE1 = TriadicCube(1, (0, 0))
+
+# spectral grids: d in {2, 3}, 2 to 12 nodes per side of either parity
+SHAPES = st.sampled_from([2, 3]).flatmap(
+    lambda d: st.lists(st.integers(2, 12), min_size=d, max_size=d).map(tuple))
+STEPS = st.floats(1.0 / 81.0, 2.0)
 
 
 def laminate(m=1, k=10):
@@ -268,36 +274,106 @@ class TestPoissonPeriodic:
 
 
 class TestSpectralPlumbing:
-    def test_torus_solve_inverts_operator(self):
+    """The spectral solves invert the constant operator; the real transforms
+    match the complex-FFT solves they replaced."""
+
+    @staticmethod
+    def _apply(u, h, periodic):
+        return gradient_adjoint(discrete_gradient(u, h, periodic), h, periodic)
+
+    @settings(max_examples=40, deadline=None)
+    @given(SHAPES, STEPS, st.integers(0, 2**32 - 1))
+    def test_torus_solve_inverts_operator(self, shape, h, seed):
         from hlab.spectral import torus_solve_nodespace
 
-        r = np.random.default_rng(1)
-        h = 1 / 3
-        u = r.normal(size=(9, 9))
-        b = gradient_adjoint(discrete_gradient(u, h, True), h, True)
-        v = torus_solve_nodespace(b, h)
-        b2 = gradient_adjoint(discrete_gradient(v, h, True), h, True)
-        assert np.abs(b - b2).max() < 1e-10
+        u = np.random.default_rng(seed).normal(size=shape)
+        b = self._apply(u, h, True)
+        b2 = self._apply(torus_solve_nodespace(b, h), h, True)
+        assert np.abs(b - b2).max() < 1e-11 * np.abs(b).max()
 
-    def test_dirichlet_solve_inverts_operator(self):
+    @settings(max_examples=40, deadline=None)
+    @given(SHAPES, STEPS, st.integers(0, 2**32 - 1))
+    def test_dirichlet_solve_inverts_operator(self, shape, h, seed):
+        # `shape` is the interior grid; the boundary ring is zero
         from hlab.spectral import dirichlet_solve_nodespace
 
-        r = np.random.default_rng(2)
-        h = 0.25
-        inner = r.normal(size=(7, 7))
-        full = np.zeros((9, 9))
-        full[1:-1, 1:-1] = inner
-        b = gradient_adjoint(discrete_gradient(full, h, False), h, False)[1:-1, 1:-1]
+        inner = np.random.default_rng(seed).normal(size=shape)
+        full = np.pad(inner, 1)
+        b = self._apply(full, h, False)[tuple(slice(1, -1) for _ in shape)]
         v = dirichlet_solve_nodespace(b, h)
-        assert np.abs(v - inner).max() < 1e-10
+        assert np.abs(v - inner).max() < 1e-11 * np.abs(inner).max()
 
-    def test_neumann_solve_inverts_operator(self):
+    @settings(max_examples=40, deadline=None)
+    @given(SHAPES, STEPS, st.integers(0, 2**32 - 1))
+    def test_neumann_solve_inverts_operator(self, shape, h, seed):
         from hlab.spectral import neumann_solve_nodespace
 
-        r = np.random.default_rng(3)
-        h = 0.5
-        u = r.normal(size=(8, 8))
-        b = gradient_adjoint(discrete_gradient(u, h, False), h, False)
-        v = neumann_solve_nodespace(b, h)
-        b2 = gradient_adjoint(discrete_gradient(v, h, False), h, False)
-        assert np.abs(b - b2).max() < 1e-9
+        u = np.random.default_rng(seed).normal(size=shape)
+        b = self._apply(u, h, False)
+        b2 = self._apply(neumann_solve_nodespace(b, h), h, False)
+        assert np.abs(b - b2).max() < 1e-11 * np.abs(b).max()
+
+    @settings(max_examples=40, deadline=None)
+    @given(SHAPES, STEPS, st.integers(0, 2**32 - 1))
+    def test_neumann_matches_reflected_torus_solve(self, shape, h, seed):
+        from hlab.spectral import neumann_solve_nodespace
+
+        b = np.random.default_rng(seed).normal(size=shape)
+        # weight-2 boundary planes, even reflection onto the 2(n - 1) torus,
+        # complex FFT solve with the full-spectrum symbol, restriction
+        w = b.copy()
+        for axis in range(b.ndim):
+            w = np.moveaxis(w, axis, 0)
+            w[0] *= 2.0
+            w[-1] *= 2.0
+            w = np.moveaxis(w, 0, axis)
+        for axis in range(b.ndim):
+            mirror = [slice(None)] * b.ndim
+            mirror[axis] = slice(-2, 0, -1)
+            w = np.concatenate([w, w[tuple(mirror)]], axis=axis)
+        angles = [2.0 * np.pi * np.arange(n) / n for n in w.shape]
+        ref = _fft_solve_reference(w, _full_symbol_reference(angles, h))
+        ref = ref[tuple(slice(0, n) for n in shape)]
+        got = neumann_solve_nodespace(b, h)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @settings(max_examples=40, deadline=None)
+    @given(SHAPES, STEPS, st.floats(0.01, 1.0), st.integers(0, 2**32 - 1))
+    def test_torus_matches_complex_fft_solve(self, shape, h, dt, seed):
+        from hlab.spectral import network_symbol, torus_solve_nodespace, torus_symbol
+
+        b = np.random.default_rng(seed).normal(size=shape)
+        angles = [2.0 * np.pi * np.arange(n) / n for n in shape]
+        half = tuple(slice(None) for _ in shape[:-1]) + (slice(0, shape[-1] // 2 + 1),)
+        full_element = _full_symbol_reference(angles, h)
+        full_network = _full_symbol_reference(angles, h, network=True)
+        np.testing.assert_allclose(torus_symbol(shape, h), full_element[half], rtol=1e-14)
+        np.testing.assert_allclose(network_symbol(shape, h), full_network[half], rtol=1e-14)
+        cases = [
+            (None, full_element),
+            (network_symbol(shape, h), full_network),
+            (1.0 + dt * network_symbol(shape, h), 1.0 + dt * full_network),
+        ]
+        for symbol, full in cases:
+            ref = _fft_solve_reference(b, full)
+            got = torus_solve_nodespace(b, h, symbol)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _full_symbol_reference(angles, h, network=False):
+    """Full-spectrum symbol sum_k 4 sin^2(t_k/2)/h^2 prod_{j!=k} cos^2(t_j/2) on a mode mesh."""
+    t = np.meshgrid(*angles, indexing="ij")
+    d = len(t)
+    sin2 = [np.sin(x / 2.0) ** 2 for x in t]
+    cos2 = [np.ones_like(x) if network else np.cos(x / 2.0) ** 2 for x in t]
+    return sum(4.0 * sin2[k] / h**2 * np.prod([cos2[j] for j in range(d) if j != k], axis=0)
+               for k in range(d))
+
+
+def _fft_solve_reference(b, symbol):
+    """Complex-FFT pseudoinverse: zero on the modes below the 1e-12 eigenvalue floor."""
+    bh = np.fft.fftn(b)
+    keep = symbol > 1e-12 * symbol.max()
+    out = np.zeros_like(bh)
+    out[keep] = bh[keep] / symbol[keep]
+    return np.fft.ifftn(out).real
