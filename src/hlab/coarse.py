@@ -3,7 +3,10 @@
 The Dirichlet energy over affine boundary data defines a(U); the dual
 (Neumann) energy defines a*(U).  Both are exactly quadratic in the discrete
 setting and the extremals are linear in the data, so the d basis solves of
-each kind determine each matrix through the bilinear form.  The gap
+each kind determine each matrix through the bilinear form.  All same-level
+subcubes of a triadic partition are solved together: each basis problem is
+one column-batched solve over the partition (`partition_matrices`), and a
+single cube is the partition of itself (`coarse_matrices`).  The gap
 functional J(U, p, q) and the subadditivity/duality ledgers quantify how
 fast the two pinch together under coarsening.
 """
@@ -23,6 +26,7 @@ __all__ = [
     "CoarseGrainResult",
     "CascadeRecord",
     "coarse_matrices",
+    "partition_matrices",
     "J_value",
     "duality_defect",
     "subadditivity_slacks",
@@ -65,44 +69,73 @@ def _unit_vectors(d):
     return [np.eye(d)[i] for i in range(d)]
 
 
-def coarse_matrices(a_field: CoefficientField, cube: TriadicCube,
-                    opts: SolveOptions = None) -> CoarseGrainResult:
-    """Compute a(U) and a*(U) on the cube from the d basis extremals of each energy.
+def _bilinear_form(batch):
+    """Per cube, the mean over cells of grad_i . flux_j of the basis batches i, j."""
+    ncube = batch[0].u.shape[0]
+    ncells = batch[0].gradient[0, ..., 0].size
+    form = np.empty((ncube, len(batch), len(batch)))
+    for i, si in enumerate(batch):
+        grad = si.gradient.reshape(ncube, -1)
+        for j, sj in enumerate(batch):
+            form[:, i, j] = np.einsum("bn,bn->b", grad, sj.flux.reshape(ncube, -1))
+    return form / ncells
 
-    With v_i the Dirichlet minimizer of slope e_i and w_i the Neumann
-    maximizer of flux e_i (cube means over cells):
+
+def _symmetric(m):
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
+
+
+def partition_matrices(a_field: CoefficientField, cube: TriadicCube, n: int,
+                       opts: SolveOptions = None) -> list:
+    """Coarse pair of every level-n subcube of `cube`, in `triadic_partition` order.
+
+    Each matrix comes from the d basis extremals of its energy.  With v_i the
+    Dirichlet minimizer of slope e_i and w_i the Neumann maximizer of flux
+    e_i (cube means over cells):
 
         a(U)_ij       = mean(grad v_i . a grad v_j)
         a*(U)^-1_ij   = G_ij + G_ji - mean(grad w_i . a grad w_j),  G_ij = mean(d_i w_j)
+
+    The subcubes share one grid, so each basis problem is one batched solve
+    over all of them: d Dirichlet and d Neumann solve calls per partition.
+    Each result's basis Solutions are views into those batches.
     """
     opts = opts or SolveOptions()
-    d = a_field.grid.d
+    grid = a_field.grid
+    d = grid.d
+    cubes = triadic_partition(cube, n)
+
+    # closed form for single-cell cubes: both energies reduce to the cell matrix
+    if cubes[0].side_cells(grid) == 1:
+        out = []
+        for c in cubes:
+            acell = np.asarray(a_field.a[c.cell_slices(grid)]).reshape(d, d)
+            out.append(CoarseGrainResult(c, acell.copy(), acell.copy(), [None] * d, [None] * d,
+                                         0, 0.0))
+        return out
+
     es = _unit_vectors(d)
+    dir_batch = [solve_dirichlet_affine(a_field, cubes, e, opts) for e in es]
+    neu_batch = [solve_neumann_affine(a_field, cubes, e, opts) for e in es]
+    cells = tuple(range(1, d + 1))
 
-    # closed form for a single-cell cube: both energies reduce to the cell matrix
-    if cube.side_cells(a_field.grid) == 1:
-        sl = cube.cell_slices(a_field.grid)
-        acell = np.asarray(a_field.a[sl]).reshape(d, d)
-        return CoarseGrainResult(cube, acell.copy(), acell.copy(), [None] * d, [None] * d, 0, 0.0)
+    a_up = _symmetric(_bilinear_form(dir_batch))
+    G = np.stack([s.gradient.mean(axis=cells) for s in neu_batch], axis=-1)
+    a_lo = _symmetric(np.linalg.inv(G + np.swapaxes(G, 1, 2) - _bilinear_form(neu_batch)))
 
-    dir_basis = [solve_dirichlet_affine(a_field, cube, e, opts) for e in es]
-    neu_basis = [solve_neumann_affine(a_field, cube, e, opts) for e in es]
-    cells = tuple(range(d))
+    batch = dir_batch + neu_batch
+    iterations = sum(s.cube_iterations for s in batch)
+    residual = np.max([s.cube_residuals for s in batch], axis=0)
+    return [CoarseGrainResult(c, a_up[k], a_lo[k], [s.for_cube(k) for s in dir_batch],
+                              [s.for_cube(k) for s in neu_batch], int(iterations[k]),
+                              float(residual[k]))
+            for k, c in enumerate(cubes)]
 
-    def form(basis):
-        # mean over cells of grad_i . flux_j, where flux_j = a grad_j
-        grads = np.stack([s.gradient.ravel() for s in basis])
-        fluxes = np.stack([s.flux.ravel() for s in basis])
-        return grads @ fluxes.T / (grads.shape[1] // d)
 
-    a_up = form(dir_basis)
-    G = np.stack([s.gradient.mean(axis=cells) for s in neu_basis], axis=1)
-    a_lo = np.linalg.inv(G + G.T - form(neu_basis))
-
-    basis = dir_basis + neu_basis
-    return CoarseGrainResult(cube, 0.5 * (a_up + a_up.T), 0.5 * (a_lo + a_lo.T),
-                             dir_basis, neu_basis, sum(s.iterations for s in basis),
-                             max(s.residual for s in basis))
+def coarse_matrices(a_field: CoefficientField, cube: TriadicCube,
+                    opts: SolveOptions = None) -> CoarseGrainResult:
+    """Compute a(U) and a*(U) on one cube: the one-cube case of `partition_matrices`."""
+    return partition_matrices(a_field, cube, cube.level, opts)[0]
 
 
 def J_value(r: CoarseGrainResult, p, q) -> float:
@@ -157,7 +190,7 @@ def subadditivity_ledger(a_field: CoefficientField, m: int, n: int,
         raise ValueError(f"need 0 <= n < m, got n={n}, m={m}")
     cube = TriadicCube(m, (0,) * a_field.grid.d)
     parent = coarse_matrices(a_field, cube, opts)
-    children = [coarse_matrices(a_field, c, opts) for c in triadic_partition(cube, n)]
+    children = partition_matrices(a_field, cube, n, opts)
     return {"parent": parent, "children": children, **subadditivity_slacks(parent, children)}
 
 
@@ -181,10 +214,8 @@ def multiscale_E(a_field: CoefficientField, m: int, a_ref: np.ndarray,
     es = _unit_vectors(d)
     per_level = []
     for n in range(m + 1):
-        vals = []
-        for c in triadic_partition(cube, n):
-            r = coarse_matrices(a_field, c, opts)
-            vals.append(sum(J_value(r, e, a_ref @ e) for e in es))
+        vals = [sum(J_value(r, e, a_ref @ e) for e in es)
+                for r in partition_matrices(a_field, cube, n, opts)]
         per_level.append(float(np.mean(vals)))
     E = float(sum(3.0 ** (n - m) * per_level[n] for n in range(m + 1)))
     return {"E": E, "per_level_J_mean": per_level, "m": m}
@@ -237,8 +268,7 @@ def cascade_record(level: int, results) -> CascadeRecord:
 def cascade(a_field: CoefficientField, cube: TriadicCube, levels,
             opts: SolveOptions = None) -> list:
     """CascadeRecord per level: partition statistics of the coarse pair."""
-    return [cascade_record(n, [coarse_matrices(a_field, c, opts) for c in triadic_partition(cube, n)])
-            for n in sorted(levels)]
+    return [cascade_record(n, partition_matrices(a_field, cube, n, opts)) for n in sorted(levels)]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, asdict
+from functools import partial
 
 import numpy as np
 
@@ -400,8 +401,7 @@ def _exp_field_gen(cfg, jobs):
 
 
 def _exp_coarsen(cfg, jobs):
-    from .coarse import cascade_record, coarse_matrices, subadditivity_slacks, write_cascade_csv
-    from .lattice import triadic_partition
+    from .coarse import cascade_record, partition_matrices, subadditivity_slacks, write_cascade_csv
 
     opts = _solve_options(cfg)
     fld = field_from_config(cfg.generator, cfg.grid, cfg.master_seed)
@@ -417,7 +417,7 @@ def _exp_coarsen(cfg, jobs):
     children = parent = None
     recs = []
     for n in sorted(levels):
-        results = [coarse_matrices(fld, c, opts) for c in triadic_partition(cube, n)]
+        results = partition_matrices(fld, cube, n, opts)
         recs.append(cascade_record(n, results))
         if below and n == min(below):
             children = results
@@ -427,7 +427,7 @@ def _exp_coarsen(cfg, jobs):
     sub = None
     if below:
         if parent is None:
-            parent = coarse_matrices(fld, cube, opts)
+            parent = partition_matrices(fld, cube, m, opts)[0]
         sub = subadditivity_slacks(parent, children)
     return {
         "kind": "coarsen",
@@ -438,17 +438,35 @@ def _exp_coarsen(cfg, jobs):
     }
 
 
-def _exp_corrector(cfg, jobs):
-    from .correctors import (finite_volume_correctors, periodic_homogenized_matrix,
-                             sublinearity_R)
+# Ensemble members are module-level functions of plain data (config blocks,
+# SolveOptions, the member seed last), bound with functools.partial, so that
+# worker processes can unpickle them.
 
+
+def _config_field(generator: dict, grid_cfg: dict, seed: int, m: int):
+    """The configured field on the level-m grid: `make_field` for `hlab.renorm`."""
+    return field_from_config(generator, dict(grid_cfg, m=m), seed)
+
+
+def _periodic_abar_member(generator, grid_cfg, opts, seed):
+    from .correctors import periodic_homogenized_matrix
+
+    fld = field_from_config(generator, grid_cfg, seed)
+    return periodic_homogenized_matrix(fld, opts).abar.ravel()
+
+
+def _sublinearity_member(generator, grid_cfg, m, opts, seed):
+    from .correctors import finite_volume_correctors, sublinearity_R
+
+    fld = _config_field(generator, grid_cfg, seed, m)
+    return sublinearity_R(finite_volume_correctors(fld, m, opts))
+
+
+def _exp_corrector(cfg, jobs):
     opts = _solve_options(cfg)
     mode = cfg.extra.get("mode", "periodic")
     if mode == "periodic":
-        def run(seed):
-            fld = field_from_config(cfg.generator, cfg.grid, seed)
-            return periodic_homogenized_matrix(fld, opts).abar.ravel()
-
+        run = partial(_periodic_abar_member, cfg.generator, cfg.grid, opts)
         stats = ensemble(run, cfg.ensemble_size, cfg.master_seed, jobs)
         d = cfg.grid.get("d", 2)
         summary = {"kind": "corrector", "mode": mode,
@@ -458,11 +476,7 @@ def _exp_corrector(cfg, jobs):
         levels = [int(s) for s in cfg.scales]
         table = []
         for m in levels:
-            def run(seed, _m=m):
-                grid_cfg = dict(cfg.grid, m=_m)
-                fld = field_from_config(cfg.generator, grid_cfg, seed)
-                return sublinearity_R(finite_volume_correctors(fld, _m, opts))
-
+            run = partial(_sublinearity_member, cfg.generator, cfg.grid, m, opts)
             stats = ensemble(run, cfg.ensemble_size, cfg.master_seed, jobs)
             table.append((m, float(stats.mean), float(stats.variance)))
         _write_csv(os.path.join(cfg.output_dir, "sublinearity.csv"),
@@ -476,7 +490,6 @@ def _exp_corrector(cfg, jobs):
 def _exp_twoscale(cfg, jobs):
     from .correctors import periodic_homogenized_matrix
     from .fields import tile_unit_cell
-    from .lattice import GridSpec
     from .twoscale import dirichlet_error, error_table_rows, macro_affine
 
     opts = _solve_options(cfg)
@@ -499,14 +512,10 @@ def _exp_twoscale(cfg, jobs):
 
 
 def _exp_cascade(cfg, jobs):
-    from .lattice import GridSpec
     from .renorm import cube_average_fluctuations, fluctuation_cascade
 
     radii = [float(r) for r in (cfg.scales or [4, 8, 16, 32])]
-
-    def make_field(seed, m):
-        return field_from_config(cfg.generator, dict(cfg.grid, m=m), seed)
-
+    make_field = partial(_config_field, cfg.generator, cfg.grid)
     out = fluctuation_cascade(make_field, radii, cfg.ensemble_size,
                               cfg.master_seed, opts=_solve_options(cfg), jobs=jobs)
     rows = [(row["r"], row["torus_level"], row["total_variance"])

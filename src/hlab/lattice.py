@@ -197,32 +197,38 @@ def _avg_adj(w, axis, periodic):
     return out
 
 
-def discrete_gradient(u: np.ndarray, h: float, periodic: bool = False) -> np.ndarray:
-    """Cell-centered gradient of a node field, shape (*cells, d)."""
-    d = u.ndim
+def discrete_gradient(u: np.ndarray, h: float, periodic: bool = False, d: int = None) -> np.ndarray:
+    """Cell-centered gradient of a node field over its trailing d axes, shape (*batch, *cells, d).
+
+    `d` defaults to u.ndim (no batch axes).
+    """
+    d = u.ndim if d is None else d
     comps = []
     for k in range(d):
         v = u
         for axis in range(d):
             if axis == k:
-                v = _diff(v, axis, h, periodic)
+                v = _diff(v, axis - d, h, periodic)
             else:
-                v = _avg(v, axis, periodic)
+                v = _avg(v, axis - d, periodic)
         comps.append(v)
     return np.stack(comps, axis=-1)
 
 
 def gradient_adjoint(g: np.ndarray, h: float, periodic: bool = False) -> np.ndarray:
-    """Adjoint of discrete_gradient under plain sums over cells/nodes."""
+    """Adjoint of discrete_gradient under plain sums over cells/nodes.
+
+    g has shape (*batch, *cells, d); the node field keeps the batch axes.
+    """
     d = g.shape[-1]
     out = None
     for k in range(d):
         v = g[..., k]
         for axis in range(d - 1, -1, -1):
             if axis == k:
-                v = _diff_adj(v, axis, h, periodic)
+                v = _diff_adj(v, axis - d, h, periodic)
             else:
-                v = _avg_adj(v, axis, periodic)
+                v = _avg_adj(v, axis - d, periodic)
         out = v if out is None else out + v
     return out
 
@@ -334,7 +340,12 @@ def write_field(path, values: np.ndarray, grid: GridSpec, kind: str, provenance:
 def read_field(path):
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode("utf-8"))
-        data = np.frombuffer(fh.read(), dtype="<f8")
+        payload = fh.read()
     grid = GridSpec(header["d"], header["m"], header["k"])
-    values = data.reshape(header["shape"]).astype(float)
+    shape = header["shape"]
+    expected = int(np.prod(shape))
+    if len(payload) != 8 * expected:
+        raise ValueError(f"field file {path}: header shape {shape} needs {expected} float64 "
+                         f"values, the payload holds {len(payload) / 8:g}")
+    values = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(float)
     return values, grid, header

@@ -11,15 +11,16 @@ cutoff chi_r built from a windowed minimal-scale proxy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.ndimage
 
-from .coarse import coarse_matrices
+from .coarse import coarse_matrices, partition_matrices
 from .correctors import CorrectorSet, periodic_homogenized_matrix
 from .fields import CoefficientField
-from .lattice import GridSpec, TriadicCube, discrete_gradient, triadic_partition
-from .solver import SolveOptions
+from .lattice import GridSpec, TriadicCube, discrete_gradient
+from .solver import SolveOptions, solve_dirichlet_affine
 from .harness import ensemble, rate_fit
 
 __all__ = [
@@ -193,13 +194,8 @@ def minimal_scale_proxy(a_field: CoefficientField, delta: float,
         if 3**n * grid.k < 2:
             continue
         region = TriadicCube(min(grid.m, n + 1), (0,) * grid.d)
-        ok = True
-        for cube in triadic_partition(region, n):
-            res = coarse_matrices(a_field, cube, opts)
-            if np.linalg.norm(res.a_upper - res.a_lower, ord=2) > thresh:
-                ok = False
-                break
-        if ok:
+        if all(np.linalg.norm(res.a_upper - res.a_lower, ord=2) <= thresh
+               for res in partition_matrices(a_field, region, n, opts)):
             return float(3**n)
     return float("inf")
 
@@ -211,28 +207,38 @@ def _torus_level_for(r: float) -> int:
     return m
 
 
+def _b_r_at_origin(make_field, r, m, delta, opts, seed):
+    """Ensemble member of `fluctuation_cascade`: b_r at the origin cell, flattened."""
+    fld = make_field(seed, m)
+    cset = periodic_homogenized_matrix(fld, opts, with_flux_correctors=False)
+    hc = coarse_grained_b(cset, fld, r, [(0,) * fld.grid.d], delta=delta, opts=opts)
+    return hc.b[0].ravel()
+
+
+def _e1_upper_entry(make_field, n, opts, seed):
+    """Ensemble member of `cube_average_fluctuations`: e1 . a(U) e1, U the origin level-n cube."""
+    fld = make_field(seed, n)
+    cube = TriadicCube(n, (0,) * fld.grid.d)
+    sol = solve_dirichlet_affine(fld, cube, np.eye(fld.grid.d)[0], opts)
+    return 2.0 * sol.energy
+
+
 def fluctuation_cascade(make_field, r_list, n_seeds: int, master_seed: int = 0,
                         delta: float = 0.25, band: tuple = None,
                         opts: SolveOptions = None, jobs: int = None) -> dict:
     """Ensemble variance of b_r(0) across radii, with a log-log slope fit.
 
     `make_field(seed, m)` must return a periodic coefficient field on the
-    level-m torus.  Every sampled point enters the statistics: degenerate
-    points contribute their blended value.
+    level-m torus; with jobs > 1 it must pickle (a module-level function or
+    a functools.partial of one).  Every sampled point enters the statistics:
+    degenerate points contribute their blended value.
     """
     if n_seeds < 2:
         raise ValueError("variance estimation needs at least 2 seeds")
     per_r = []
     for r in sorted(r_list):
         m = _torus_level_for(r)
-
-        def run(seed, _r=r, _m=m):
-            fld = make_field(seed, _m)
-            cset = periodic_homogenized_matrix(fld, opts, with_flux_correctors=False)
-            hc = coarse_grained_b(cset, fld, _r, [(0,) * fld.grid.d],
-                                  delta=delta, opts=opts)
-            return hc.b[0].ravel()
-
+        run = partial(_b_r_at_origin, make_field, r, m, delta, opts)
         stats = ensemble(run, n_seeds, master_seed, jobs)
         per_r.append({
             "r": float(r), "torus_level": m,
@@ -250,21 +256,15 @@ def fluctuation_cascade(make_field, r_list, n_seeds: int, master_seed: int = 0,
 def cube_average_fluctuations(make_field, n_list, n_seeds: int,
                               master_seed: int = 0, band: tuple = None,
                               opts: SolveOptions = None, jobs: int = None) -> dict:
-    """Ensemble variance of e1 . a(level-n cube) e1 across levels, slope-fitted."""
+    """Ensemble variance of e1 . a(level-n cube) e1 across levels, slope-fitted.
+
+    `make_field` is as in `fluctuation_cascade`.
+    """
     if n_seeds < 2:
         raise ValueError("variance estimation needs at least 2 seeds")
     per_n = []
     for n in sorted(n_list):
-
-        def run(seed, _n=n):
-            fld = make_field(seed, _n)
-            cube = TriadicCube(_n, (0,) * fld.grid.d)
-            from .solver import solve_dirichlet_affine
-            e1 = np.eye(fld.grid.d)[0]
-            sol = solve_dirichlet_affine(fld, cube, e1, opts)
-            return 2.0 * sol.energy   # = e1 . a(cube) e1
-
-        stats = ensemble(run, n_seeds, master_seed, jobs)
+        stats = ensemble(partial(_e1_upper_entry, make_field, n, opts), n_seeds, master_seed, jobs)
         per_n.append({
             "n": int(n), "scale": float(3**n),
             "mean": float(stats.mean),

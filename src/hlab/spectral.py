@@ -8,11 +8,15 @@ applies the real transform of its boundary condition: a real FFT on the torus
 a DST-I on the Dirichlet interior and a DCT-I on the Neumann grid.  These
 solves back both the identity-Laplacian problems and the preconditioner that
 keeps conjugate-gradient iteration counts bounded by the ellipticity ratio.
+A solve acts on the trailing d axes of b, d being the symbol's dimension, so
+leading batch axes (one column per subcube of a partition) share one symbol.
 The torus solve also accepts the symbol of the cell network's nearest-neighbour
 Laplacian, which preconditions the random-conductance solves.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy import fft
@@ -72,6 +76,18 @@ def network_symbol(shape, h):
     return _symbol(_torus_angles(shape), h, network=True)
 
 
+def _columns(b, symbol):
+    """b and the axes to transform: the trailing symbol.ndim axes of b.
+
+    Leading axes that hold a single column are dropped, so that one-column
+    solves skip the transforms' handling of an `axes` argument.
+    """
+    d = symbol.ndim
+    if b.ndim > d and b.size == math.prod(b.shape[-d:]):
+        b = b.reshape(b.shape[-d:])
+    return b, (None if b.ndim == d else tuple(range(-d, 0)))
+
+
 def torus_solve_nodespace(b: np.ndarray, h: float, symbol=None) -> np.ndarray:
     """Pseudoinverse of the periodic constant operator (or of `symbol`'s) applied to b.
 
@@ -79,7 +95,9 @@ def torus_solve_nodespace(b: np.ndarray, h: float, symbol=None) -> np.ndarray:
     """
     if symbol is None:
         symbol = torus_symbol(b.shape, h)
-    return fft.irfftn(_divide_above_floor(fft.rfftn(b), symbol), s=b.shape)
+    x, axes = _columns(b, symbol)
+    xh = _divide_above_floor(fft.rfftn(x, axes=axes), symbol)
+    return fft.irfftn(xh, s=b.shape[-symbol.ndim:], axes=axes).reshape(b.shape)
 
 
 def dirichlet_symbol(shape, h):
@@ -91,7 +109,9 @@ def dirichlet_solve_nodespace(b: np.ndarray, h: float, symbol=None) -> np.ndarra
     """Inverse of the constant operator on the zero-boundary interior grid."""
     if symbol is None:
         symbol = dirichlet_symbol(b.shape, h)
-    return fft.idstn(_divide_above_floor(fft.dstn(b, type=1), symbol), type=1)
+    x, axes = _columns(b, symbol)
+    xh = _divide_above_floor(fft.dstn(x, type=1, axes=axes), symbol)
+    return fft.idstn(xh, type=1, axes=axes).reshape(b.shape)
 
 
 def neumann_symbol(shape, h):
@@ -109,9 +129,11 @@ def neumann_solve_nodespace(b: np.ndarray, h: float, symbol=None) -> np.ndarray:
     """
     if symbol is None:
         symbol = neumann_symbol(b.shape, h)
-    w = b.astype(float, copy=True)
-    for axis in range(b.ndim):
-        ends = [slice(None)] * b.ndim
+    x, axes = _columns(b, symbol)
+    w = x.astype(float, copy=True)
+    for axis in range(-symbol.ndim, 0):
+        ends = [slice(None)] * w.ndim
         ends[axis] = [0, -1]
         w[tuple(ends)] *= 2.0
-    return fft.idctn(_divide_above_floor(fft.dctn(w, type=1), symbol), type=1)
+    xh = _divide_above_floor(fft.dctn(w, type=1, axes=axes), symbol)
+    return fft.idctn(xh, type=1, axes=axes).reshape(b.shape)

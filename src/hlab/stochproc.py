@@ -102,7 +102,9 @@ def network_homogenized_matrix(net: ConductanceNetwork, tol: float = 1e-10) -> n
     abar = np.zeros((d, d))
     for k in range(d):
         b = -_ndiff_adj(net.cond[k], k, h)
-        chi, _, _ = _cg(lambda v: _net_apply(net, v), b - b.mean(), M, _identity, tol, 10_000)
+        chi, _, _ = _cg(lambda v: _net_apply(net, v[0])[None], (b - b.mean())[None], M,
+                        _identity, tol, 10_000)
+        chi = chi[0]
         for j in range(d):
             slope = _ndiff(chi, j, h) + (1.0 if j == k else 0.0)
             abar[j, k] = (net.cond[j] * slope).mean()
@@ -212,8 +214,9 @@ def parabolic_green(a_field: CoefficientField, t_final: float, source,
     iters = 0
     for _ in range(n_steps):
         before = u.sum() * cell_mass
-        u, _, it = _cg(lambda v: v + dt * _net_apply(net, v), u, M, _identity, tol, 5000)
-        iters += it
+        u, _, it = _cg(lambda v: v + dt * _net_apply(net, v[0]), u[None], M, _identity, tol, 5000)
+        u = u[0]
+        iters += int(it[0])
         mass_drift = max(mass_drift, abs(u.sum() * cell_mass - before))
 
     if abar is None:

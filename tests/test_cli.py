@@ -88,3 +88,31 @@ def test_help_lists_commands(runner):
     for cmd in ("gen-field", "coarsen", "corrector", "twoscale",
                 "cascade", "walk", "green", "selftest"):
         assert cmd in result.output
+
+
+JOBS_CONFIGS = {
+    "corrector-periodic": dict(kind="corrector", grid={"d": 2, "m": 1, "k": 2},
+                               ensemble_size=3, extra={"mode": "periodic"}),
+    "corrector-finite-volume": dict(kind="corrector", grid={"d": 2, "k": 1}, scales=[1, 2, 3],
+                                    ensemble_size=2, extra={"mode": "finite-volume"}),
+    "cascade": dict(kind="cascade", grid={"d": 2, "k": 1}, scales=[1.0, 1.5, 2.0],
+                    ensemble_size=2, extra={"cube_levels": [1, 2, 3]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JOBS_CONFIGS))
+def test_parallel_ensemble_matches_serial(runner, tmp_path, name):
+    # ensemble members run in worker processes; the summary is the same file
+    cfg = ExperimentConfig(generator={"name": "checkerboard"}, master_seed=5,
+                           **JOBS_CONFIGS[name])
+    path = tmp_path / "cfg.json"
+    cfg.save(path)
+    kind = cfg.kind
+    summaries = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        result = runner.invoke(main, [kind, "--config", str(path), "--out", str(out),
+                                      "--jobs", jobs])
+        assert result.exit_code == 0, result.output
+        summaries.append((out / "summary.json").read_bytes())
+    assert summaries[0] == summaries[1]

@@ -12,14 +12,21 @@ from hlab.coarse import (
     coarse_matrices,
     duality_defect,
     multiscale_E,
+    partition_matrices,
     read_cascade_csv,
     spatial_average_identities,
     subadditivity_ledger,
     write_cascade_csv,
 )
-from hlab.fields import make_constant, make_laminate, sample_checkerboard
-from hlab.lattice import GridSpec, TriadicCube
-from hlab.solver import solve_dirichlet_affine, solve_neumann_affine
+from hlab.fields import (
+    GaussianFieldParams,
+    make_constant,
+    make_laminate,
+    sample_checkerboard,
+    sample_gaussian_field,
+)
+from hlab.lattice import GridSpec, TriadicCube, triadic_partition
+from hlab.solver import SolveOptions, SolverError, solve_dirichlet_affine, solve_neumann_affine
 
 TOL10 = 1e-7  # ten solver tolerances
 
@@ -114,6 +121,77 @@ class TestCoarseMatrices:
         assert np.abs(r.a_lower - target).max() < 0.2
         assert np.abs(r.a_upper - target).max() < 0.5
         assert min_eig(r.a_upper - r.a_lower) >= -TOL10
+
+
+class TestPartitionMatrices:
+    """One batched solve per basis problem covers every subcube of a partition."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.sampled_from([2, 3]).flatmap(
+               lambda d: st.integers(1, 3 if d == 2 else 2).flatmap(
+                   lambda m: st.tuples(st.just(d), st.just(m), st.integers(0, m - 1)))),
+           st.sampled_from(["checkerboard", "gaussian"]), st.integers(0, 2**32 - 1))
+    def test_equals_per_cube_pairs(self, dmn, kind, seed):
+        d, m, n = dmn
+        grid = GridSpec(d, m, 1)
+        f = (sample_checkerboard(grid, seed) if kind == "checkerboard" else
+             sample_gaussian_field(grid, seed, GaussianFieldParams(0.5, 1.0, truncation=2)))
+        cube = TriadicCube(m, (0,) * d)
+        batch = partition_matrices(f, cube, n)
+        loop = [coarse_matrices(f, c) for c in triadic_partition(cube, n)]
+        assert [r.cube for r in batch] == [r.cube for r in loop]
+        for got, ref in zip(batch, loop):
+            assert got.iterations == ref.iterations
+            for name in ("a_upper", "a_lower"):
+                a, b = getattr(got, name), getattr(ref, name)
+                assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+
+    def test_constant_subcubes_take_no_dirichlet_steps(self):
+        # two subcubes hold one cell matrix: their Dirichlet columns have a zero
+        # right-hand side, report 0 iterations and read a(U) exactly
+        f = sample_checkerboard(GridSpec(2, 2, 1), 6)
+        f.a[0:3, 0:3] = np.eye(2)
+        f.a[3:6, 3:6] = 4.0 * np.eye(2)
+        results = partition_matrices(f, TriadicCube(2, (0, 0)), 1)
+        for k, value in ((0, 1.0), (4, 4.0)):
+            r = results[k]
+            assert [s.iterations for s in r.dirichlet_basis] == [0, 0]
+            assert np.array_equal(r.a_upper, value * np.eye(2))
+            assert np.abs(r.a_lower - value * np.eye(2)).max() < 1e-12
+        others = [r for k, r in enumerate(results) if k not in (0, 4)]
+        assert all(s.iterations > 0 for r in others for s in r.dirichlet_basis)
+
+    def test_d_solves_per_kind_for_729_cubes(self, monkeypatch):
+        calls = {"dirichlet": [], "neumann": []}
+
+        def spy(kind, solve):
+            def counted(*args, **kwargs):
+                sol = solve(*args, **kwargs)
+                calls[kind].append(sol.iterations)
+                return sol
+            return counted
+
+        monkeypatch.setattr(hlab.coarse, "solve_dirichlet_affine",
+                            spy("dirichlet", solve_dirichlet_affine))
+        monkeypatch.setattr(hlab.coarse, "solve_neumann_affine",
+                            spy("neumann", solve_neumann_affine))
+        f = sample_checkerboard(GridSpec(2, 4, 1), 3)
+        results = partition_matrices(f, TriadicCube(4, (0, 0)), 1)
+        assert len(results) == 729
+        assert len(calls["dirichlet"]) == 2 and len(calls["neumann"]) == 2
+        assert sum(r.iterations for r in results) == sum(calls["dirichlet"] + calls["neumann"])
+        # the per-cube basis extremals are views into the batched solutions
+        first, last = results[0].neumann_basis[1], results[-1].neumann_basis[1]
+        for name in ("u", "gradient", "flux"):
+            base = getattr(first, name).base
+            assert base is not None and getattr(last, name).base is base
+
+    def test_nonconvergence_names_a_cube(self):
+        f = sample_checkerboard(GridSpec(2, 2, 1), 1)
+        named = r"on TriadicCube\(level=1, offset=\(\d, \d\)\)"
+        with pytest.raises(SolverError, match=named) as err:
+            partition_matrices(f, TriadicCube(2, (0, 0)), 1, SolveOptions(maxiter=1))
+        assert err.value.iterations == 1 and err.value.residual > 1e-8
 
 
 class TestJAndDuality:

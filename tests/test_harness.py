@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hlab.coarse
+from hlab.lattice import triadic_partition
 from hlab.harness import (
     EnsembleStats,
     ExperimentConfig,
@@ -206,30 +207,40 @@ class TestRunExperiment:
 
     def test_coarsen_ledger_gets_solver_options(self, tmp_path, monkeypatch):
         seen = []
-        pair = hlab.coarse.coarse_matrices
+        partition = hlab.coarse.partition_matrices
 
-        def spy(a_field, cube, opts=None):
+        def spy(a_field, cube, n, opts=None):
             seen.append(opts)
-            return pair(a_field, cube, opts)
+            return partition(a_field, cube, n, opts)
 
-        monkeypatch.setattr(hlab.coarse, "coarse_matrices", spy)
+        def solve_spy(solve):
+            def recorded(a_field, cube, p, opts=None):
+                solved.append(opts)
+                return solve(a_field, cube, p, opts)
+            return recorded
+
+        solved = []
+        monkeypatch.setattr(hlab.coarse, "partition_matrices", spy)
+        for name in ("solve_dirichlet_affine", "solve_neumann_affine"):
+            monkeypatch.setattr(hlab.coarse, name, solve_spy(getattr(hlab.coarse, name)))
         cfg = ExperimentConfig(kind="coarsen", generator={"name": "checkerboard"},
                                grid={"d": 2, "m": 1, "k": 1}, scales=[0, 1],
                                solver={"tol": 1e-6}, output_dir=str(tmp_path))
         run_experiment(cfg)
         assert seen and all(o.tol == 1e-6 for o in seen)
+        assert solved and all(o.tol == 1e-6 for o in solved)
 
     @pytest.mark.parametrize("d, m, scales", [(2, 2, [0, 1, 2]), (2, 2, [2, 1]),
                                               (3, 1, [0]), (2, 1, [1])])
     def test_coarsen_solves_each_cube_once(self, tmp_path, monkeypatch, d, m, scales):
         solved = []
-        pair = hlab.coarse.coarse_matrices
+        partition = hlab.coarse.partition_matrices
 
-        def spy(a_field, cube, opts=None):
-            solved.append(cube)
-            return pair(a_field, cube, opts)
+        def spy(a_field, cube, n, opts=None):
+            solved.extend(triadic_partition(cube, n))
+            return partition(a_field, cube, n, opts)
 
-        monkeypatch.setattr(hlab.coarse, "coarse_matrices", spy)
+        monkeypatch.setattr(hlab.coarse, "partition_matrices", spy)
         cfg = ExperimentConfig(kind="coarsen", generator={"name": "checkerboard"},
                                grid={"d": d, "m": m, "k": 1}, scales=scales,
                                master_seed=2, output_dir=str(tmp_path))
@@ -256,6 +267,7 @@ class TestRunExperiment:
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before the scales were checked")
 
+        monkeypatch.setattr(hlab.coarse, "partition_matrices", no_solve)
         monkeypatch.setattr(hlab.coarse, "coarse_matrices", no_solve)
         cfg = ExperimentConfig(kind="coarsen", generator={"name": "checkerboard"},
                                grid={"d": 2, "m": 2, "k": 1}, scales=scales,

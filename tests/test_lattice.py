@@ -141,6 +141,22 @@ class TestCalculus:
         rhs = (u * gradient_adjoint(g, h, periodic)).sum()
         assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(lhs))
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([2, 3]), st.integers(2, 5), st.integers(1, 4), st.booleans(),
+           st.integers(0, 2**31))
+    def test_leading_batch_axes_act_column_by_column(self, d, n, batch, periodic, seed):
+        # a stack of fields through one call equals the per-field calls, exactly
+        h = 0.5
+        r = rng(seed)
+        u = r.normal(size=(batch,) + ((n,) if periodic else (n + 1,)) * d)
+        g = r.normal(size=(batch,) + (n,) * d + (d,))
+        grad = discrete_gradient(u, h, periodic, d=d)
+        adj = gradient_adjoint(g, h, periodic)
+        assert grad.shape == g.shape and adj.shape == u.shape
+        for i in range(batch):
+            assert np.array_equal(grad[i], discrete_gradient(u[i], h, periodic))
+            assert np.array_equal(adj[i], gradient_adjoint(g[i], h, periodic))
+
 
 class TestWeakNorm:
     def test_constant_field_closed_form(self):
@@ -213,3 +229,17 @@ class TestSerialization:
         with open(path, "rb") as fh:
             header = json.loads(fh.readline())
         assert header["shape"] == [3, 3]
+
+    @pytest.mark.parametrize("change, held", [(-8, "35"), (-3, "35.625"), (8, "37")])
+    def test_payload_length_checked(self, tmp_path, change, held):
+        # a truncated or padded payload names the path, the header shape and the float count
+        g = GridSpec(2, 0, 3)
+        path = tmp_path / "f.bin"
+        write_field(path, np.zeros(g.cell_shape + (2, 2)), g, kind="coefficient")
+        data = path.read_bytes()
+        path.write_bytes(data[:change] if change < 0 else data + bytes(change))
+        with pytest.raises(ValueError) as err:
+            read_field(path)
+        msg = str(err.value)
+        assert str(path) in msg and "[3, 3, 2, 2]" in msg and "36" in msg
+        assert f"holds {held}" in msg

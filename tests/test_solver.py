@@ -4,9 +4,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hlab.fields import make_constant, make_laminate, sample_checkerboard
-from hlab.lattice import GridSpec, TriadicCube, discrete_gradient, gradient_adjoint
+from hlab.fields import (
+    GaussianFieldParams,
+    make_constant,
+    make_laminate,
+    sample_checkerboard,
+    sample_gaussian_field,
+)
+from hlab.lattice import (
+    GridSpec,
+    TriadicCube,
+    discrete_gradient,
+    gradient_adjoint,
+    triadic_partition,
+)
 from hlab.solver import (
+    _cg,
+    _identity,
     SolveOptions,
     SolverError,
     solve_dirichlet_affine,
@@ -360,6 +374,22 @@ class TestSpectralPlumbing:
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+    @settings(max_examples=30, deadline=None)
+    @given(SHAPES, STEPS, st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_leading_batch_axes_share_the_symbol(self, shape, h, batch, seed):
+        # a stack of right-hand sides solves column by column, exactly
+        from hlab import spectral
+
+        b = np.random.default_rng(seed).normal(size=(batch,) + shape)
+        for kind in ("torus", "dirichlet", "neumann"):
+            solve = getattr(spectral, f"{kind}_solve_nodespace")
+            symbol = getattr(spectral, f"{kind}_symbol")(shape, h)
+            got = solve(b, h, symbol)
+            assert got.shape == b.shape
+            for i in range(batch):
+                assert np.array_equal(got[i], solve(b[i], h, symbol))
+
+
 def _full_symbol_reference(angles, h, network=False):
     """Full-spectrum symbol sum_k 4 sin^2(t_k/2)/h^2 prod_{j!=k} cos^2(t_j/2) on a mode mesh."""
     t = np.meshgrid(*angles, indexing="ij")
@@ -377,3 +407,105 @@ def _fft_solve_reference(b, symbol):
     out = np.zeros_like(bh)
     out[keep] = bh[keep] / symbol[keep]
     return np.fft.ifftn(out).real
+
+
+# partitions: d in {2, 3}, macro level m <= 3 (3d: m <= 2), partition level n < m
+PARTITIONS = st.sampled_from([2, 3]).flatmap(
+    lambda d: st.integers(1, 3 if d == 2 else 2).flatmap(
+        lambda m: st.tuples(st.just(d), st.just(m), st.integers(0, m - 1))))
+FIELD_KINDS = st.sampled_from(["checkerboard", "gaussian"])
+
+
+def partition_field(kind, d, m, seed):
+    grid = GridSpec(d, m, 1)
+    if kind == "checkerboard":
+        return sample_checkerboard(grid, seed)
+    return sample_gaussian_field(grid, seed, GaussianFieldParams(0.5, 1.0, truncation=2))
+
+
+class TestBatchedCG:
+    """One CG over a block of columns: per-column steps, residuals and stops."""
+
+    @staticmethod
+    def _diagonal_problem(spectra, seed):
+        # column i applies the diagonal operator spectra[i] on a 4 x 4 grid
+        diag = np.array([np.resize(s, 16).reshape(4, 4) for s in spectra])
+        b = np.random.default_rng(seed).normal(size=diag.shape)
+        return (lambda v: diag * v), b
+
+    def test_column_stopping_early_keeps_its_iterate(self):
+        # column 0 (one distinct eigenvalue) converges at once, column 1 (a
+        # spread spectrum) runs on; each ends exactly where its solo run does
+        spectra = [[2.0], np.linspace(1.0, 50.0, 16), np.linspace(1.0, 4.0, 5)]
+        apply_op, b = self._diagonal_problem(spectra, 0)
+        x, res, its = _cg(apply_op, b, _identity, _identity, 1e-10, 100)
+        assert its[0] == 1 and its[1] > its[2] > its[0]
+        for i in range(len(spectra)):
+            solo_op, _ = self._diagonal_problem([spectra[i]], 0)
+            xi, ri, ti = _cg(solo_op, b[i:i + 1], _identity, _identity, 1e-10, 100)
+            assert np.array_equal(x[i], xi[0])
+            assert res[i] == ri[0] <= 1e-10 and its[i] == ti[0]
+
+    def test_zero_columns_take_no_steps(self):
+        apply_op, b = self._diagonal_problem([np.linspace(1.0, 9.0, 16)] * 3, 1)
+        b[1] = 0.0
+        x, res, its = _cg(apply_op, b, _identity, _identity, 1e-10, 100)
+        assert its[1] == 0 and res[1] == 0.0 and np.array_equal(x[1], np.zeros((4, 4)))
+        assert its[0] > 0 and its[2] > 0
+        x, res, its = _cg(apply_op, np.zeros_like(b), _identity, _identity, 1e-10, 100)
+        assert not its.any() and not res.any() and not x.any()
+
+    def test_failing_column_is_named(self):
+        apply_op, b = self._diagonal_problem([[1.0], [1.0], [-1.0]], 2)
+        with pytest.raises(SolverError, match="positive definiteness.* on column c"):
+            _cg(apply_op, b, _identity, _identity, 1e-10, 100, labels=["a", "b", "column c"])
+        apply_op, b = self._diagonal_problem([[1.0], np.linspace(1.0, 50.0, 16)], 3)
+        with pytest.raises(SolverError, match="in 2 iterations.* on slow") as err:
+            _cg(apply_op, b, _identity, _identity, 1e-10, 2, labels=["fast", "slow"])
+        assert err.value.iterations == 2 and err.value.residual > 1e-10
+
+
+class TestBatchedSolves:
+    """A list of same-level cubes is one batched solve; each column is that cube's solve."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(PARTITIONS, FIELD_KINDS, st.integers(0, 2**32 - 1))
+    def test_columns_equal_single_cube_solves(self, dmn, kind, seed):
+        d, m, n = dmn
+        f = partition_field(kind, d, m, seed)
+        cubes = triadic_partition(TriadicCube(m, (0,) * d), n)
+        p = np.random.default_rng(seed).normal(size=d)
+        for solve in (solve_dirichlet_affine, solve_neumann_affine):
+            batch = solve(f, cubes, p)
+            assert batch.u.shape == (len(cubes),) + GridSpec(d, n, 1).node_shape
+            assert batch.iterations == batch.cube_iterations.sum()
+            assert batch.residual == batch.cube_residuals.max() <= 1e-8
+            # the per-column arithmetic is that of the single solve, so columns match exactly
+            for i, cube in enumerate(cubes):
+                one, col = solve(f, cube, p), batch.for_cube(i)
+                assert (col.iterations, col.residual, col.energy) == (
+                    one.iterations, one.residual, one.energy)
+                for name in ("u", "gradient", "flux"):
+                    assert np.array_equal(getattr(col, name), getattr(one, name))
+
+    def test_nonconvergent_column_names_its_cube(self):
+        f = sample_checkerboard(GridSpec(2, 2, 1), 1)
+        cubes = triadic_partition(TriadicCube(2, (0, 0)), 1)
+        named = r"on TriadicCube\(level=1, offset=\(\d, \d\)\)"
+        with pytest.raises(SolverError, match=named) as err:
+            solve_neumann_affine(f, cubes, [1.0, 0.0], SolveOptions(maxiter=1))
+        assert err.value.iterations == 1 and err.value.residual > 1e-8
+
+    def test_indefinite_cube_is_named(self):
+        # flip the sign of one subcube's coefficients: only its column loses definiteness
+        f = sample_checkerboard(GridSpec(2, 2, 1), 4)
+        f.a[3:6, 6:9] *= -1.0
+        cubes = triadic_partition(TriadicCube(2, (0, 0)), 1)
+        named = r"definiteness.* on TriadicCube\(level=1, offset=\(3, 6\)\)"
+        with pytest.raises(SolverError, match=named):
+            solve_dirichlet_affine(f, cubes, [1.0, 0.0])
+
+    def test_mixed_levels_rejected(self):
+        f = sample_checkerboard(GridSpec(2, 2, 1), 0)
+        with pytest.raises(ValueError, match="one level"):
+            solve_dirichlet_affine(f, [TriadicCube(1, (0, 0)), TriadicCube(0, (0, 0))], [1.0, 0.0])
