@@ -8,7 +8,11 @@ import sys
 import click
 import numpy as np
 
-from .harness import ExperimentConfig, run_experiment
+from .coarse import coarse_matrices, duality_defect
+from .correctors import periodic_homogenized_matrix
+from .fields import make_constant, make_laminate, sample_checkerboard
+from .harness import EnsembleStats, ExperimentConfig, _json_default, run_experiment
+from .lattice import GridSpec, TriadicCube
 
 _COMMON = [
     click.option("--config", "config_path", type=click.Path(exists=True),
@@ -16,8 +20,8 @@ _COMMON = [
     click.option("--seed", type=int, default=None, help="Master seed override."),
     click.option("--out", "out_dir", type=click.Path(), default=None,
                  help="Output directory override."),
-    click.option("--jobs", type=int, default=None,
-                 help="Worker processes (default: HLAB_JOBS or 1)."),
+    click.option("--jobs", type=int, default=1, show_default=True,
+                 help="Worker processes for ensemble members (at least 1)."),
 ]
 
 
@@ -49,16 +53,8 @@ def _execute(kind, config_path, seed, out_dir, jobs):
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
         sys.exit(1)
-    click.echo(json.dumps(summary, sort_keys=True, default=_default))
+    click.echo(json.dumps(summary, sort_keys=True, default=_json_default))
     sys.exit(0)
-
-
-def _default(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(type(obj).__name__)
 
 
 @click.group()
@@ -86,15 +82,8 @@ green = _make_command("green")
 
 
 @main.command()
-@click.option("--jobs", type=int, default=None)
-def selftest(jobs):
+def selftest():
     """Fast end-to-end consistency checks (no configuration needed)."""
-    from .coarse import coarse_matrices, duality_defect
-    from .correctors import periodic_homogenized_matrix
-    from .fields import make_constant, make_laminate, sample_checkerboard
-    from .harness import EnsembleStats
-    from .lattice import GridSpec, TriadicCube
-
     failures = []
 
     def check(label, ok):

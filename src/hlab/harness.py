@@ -1,4 +1,10 @@
-"""Experiment configuration, deterministic ensembles, statistics, rate fits.
+"""The experiment layer: configs, deterministic ensembles, statistics, rate fits,
+the scaling studies, and the runners behind the `hlab` commands.
+
+It sits on top of the numerics, and no numerics module imports it.  It
+imports them as module objects and calls `coarse.partition_matrices(...)`,
+so each call looks the function up when it is made: a spy or tracer that
+replaces a module attribute sees the harness's calls.
 
 Ensemble members draw their seeds by mixing the master seed with the member
 index, so results are independent of execution order and worker count; the
@@ -7,16 +13,18 @@ final statistics are always reduced in a fixed tree over member indices.
 
 from __future__ import annotations
 
+import csv
 import json
 import numbers
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import asdict, dataclass, field, fields as dataclass_fields
 from functools import partial
 
 import numpy as np
 
-from .fields import mix64
+from . import __version__, coarse, correctors, fields, lattice, renorm, solver, stochproc, twoscale
 
 __all__ = [
     "ExperimentConfig",
@@ -25,7 +33,8 @@ __all__ = [
     "ensemble",
     "ensemble_values",
     "rate_fit",
-    "default_jobs",
+    "fluctuation_cascade",
+    "cube_average_fluctuations",
     "field_from_config",
     "run_experiment",
 ]
@@ -33,6 +42,16 @@ __all__ = [
 EXPERIMENT_KINDS = (
     "field-gen", "coarsen", "corrector", "twoscale", "cascade", "walk", "green",
 )
+CORRECTOR_MODES = ("periodic", "finite-volume")
+GRID_DEFAULTS = {"d": 2, "m": 1, "k": 1}
+# each generator's config keys and their defaults ("name" selects the generator);
+# the constant generator's matrix defaults to the identity of the grid's dimension
+GENERATORS = {
+    "constant": {"matrix": None},
+    "laminate": {"v1": 1.0, "v2": 4.0, "period": 1.0, "axis": 1},
+    "checkerboard": {"v_white": 1.0, "v_black": 4.0, "p_black": 0.5},
+    "gaussian": {"amplitude": 0.5, "decay": 1.0, "truncation": 8, "Lam": 4.0},
+}
 
 
 @dataclass
@@ -58,13 +77,14 @@ class ExperimentConfig:
         seed = self.master_seed
         if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
             raise ValueError(f"master_seed must be an integer in [0, 2**64), got {seed!r}")
-        if self.grid:
-            from .lattice import GridSpec
-            GridSpec(self.grid.get("d", 2), self.grid.get("m", 1), self.grid.get("k", 1))
-        if self.solver:
-            from .solver import SolveOptions
-            _reject_unknown_keys(self.solver, SolveOptions, "solver.")
-            SolveOptions(**self.solver)
+        _grid(self.grid)
+        _generator_args(self.generator)
+        mode = self.extra.get("mode", "periodic")
+        if mode not in CORRECTOR_MODES:
+            raise ValueError(f"unknown corrector mode {mode!r} in 'extra.mode'; "
+                             f"expected one of {CORRECTOR_MODES}")
+        _reject_unknown_keys(self.solver, _field_names(solver.SolveOptions), "solver.")
+        solver.SolveOptions(**self.solver)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2)
@@ -72,7 +92,7 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         data = json.loads(text)
-        _reject_unknown_keys(data, cls)
+        _reject_unknown_keys(data, _field_names(cls))
         return cls(**data)
 
     def save(self, path) -> None:
@@ -85,8 +105,11 @@ class ExperimentConfig:
             return cls.from_json(fh.read())
 
 
-def _reject_unknown_keys(data: dict, cls, prefix: str = "") -> None:
-    known = {f.name for f in fields(cls)}
+def _field_names(cls) -> set:
+    return {f.name for f in dataclass_fields(cls)}
+
+
+def _reject_unknown_keys(data: dict, known, prefix: str = "") -> None:
     unknown = [repr(prefix + k) for k in sorted(data) if k not in known]
     if unknown:
         raise ValueError(f"unknown config key {', '.join(unknown)}; "
@@ -171,29 +194,28 @@ class EnsembleStats:
 
 
 def member_seed(master_seed: int, index: int) -> int:
-    return int(mix64(master_seed, index))
+    return int(fields.mix64(master_seed, index))
 
 
-def default_jobs() -> int:
-    env = os.environ.get("HLAB_JOBS")
-    if env:
-        return max(1, int(env))
-    return 1
+def _check_jobs(jobs) -> None:
+    if isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral) or jobs < 1:
+        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
 
 
-def ensemble_values(run, N: int, master_seed: int, jobs: int = None):
+def ensemble_values(run, N: int, master_seed: int, jobs: int = 1):
     """Member results in index order; member i runs with seed mix(master, i).
 
     Returns (values, seeds, errors) where errors maps index -> message; all
-    members are attempted even if some fail.
+    members are attempted even if some fail.  With jobs > 1 the members run
+    in that many worker processes, so `run` must pickle.
     """
     if N < 1:
         raise ValueError("ensemble size must be >= 1")
-    jobs = jobs or default_jobs()
+    _check_jobs(jobs)
     seeds = [member_seed(master_seed, i) for i in range(N)]
     values = [None] * N
     errors = {}
-    if jobs <= 1:
+    if jobs == 1:
         for i, s in enumerate(seeds):
             try:
                 values[i] = run(s)
@@ -221,7 +243,7 @@ def _reduce_tree(stats_list):
     return stats_list[0]
 
 
-def ensemble(run, N: int, master_seed: int, jobs: int = None) -> EnsembleStats:
+def ensemble(run, N: int, master_seed: int, jobs: int = 1) -> EnsembleStats:
     """Deterministic ensemble statistics of run(seed) over N derived seeds."""
     values, seeds, errors = ensemble_values(run, N, master_seed, jobs)
     if errors:
@@ -294,50 +316,151 @@ def rate_fit(scales, values, variances=None, expected: float = None,
 
 
 # ---------------------------------------------------------------------------
-# experiment execution
+# fields from config blocks
 # ---------------------------------------------------------------------------
+
+
+def _grid(grid_cfg: dict):
+    """The GridSpec of a config grid block, defaults filled in."""
+    _reject_unknown_keys(grid_cfg, GRID_DEFAULTS, "grid.")
+    return lattice.GridSpec(**{k: grid_cfg.get(k, v) for k, v in GRID_DEFAULTS.items()})
+
+
+def _generator_args(generator: dict):
+    """The generator's name and its keyword arguments, defaults filled in."""
+    name = generator.get("name", "checkerboard")
+    if name not in GENERATORS:
+        raise ValueError(f"unknown generator {name!r} in 'generator.name'; "
+                         f"expected one of {sorted(GENERATORS)}")
+    _reject_unknown_keys(generator, {"name", *GENERATORS[name]}, "generator.")
+    return name, {k: generator.get(k, v) for k, v in GENERATORS[name].items()}
 
 
 def field_from_config(generator: dict, grid_cfg: dict, seed: int):
     """Build a coefficient field from a config generator block."""
-    from .fields import (
-        GaussianFieldParams, make_constant, make_laminate,
-        sample_checkerboard, sample_gaussian_field,
-    )
-    from .lattice import GridSpec
-
-    grid = GridSpec(grid_cfg.get("d", 2), grid_cfg.get("m", 1), grid_cfg.get("k", 1))
-    name = generator.get("name", "checkerboard")
+    grid = _grid(grid_cfg)
+    name, kw = _generator_args(generator)
     if name == "constant":
-        matrix = np.asarray(generator.get("matrix", np.eye(grid.d).tolist()), dtype=float)
-        return make_constant(grid, matrix)
+        matrix = np.eye(grid.d) if kw["matrix"] is None else kw["matrix"]
+        return fields.make_constant(grid, np.asarray(matrix, dtype=float))
     if name == "laminate":
-        return make_laminate(grid, generator.get("v1", 1.0), generator.get("v2", 4.0),
-                             generator.get("period", 1.0), generator.get("axis", 1))
+        return fields.make_laminate(grid, **kw)
     if name == "checkerboard":
-        return sample_checkerboard(grid, seed, generator.get("v_white", 1.0),
-                                   generator.get("v_black", 4.0),
-                                   generator.get("p_black", 0.5))
-    if name == "gaussian":
-        params = GaussianFieldParams(
-            amplitude=generator.get("amplitude", 0.5),
-            decay=generator.get("decay", 1.0),
-            truncation=generator.get("truncation", 8),
-            Lam=generator.get("Lam", 4.0),
-        )
-        return sample_gaussian_field(grid, seed, params)
-    raise ValueError(f"unknown generator {name!r}")
+        return fields.sample_checkerboard(grid, seed, **kw)
+    return fields.sample_gaussian_field(grid, seed, fields.GaussianFieldParams(**kw))
+
+
+# ---------------------------------------------------------------------------
+# ensemble members and scaling studies
+# ---------------------------------------------------------------------------
+
+# Ensemble members are module-level functions of plain data (config blocks,
+# SolveOptions, the member seed last), bound with functools.partial, so that
+# worker processes can unpickle them.
+
+
+def _config_field(generator: dict, grid_cfg: dict, seed: int, m: int):
+    """The configured field on the level-m grid: the `make_field` of `hlab cascade`."""
+    return field_from_config(generator, dict(grid_cfg, m=m), seed)
+
+
+def _periodic_abar_member(generator, grid_cfg, opts, seed):
+    fld = field_from_config(generator, grid_cfg, seed)
+    return correctors.periodic_homogenized_matrix(fld, opts).abar.ravel()
+
+
+def _sublinearity_member(generator, grid_cfg, m, opts, seed):
+    fld = _config_field(generator, grid_cfg, seed, m)
+    return correctors.sublinearity_R(correctors.finite_volume_correctors(fld, m, opts))
+
+
+def _b_r_at_origin(make_field, r, m, delta, opts, seed):
+    """Ensemble member of `fluctuation_cascade`: b_r at the origin cell, flattened."""
+    fld = make_field(seed, m)
+    cset = correctors.periodic_homogenized_matrix(fld, opts, with_flux_correctors=False)
+    hc = renorm.coarse_grained_b(cset, fld, r, [(0,) * fld.grid.d], delta=delta, opts=opts)
+    return hc.b[0].ravel()
+
+
+def _e1_upper_entry(make_field, n, opts, seed):
+    """Ensemble member of `cube_average_fluctuations`: e1 . a(U) e1, U the origin level-n cube."""
+    fld = make_field(seed, n)
+    cube = lattice.TriadicCube(n, (0,) * fld.grid.d)
+    sol = solver.solve_dirichlet_affine(fld, cube, np.eye(fld.grid.d)[0], opts)
+    return 2.0 * sol.energy
+
+
+def _torus_level_for(r: float) -> int:
+    m = 0
+    while 3.0**m < 12.0 * r:
+        m += 1
+    return m
+
+
+def fluctuation_cascade(make_field, r_list, n_seeds: int, master_seed: int = 0,
+                        delta: float = 0.25, band: tuple = None,
+                        opts: solver.SolveOptions = None, jobs: int = 1) -> dict:
+    """Ensemble variance of b_r(0) across radii, with a log-log slope fit.
+
+    `make_field(seed, m)` must return a periodic coefficient field on the
+    level-m torus; with jobs > 1 it must pickle (a module-level function or
+    a functools.partial of one).  Every sampled point enters the statistics:
+    degenerate points contribute their blended value.
+    """
+    if n_seeds < 2:
+        raise ValueError("variance estimation needs at least 2 seeds")
+    per_r = []
+    for r in sorted(r_list):
+        m = _torus_level_for(r)
+        run = partial(_b_r_at_origin, make_field, r, m, delta, opts)
+        stats = ensemble(run, n_seeds, master_seed, jobs)
+        per_r.append({
+            "r": float(r), "torus_level": m,
+            "mean": np.asarray(stats.mean),
+            "variance": np.asarray(stats.variance),
+            "total_variance": float(np.asarray(stats.variance).sum()),
+        })
+    fit = rate_fit([row["r"] for row in per_r],
+                   [max(row["total_variance"], 1e-300) for row in per_r],
+                   band=band)
+    return {"per_r": per_r, "fit": fit, "n_seeds": n_seeds,
+            "master_seed": master_seed, "delta": delta}
+
+
+def cube_average_fluctuations(make_field, n_list, n_seeds: int,
+                              master_seed: int = 0, band: tuple = None,
+                              opts: solver.SolveOptions = None, jobs: int = 1) -> dict:
+    """Ensemble variance of e1 . a(level-n cube) e1 across levels, slope-fitted.
+
+    `make_field` is as in `fluctuation_cascade`.
+    """
+    if n_seeds < 2:
+        raise ValueError("variance estimation needs at least 2 seeds")
+    per_n = []
+    for n in sorted(n_list):
+        stats = ensemble(partial(_e1_upper_entry, make_field, n, opts), n_seeds, master_seed, jobs)
+        per_n.append({
+            "n": int(n), "scale": float(3**n),
+            "mean": float(stats.mean),
+            "variance": float(stats.variance),
+        })
+    fit = rate_fit([row["scale"] for row in per_n],
+                   [max(row["variance"], 1e-300) for row in per_n],
+                   band=band)
+    return {"per_n": per_n, "fit": fit, "n_seeds": n_seeds,
+            "master_seed": master_seed}
+
+
+# ---------------------------------------------------------------------------
+# experiment execution
+# ---------------------------------------------------------------------------
 
 
 def _solve_options(cfg: "ExperimentConfig"):
-    from .solver import SolveOptions
-
-    return SolveOptions(**cfg.solver) if cfg.solver else SolveOptions()
+    return solver.SolveOptions(**cfg.solver)
 
 
 def _write_csv(path, header, rows):
-    import csv
-
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -359,32 +482,29 @@ def _json_default(obj):
     raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
-def run_experiment(cfg: "ExperimentConfig", jobs: int = None) -> dict:
+def run_experiment(cfg: "ExperimentConfig", jobs: int = 1) -> dict:
     """Execute one configured experiment; writes outputs to cfg.output_dir.
 
-    Returns a summary dict (also written as summary.json).  Any failure is
-    captured in error.json and re-raised.
+    Ensemble members run in `jobs` worker processes.  Returns a summary dict
+    (also written as summary.json).  Any failure is captured in error.json
+    and re-raised.
     """
-    import time as _time
-
     cfg.validate()
+    _check_jobs(jobs)
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
-    t0 = _time.time()
+    t0 = time.time()
     try:
-        summary = _EXPERIMENTS[cfg.kind](cfg, jobs or default_jobs())
+        summary = _EXPERIMENTS[cfg.kind](cfg, jobs)
     except Exception as exc:  # noqa: BLE001 - reported then re-raised
         _write_json(os.path.join(out, "error.json"),
                     {"kind": cfg.kind, "error": f"{type(exc).__name__}: {exc}"})
         raise
-    from . import __version__
-    from .fields import PRNG_NAME
-
     meta = {
         "config": json.loads(cfg.to_json()),
         "version": __version__,
-        "prng": PRNG_NAME,
-        "wall_time_s": _time.time() - t0,
+        "prng": fields.PRNG_NAME,
+        "wall_time_s": time.time() - t0,
     }
     _write_json(os.path.join(out, "metadata.json"), meta)
     _write_json(os.path.join(out, "summary.json"), summary)
@@ -392,17 +512,13 @@ def run_experiment(cfg: "ExperimentConfig", jobs: int = None) -> dict:
 
 
 def _exp_field_gen(cfg, jobs):
-    from .lattice import write_field
-
     fld = field_from_config(cfg.generator, cfg.grid, cfg.master_seed)
     path = os.path.join(cfg.output_dir, "field.bin")
-    write_field(path, fld.a, fld.grid, kind="coefficient", provenance=fld.provenance)
+    lattice.write_field(path, fld.a, fld.grid, kind="coefficient", provenance=fld.provenance)
     return {"kind": "field-gen", "path": path, "provenance": fld.provenance}
 
 
 def _exp_coarsen(cfg, jobs):
-    from .coarse import cascade_record, partition_matrices, subadditivity_slacks, write_cascade_csv
-
     opts = _solve_options(cfg)
     fld = field_from_config(cfg.generator, cfg.grid, cfg.master_seed)
     m = fld.grid.m
@@ -417,18 +533,18 @@ def _exp_coarsen(cfg, jobs):
     children = parent = None
     recs = []
     for n in sorted(levels):
-        results = partition_matrices(fld, cube, n, opts)
-        recs.append(cascade_record(n, results))
+        results = coarse.partition_matrices(fld, cube, n, opts)
+        recs.append(coarse.cascade_record(n, results))
         if below and n == min(below):
             children = results
         elif n == m:
             parent = results[0]
-    write_cascade_csv(os.path.join(cfg.output_dir, "cascade.csv"), recs)
+    coarse.write_cascade_csv(os.path.join(cfg.output_dir, "cascade.csv"), recs)
     sub = None
     if below:
         if parent is None:
-            parent = partition_matrices(fld, cube, m, opts)[0]
-        sub = subadditivity_slacks(parent, children)
+            parent = coarse.partition_matrices(fld, cube, m, opts)[0]
+        sub = coarse.subadditivity_slacks(parent, children)
     return {
         "kind": "coarsen",
         "levels": levels,
@@ -436,30 +552,6 @@ def _exp_coarsen(cfg, jobs):
         "subadditivity_slacks": None if sub is None else {
             "upper": sub["upper_slack_min_eig"], "lower": sub["lower_slack_min_eig"]},
     }
-
-
-# Ensemble members are module-level functions of plain data (config blocks,
-# SolveOptions, the member seed last), bound with functools.partial, so that
-# worker processes can unpickle them.
-
-
-def _config_field(generator: dict, grid_cfg: dict, seed: int, m: int):
-    """The configured field on the level-m grid: `make_field` for `hlab.renorm`."""
-    return field_from_config(generator, dict(grid_cfg, m=m), seed)
-
-
-def _periodic_abar_member(generator, grid_cfg, opts, seed):
-    from .correctors import periodic_homogenized_matrix
-
-    fld = field_from_config(generator, grid_cfg, seed)
-    return periodic_homogenized_matrix(fld, opts).abar.ravel()
-
-
-def _sublinearity_member(generator, grid_cfg, m, opts, seed):
-    from .correctors import finite_volume_correctors, sublinearity_R
-
-    fld = _config_field(generator, grid_cfg, seed, m)
-    return sublinearity_R(finite_volume_correctors(fld, m, opts))
 
 
 def _exp_corrector(cfg, jobs):
@@ -488,22 +580,18 @@ def _exp_corrector(cfg, jobs):
 
 
 def _exp_twoscale(cfg, jobs):
-    from .correctors import periodic_homogenized_matrix
-    from .fields import tile_unit_cell
-    from .twoscale import dirichlet_error, error_table_rows, macro_affine
-
     opts = _solve_options(cfg)
     d, k = cfg.grid.get("d", 2), cfg.grid.get("k", 10)
     unit = field_from_config(cfg.generator, dict(cfg.grid, m=0, k=k), cfg.master_seed)
-    cset = periodic_homogenized_matrix(unit, opts)
+    cset = correctors.periodic_homogenized_matrix(unit, opts)
     p = cfg.extra.get("slope", [1.0] + [0.0] * (d - 1))
-    u = macro_affine(p)
+    u = twoscale.macro_affine(p)
     reports = []
     for eps in (cfg.scales or [1 / 3, 1 / 9, 1 / 27]):
         M = round(-np.log(float(eps)) / np.log(3.0))
-        fld = tile_unit_cell(unit, M)
-        reports.append(dirichlet_error(fld, u, cset, float(eps), opts))
-    rows = error_table_rows(reports)
+        fld = fields.tile_unit_cell(unit, M)
+        reports.append(twoscale.dirichlet_error(fld, u, cset, float(eps), opts))
+    rows = twoscale.error_table_rows(reports)
     _write_csv(os.path.join(cfg.output_dir, "twoscale.csv"),
                list(rows[0].keys()), [list(r.values()) for r in rows])
     fit = rate_fit([r.eps for r in reports], [r.grad_error for r in reports])
@@ -512,8 +600,6 @@ def _exp_twoscale(cfg, jobs):
 
 
 def _exp_cascade(cfg, jobs):
-    from .renorm import cube_average_fluctuations, fluctuation_cascade
-
     radii = [float(r) for r in (cfg.scales or [4, 8, 16, 32])]
     make_field = partial(_config_field, cfg.generator, cfg.grid)
     out = fluctuation_cascade(make_field, radii, cfg.ensemble_size,
@@ -534,14 +620,12 @@ def _exp_cascade(cfg, jobs):
 
 
 def _exp_walk(cfg, jobs):
-    from .stochproc import build_network, simulate_walks
-
     fld = field_from_config(cfg.generator, cfg.grid, cfg.master_seed)
-    net = build_network(fld)
+    net = stochproc.build_network(fld)
     T = float(cfg.extra.get("horizon", 100.0))
     n_paths = int(cfg.extra.get("n_paths", 10_000))
-    rep = simulate_walks(net, T, n_paths, cfg.master_seed,
-                         cfg.extra.get("sample_times"))
+    rep = stochproc.simulate_walks(net, T, n_paths, cfg.master_seed,
+                                   cfg.extra.get("sample_times"))
     return {
         "kind": "walk", "times": rep.times, "n_paths": n_paths,
         "covariances": [c for c in rep.covariances],
@@ -551,13 +635,11 @@ def _exp_walk(cfg, jobs):
 
 
 def _exp_green(cfg, jobs):
-    from .stochproc import parabolic_green
-
     fld = field_from_config(cfg.generator, cfg.grid, cfg.master_seed)
     t_final = float(cfg.extra.get("t", 25.0))
     dt = float(cfg.extra.get("dt", 0.25))
     source = cfg.extra.get("source") or [fld.grid.side // 2] * fld.grid.d
-    rep = parabolic_green(fld, t_final, tuple(int(s) for s in source), dt)
+    rep = stochproc.parabolic_green(fld, t_final, tuple(int(s) for s in source), dt)
     return {
         "kind": "green", "t": t_final, "dt": dt, "source": list(source),
         "errors": rep.green_errors, "nash_margins": rep.nash_margins,

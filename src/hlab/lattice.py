@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import spectral
+
 __all__ = [
     "GridSpec",
     "TriadicCube",
@@ -301,8 +303,6 @@ def dual_norm_oracle(f: np.ndarray, grid: GridSpec, cube: TriadicCube = None) ->
 
     Solved exactly in the cosine basis of the constant-coefficient operator.
     """
-    from . import spectral
-
     if cube is None:
         cube = grid.macro_cube()
     sl = cube.cell_slices(grid)

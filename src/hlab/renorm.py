@@ -1,27 +1,27 @@
-"""Heat-kernel coarsening: the renormalized coefficient b_r and its cascade.
+"""Heat-kernel coarsening: the renormalized coefficient b_r.
 
 b_r(x) maps Gaussian-smoothed corrected-plane gradients to their smoothed
 fluxes: with G and Q the d x d matrices whose k-th columns are the smoothed
 gradient and flux of the corrected plane psi_k = l_{e_k} + phi_{e_k},
 b_r(x) = Q G^-1 wherever G is well conditioned.  Ill-conditioned or
 unconverged points are blended toward the homogenized matrix through the
-cutoff chi_r built from a windowed minimal-scale proxy.
+cutoff chi_r built from a windowed minimal-scale proxy.  The ensemble
+studies of b_r and of cube averages across scales live in `hlab.harness`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from math import erfc
 
 import numpy as np
 import scipy.ndimage
 
 from .coarse import coarse_matrices, partition_matrices
-from .correctors import CorrectorSet, periodic_homogenized_matrix
+from .correctors import CorrectorSet
 from .fields import CoefficientField
 from .lattice import GridSpec, TriadicCube, discrete_gradient
-from .solver import SolveOptions, solve_dirichlet_affine
-from .harness import ensemble, rate_fit
+from .solver import SolveOptions
 
 __all__ = [
     "HeatCoarsening",
@@ -30,8 +30,6 @@ __all__ = [
     "heat_point_value",
     "coarse_grained_b",
     "minimal_scale_proxy",
-    "fluctuation_cascade",
-    "cube_average_fluctuations",
 ]
 
 COND_GATE = 1e3
@@ -52,7 +50,6 @@ def heat_kernel_1d(r: float, h: float):
     w = np.exp(-(x**2) / (4.0 * r**2))
     total = w.sum()
     # tail of the continuous factor relative to its full mass
-    from math import erfc
     tail = erfc((KERNEL_SUPPORT * r) / (2.0 * r))
     return w / total, float(tail)
 
@@ -198,80 +195,3 @@ def minimal_scale_proxy(a_field: CoefficientField, delta: float,
                for res in partition_matrices(a_field, region, n, opts)):
             return float(3**n)
     return float("inf")
-
-
-def _torus_level_for(r: float) -> int:
-    m = 0
-    while 3.0**m < 12.0 * r:
-        m += 1
-    return m
-
-
-def _b_r_at_origin(make_field, r, m, delta, opts, seed):
-    """Ensemble member of `fluctuation_cascade`: b_r at the origin cell, flattened."""
-    fld = make_field(seed, m)
-    cset = periodic_homogenized_matrix(fld, opts, with_flux_correctors=False)
-    hc = coarse_grained_b(cset, fld, r, [(0,) * fld.grid.d], delta=delta, opts=opts)
-    return hc.b[0].ravel()
-
-
-def _e1_upper_entry(make_field, n, opts, seed):
-    """Ensemble member of `cube_average_fluctuations`: e1 . a(U) e1, U the origin level-n cube."""
-    fld = make_field(seed, n)
-    cube = TriadicCube(n, (0,) * fld.grid.d)
-    sol = solve_dirichlet_affine(fld, cube, np.eye(fld.grid.d)[0], opts)
-    return 2.0 * sol.energy
-
-
-def fluctuation_cascade(make_field, r_list, n_seeds: int, master_seed: int = 0,
-                        delta: float = 0.25, band: tuple = None,
-                        opts: SolveOptions = None, jobs: int = None) -> dict:
-    """Ensemble variance of b_r(0) across radii, with a log-log slope fit.
-
-    `make_field(seed, m)` must return a periodic coefficient field on the
-    level-m torus; with jobs > 1 it must pickle (a module-level function or
-    a functools.partial of one).  Every sampled point enters the statistics:
-    degenerate points contribute their blended value.
-    """
-    if n_seeds < 2:
-        raise ValueError("variance estimation needs at least 2 seeds")
-    per_r = []
-    for r in sorted(r_list):
-        m = _torus_level_for(r)
-        run = partial(_b_r_at_origin, make_field, r, m, delta, opts)
-        stats = ensemble(run, n_seeds, master_seed, jobs)
-        per_r.append({
-            "r": float(r), "torus_level": m,
-            "mean": np.asarray(stats.mean),
-            "variance": np.asarray(stats.variance),
-            "total_variance": float(np.asarray(stats.variance).sum()),
-        })
-    fit = rate_fit([row["r"] for row in per_r],
-                   [max(row["total_variance"], 1e-300) for row in per_r],
-                   band=band)
-    return {"per_r": per_r, "fit": fit, "n_seeds": n_seeds,
-            "master_seed": master_seed, "delta": delta}
-
-
-def cube_average_fluctuations(make_field, n_list, n_seeds: int,
-                              master_seed: int = 0, band: tuple = None,
-                              opts: SolveOptions = None, jobs: int = None) -> dict:
-    """Ensemble variance of e1 . a(level-n cube) e1 across levels, slope-fitted.
-
-    `make_field` is as in `fluctuation_cascade`.
-    """
-    if n_seeds < 2:
-        raise ValueError("variance estimation needs at least 2 seeds")
-    per_n = []
-    for n in sorted(n_list):
-        stats = ensemble(partial(_e1_upper_entry, make_field, n, opts), n_seeds, master_seed, jobs)
-        per_n.append({
-            "n": int(n), "scale": float(3**n),
-            "mean": float(stats.mean),
-            "variance": float(stats.variance),
-        })
-    fit = rate_fit([row["scale"] for row in per_n],
-                   [max(row["variance"], 1e-300) for row in per_n],
-                   band=band)
-    return {"per_n": per_n, "fit": fit, "n_seeds": n_seeds,
-            "master_seed": master_seed}

@@ -22,6 +22,7 @@ fluxes, and energies are invariant along them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -117,8 +118,6 @@ def _parity_modes(shape, periodic):
     """Normalized zero-energy parity modes (two or more alternating axes)."""
     d = len(shape)
     modes = []
-    import itertools
-
     for rsize in range(2, d + 1):
         for axes in itertools.combinations(range(d), rsize):
             if periodic and any(shape[ax] % 2 for ax in axes):

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import spectral
 from .fields import CoefficientField
-from .lattice import GridSpec
+from .lattice import GridSpec, _diff, _diff_adj
 from .solver import _cg, _identity
 
 __all__ = [
@@ -52,6 +52,8 @@ class DiffusionReport:
     green_errors: dict = None       # sup/L1 relative errors vs the Gaussian
     nash_margins: dict = None
     mass_drift: float = None
+    green_field: np.ndarray = None      # P(t, ., source) over the cells
+    gaussian_field: np.ndarray = None   # the homogenized Gaussian it is compared with
     metadata: dict = field(default_factory=dict)
 
 
@@ -66,23 +68,16 @@ def build_network(a_field: CoefficientField) -> ConductanceNetwork:
 
 
 # ---------------------------------------------------------------------------
-# network calculus (cells as sites, forward-difference edges, torus wrap)
+# network calculus: cells as sites, forward-difference edges with torus wrap,
+# i.e. the periodic one-dimensional differences of `hlab.lattice`
 # ---------------------------------------------------------------------------
-
-
-def _ndiff(v, j, h):
-    return (np.roll(v, -1, axis=j) - v) / h
-
-
-def _ndiff_adj(w, j, h):
-    return (np.roll(w, 1, axis=j) - w) / h
 
 
 def _net_apply(net: ConductanceNetwork, v):
     h = net.grid.h
     out = np.zeros_like(v)
     for j in range(net.grid.d):
-        out += _ndiff_adj(net.cond[j] * _ndiff(v, j, h), j, h)
+        out += _diff_adj(net.cond[j] * _diff(v, j, h, True), j, h, True)
     return out
 
 
@@ -101,12 +96,12 @@ def network_homogenized_matrix(net: ConductanceNetwork, tol: float = 1e-10) -> n
 
     abar = np.zeros((d, d))
     for k in range(d):
-        b = -_ndiff_adj(net.cond[k], k, h)
+        b = -_diff_adj(net.cond[k], k, h, True)
         chi, _, _ = _cg(lambda v: _net_apply(net, v[0])[None], (b - b.mean())[None], M,
                         _identity, tol, 10_000)
         chi = chi[0]
         for j in range(d):
-            slope = _ndiff(chi, j, h) + (1.0 if j == k else 0.0)
+            slope = _diff(chi, j, h, True) + (1.0 if j == k else 0.0)
             abar[j, k] = (net.cond[j] * slope).mean()
     return 0.5 * (abar + abar.T)
 
@@ -255,14 +250,14 @@ def parabolic_green(a_field: CoefficientField, t_final: float, source,
         nash_margins={"upper_C": upper_margin, "lower_c": lower_margin,
                       "window_radius": 3.0 * np.sqrt(t_final)},
         mass_drift=float(mass_drift),
-        metadata={"dt": dt, "steps": n_steps, "cg_iterations": iters,
-                  "green_field": u, "gaussian_field": Pbar},
+        green_field=u, gaussian_field=Pbar,
+        metadata={"dt": dt, "steps": n_steps, "cg_iterations": iters},
     )
 
 
 def green_symmetry_check(a_field: CoefficientField, t_final: float, x, y,
                          dt: float = 0.25, tol: float = 1e-11) -> float:
     """|P(t, y, x) - P(t, x, y)| for one source/target pair."""
-    px = parabolic_green(a_field, t_final, x, dt, tol).metadata["green_field"]
-    py = parabolic_green(a_field, t_final, y, dt, tol).metadata["green_field"]
+    px = parabolic_green(a_field, t_final, x, dt, tol).green_field
+    py = parabolic_green(a_field, t_final, y, dt, tol).green_field
     return float(abs(px[tuple(y)] - py[tuple(x)]))

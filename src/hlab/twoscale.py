@@ -17,7 +17,7 @@ import numpy as np
 
 from .fields import CoefficientField
 from .correctors import CorrectorSet
-from .lattice import GridSpec, weak_norm_estimate
+from .lattice import GridSpec, discrete_gradient, weak_norm_estimate
 from .solver import SolveOptions, solve_dirichlet_data
 
 __all__ = [
@@ -155,8 +155,6 @@ def dirichlet_error(a_field: CoefficientField, u: MacroFunction, cset: Corrector
 
     w = build_two_scale(u, cset, eps)
     # lattice gradients are d/dx with x = X / eps; unit-domain gradients scale by 3^M
-    from .lattice import discrete_gradient
-
     scale = float(reps)
     grad_err_cells = scale * (sol.gradient - discrete_gradient(w, h, periodic=False))
     grad_error = float(np.sqrt((grad_err_cells**2).sum(axis=-1).mean()))

@@ -25,9 +25,8 @@ from hlab.fields import (
     GaussianFieldParams,
     tile_unit_cell,
 )
-from hlab.harness import EnsembleStats, rate_fit
+from hlab.harness import EnsembleStats, cube_average_fluctuations, fluctuation_cascade, rate_fit
 from hlab.lattice import GridSpec, TriadicCube
-from hlab.renorm import cube_average_fluctuations, fluctuation_cascade
 from hlab.solver import solve_dirichlet_affine, solve_neumann_affine
 from hlab.stochproc import (
     build_network,

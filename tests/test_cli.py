@@ -61,6 +61,21 @@ def test_negative_seed_rejected_before_any_solve(runner, tmp_path, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_rejected_before_any_solve(runner, tmp_path, monkeypatch, jobs):
+    import hlab.harness
+
+    def no_field(*args, **kwargs):
+        raise AssertionError("built a field before the jobs were checked")
+
+    monkeypatch.setattr(hlab.harness, "field_from_config", no_field)
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["coarsen", "--jobs", jobs, "--out", str(out)])
+    assert result.exit_code == 1
+    assert "ValueError" in result.output and "jobs" in result.output
+    assert not out.exists()
+
+
 def test_kind_mismatch_rejected(runner, tmp_path):
     cfg = ExperimentConfig(kind="walk")
     path = tmp_path / "cfg.json"

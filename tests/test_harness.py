@@ -54,6 +54,17 @@ class TestConfig:
             with pytest.raises(ValueError, match="master_seed"):
                 ExperimentConfig(kind="walk", master_seed=seed).validate()
         ExperimentConfig(kind="walk", master_seed=2**64 - 1).validate()
+        for bad, key in ((dict(grid={"K": 3}), "'grid.K'"),
+                         (dict(generator={"name": "perlin"}), "'generator.name'"),
+                         (dict(generator={"pblack": 0.9}), "'generator.pblack'"),
+                         (dict(generator={"name": "laminate", "p_black": 0.9}),
+                          "'generator.p_black'"),
+                         (dict(extra={"mode": "periodc"}), "'extra.mode'")):
+            with pytest.raises(ValueError, match=key):
+                ExperimentConfig(kind="corrector", **bad).validate()
+        ExperimentConfig(kind="corrector", grid={"d": 3, "m": 2, "k": 1},
+                         generator={"name": "gaussian", "Lam": 3.0},
+                         extra={"mode": "finite-volume"}).validate()
 
 
 class TestEnsembleStats:
@@ -130,6 +141,11 @@ class TestEnsembleExecution:
         assert set(errors) == {i for i, s in enumerate(seeds) if s % 2 == 0}
         with pytest.raises(RuntimeError, match="member"):
             ensemble(run, 6, master_seed=0)
+
+    @pytest.mark.parametrize("jobs", [0, -3, None, 1.5])
+    def test_jobs_must_be_a_positive_integer(self, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            ensemble_values(_member_value, 2, master_seed=0, jobs=jobs)
 
 
 class TestRateFit:
@@ -245,6 +261,7 @@ class TestRunExperiment:
                                grid={"d": d, "m": m, "k": 1}, scales=scales,
                                master_seed=2, output_dir=str(tmp_path))
         summary = run_experiment(cfg)
+        assert solved
         assert len(solved) == len(set(solved))
         # the slacks equal those of a ledger that solves its own parent and children
         below = [n for n in scales if n < m]

@@ -5,11 +5,10 @@ import pytest
 
 from hlab.correctors import periodic_homogenized_matrix
 from hlab.fields import make_constant, make_laminate, sample_checkerboard
+from hlab.harness import cube_average_fluctuations, fluctuation_cascade
 from hlab.lattice import GridSpec
 from hlab.renorm import (
     coarse_grained_b,
-    cube_average_fluctuations,
-    fluctuation_cascade,
     heat_convolve,
     heat_kernel_1d,
     heat_point_value,
