@@ -11,7 +11,7 @@ import numpy as np
 from .coarse import coarse_matrices, duality_defect
 from .correctors import periodic_homogenized_matrix
 from .fields import make_constant, make_laminate, sample_checkerboard
-from .harness import EnsembleStats, ExperimentConfig, _json_default, run_experiment
+from .harness import EnsembleStats, ExperimentConfig, json_default, run_experiment
 from .lattice import GridSpec, TriadicCube
 
 _COMMON = [
@@ -53,7 +53,7 @@ def _execute(kind, config_path, seed, out_dir, jobs):
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
         sys.exit(1)
-    click.echo(json.dumps(summary, sort_keys=True, default=_json_default))
+    click.echo(json.dumps(summary, sort_keys=True, default=json_default))
     sys.exit(0)
 
 

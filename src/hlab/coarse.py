@@ -4,9 +4,10 @@ The Dirichlet energy over affine boundary data defines a(U); the dual
 (Neumann) energy defines a*(U).  Both are exactly quadratic in the discrete
 setting and the extremals are linear in the data, so the d basis solves of
 each kind determine each matrix through the bilinear form.  All same-level
-subcubes of a triadic partition are solved together: each basis problem is
-one column-batched solve over the partition (`partition_matrices`), and a
-single cube is the partition of itself (`coarse_matrices`).  The gap
+subcubes of a triadic partition are solved together: each kind of basis
+problem is one column-batched solve over every direction and subcube of the
+partition (`partition_matrices`), and a single cube is the partition of
+itself (`coarse_matrices`).  The gap
 functional J(U, p, q) and the subadditivity/duality ledgers quantify how
 fast the two pinch together under coarsening.
 """
@@ -65,20 +66,15 @@ class CascadeRecord:
     defect_bound_mean: float     # mean of sum_i J(U, e_i, a*(U) e_i)
 
 
-def _unit_vectors(d):
-    return [np.eye(d)[i] for i in range(d)]
+def _bilinear_form(grad, flux):
+    """Per cube, the mean over cells of grad_i . flux_j of the basis columns i, j.
 
-
-def _bilinear_form(batch):
-    """Per cube, the mean over cells of grad_i . flux_j of the basis batches i, j."""
-    ncube = batch[0].u.shape[0]
-    ncells = batch[0].gradient[0, ..., 0].size
-    form = np.empty((ncube, len(batch), len(batch)))
-    for i, si in enumerate(batch):
-        grad = si.gradient.reshape(ncube, -1)
-        for j, sj in enumerate(batch):
-            form[:, i, j] = np.einsum("bn,bn->b", grad, sj.flux.reshape(ncube, -1))
-    return form / ncells
+    Both arrays are (basis, cube, *cells, d); the result is (cube, basis, basis).
+    """
+    nbasis, ncube = grad.shape[:2]
+    g = grad.reshape(nbasis, ncube, -1)
+    f = flux.reshape(nbasis, ncube, -1)
+    return np.einsum("ibn,jbn->bij", g, f) / grad[0, 0, ..., 0].size
 
 
 def _symmetric(m):
@@ -96,9 +92,10 @@ def partition_matrices(a_field: CoefficientField, cube: TriadicCube, n: int,
         a(U)_ij       = mean(grad v_i . a grad v_j)
         a*(U)^-1_ij   = G_ij + G_ji - mean(grad w_i . a grad w_j),  G_ij = mean(d_i w_j)
 
-    The subcubes share one grid, so each basis problem is one batched solve
-    over all of them: d Dirichlet and d Neumann solve calls per partition.
-    Each result's basis Solutions are views into those batches.
+    The subcubes share one grid and the basis directions one operator, so
+    the partition takes one Dirichlet and one Neumann solve call, each with a
+    column per (direction, subcube).  Each result's basis Solutions are views
+    into those batches.
     """
     opts = opts or SolveOptions()
     grid = a_field.grid
@@ -114,20 +111,20 @@ def partition_matrices(a_field: CoefficientField, cube: TriadicCube, n: int,
                                          0, 0.0))
         return out
 
-    es = _unit_vectors(d)
-    dir_batch = [solve_dirichlet_affine(a_field, cubes, e, opts) for e in es]
-    neu_batch = [solve_neumann_affine(a_field, cubes, e, opts) for e in es]
-    cells = tuple(range(1, d + 1))
+    es = np.eye(d)
+    dirs = solve_dirichlet_affine(a_field, cubes, es, opts)
+    neus = solve_neumann_affine(a_field, cubes, es, opts)
+    cells = tuple(range(2, d + 2))
 
-    a_up = _symmetric(_bilinear_form(dir_batch))
-    G = np.stack([s.gradient.mean(axis=cells) for s in neu_batch], axis=-1)
-    a_lo = _symmetric(np.linalg.inv(G + np.swapaxes(G, 1, 2) - _bilinear_form(neu_batch)))
+    a_up = _symmetric(_bilinear_form(dirs.gradient, dirs.flux))
+    G = np.moveaxis(neus.gradient.mean(axis=cells), 0, -1)
+    a_lo = _symmetric(np.linalg.inv(G + np.swapaxes(G, 1, 2)
+                                    - _bilinear_form(neus.gradient, neus.flux)))
 
-    batch = dir_batch + neu_batch
-    iterations = sum(s.cube_iterations for s in batch)
-    residual = np.max([s.cube_residuals for s in batch], axis=0)
-    return [CoarseGrainResult(c, a_up[k], a_lo[k], [s.for_cube(k) for s in dir_batch],
-                              [s.for_cube(k) for s in neu_batch], int(iterations[k]),
+    iterations = dirs.column_iterations.sum(axis=0) + neus.column_iterations.sum(axis=0)
+    residual = np.maximum(dirs.column_residuals.max(axis=0), neus.column_residuals.max(axis=0))
+    return [CoarseGrainResult(c, a_up[k], a_lo[k], [dirs[i, k] for i in range(d)],
+                              [neus[i, k] for i in range(d)], int(iterations[k]),
                               float(residual[k]))
             for k, c in enumerate(cubes)]
 
@@ -157,7 +154,7 @@ def duality_defect(r: CoarseGrainResult, b: np.ndarray = None) -> dict:
         raise ValueError("comparison matrix must be symmetric")
     d = r.a_upper.shape[0]
     gap = float(np.linalg.norm(r.a_upper - r.a_lower, ord=2))
-    bound = float(sum(J_value(r, e, b @ e) for e in _unit_vectors(d)))
+    bound = float(sum(J_value(r, e, b @ e) for e in np.eye(d)))
     return {"gap": gap, "bound": bound}
 
 
@@ -211,7 +208,7 @@ def multiscale_E(a_field: CoefficientField, m: int, a_ref: np.ndarray,
     if not 0 <= m <= a_field.grid.m:
         raise ValueError(f"level {m} out of range [0, {a_field.grid.m}]")
     cube = TriadicCube(m, (0,) * d)
-    es = _unit_vectors(d)
+    es = np.eye(d)
     per_level = []
     for n in range(m + 1):
         vals = [sum(J_value(r, e, a_ref @ e) for e in es)
@@ -236,7 +233,7 @@ def spatial_average_identities(r: CoarseGrainResult, a_field: CoefficientField =
     ax = tuple(range(d))
     astar_inv = np.linalg.inv(r.a_lower)
     ge = fe = fm = gm = 0.0
-    for i, e in enumerate(_unit_vectors(d)):
+    for i, e in enumerate(np.eye(d)):
         sd = r.dirichlet_basis[i]
         sn = r.neumann_basis[i]
         ge = max(ge, np.abs(sd.gradient.mean(axis=ax) - e).max())

@@ -126,16 +126,10 @@ def periodic_homogenized_matrix(a_field: CoefficientField,
     opts = opts or SolveOptions()
     grid = a_field.grid
     d, h = grid.d, grid.h
-    ax = tuple(range(d))
 
-    phis, fluxes = [], []
-    abar = np.zeros((d, d))
-    for k in range(d):
-        e = np.eye(d)[k]
-        sol = solve_periodic_cell(a_field, e, opts)
-        phis.append(sol.u)
-        fluxes.append(sol.flux)           # a (e + grad phi)
-        abar[:, k] = sol.flux.mean(axis=ax)
+    sol = solve_periodic_cell(a_field, np.eye(d), opts)
+    phis, fluxes = list(sol.u), sol.flux          # flux k: a (e_k + grad phi_k)
+    abar = fluxes.mean(axis=tuple(range(1, d + 1))).T
 
     drift = float(np.abs(abar - abar.T).max())
     abar = 0.5 * (abar + abar.T)
@@ -174,18 +168,15 @@ def finite_volume_correctors(a_field: CoefficientField, m: int,
     sub = a_field if a_field.grid.m == m else a_field.restrict(cube)
     grid = sub.grid
     h = grid.h
-    ax = tuple(range(d))
 
-    phis, gs, ss, pots, resids = [], [], [], [], []
-    a_cube = np.zeros((d, d))
+    sol = solve_dirichlet_affine(a_field, cube, np.eye(d), opts)
+    a_cube = sol.flux.mean(axis=tuple(range(1, d + 1))).T
     nodes = np.meshgrid(*[np.arange(n + 1) * h for n in grid.cell_shape], indexing="ij")
+    phis, gs, ss, pots, resids = [], [], [], [], []
     for k in range(d):
-        e = np.eye(d)[k]
-        sol = solve_dirichlet_affine(a_field, cube, e, opts)
-        a_cube[:, k] = sol.flux.mean(axis=ax)
-        phi = sol.u - nodes[k]
+        phi = sol.u[k] - nodes[k]
         phis.append(phi - phi.mean())
-        g = sol.flux - a_cube[:, k]
+        g = sol.flux[k] - a_cube[:, k]
         g = g - g.reshape(-1, d).mean(axis=0)
         gs.append(g)
         s_cell, pot, res = flux_corrector(g, h, grid)

@@ -37,11 +37,14 @@ __all__ = [
     "cube_average_fluctuations",
     "field_from_config",
     "run_experiment",
+    "json_default",
 ]
 
-EXPERIMENT_KINDS = (
-    "field-gen", "coarsen", "corrector", "twoscale", "cascade", "walk", "green",
-)
+# each experiment kind and the `extra` keys it reads
+EXTRA_KEYS = {"field-gen": (), "coarsen": (), "corrector": ("mode",), "twoscale": ("slope",),
+              "cascade": ("cube_levels",), "walk": ("horizon", "n_paths", "sample_times"),
+              "green": ("t", "dt", "source")}
+EXPERIMENT_KINDS = tuple(EXTRA_KEYS)
 CORRECTOR_MODES = ("periodic", "finite-volume")
 GRID_DEFAULTS = {"d": 2, "m": 1, "k": 1}
 # each generator's config keys and their defaults ("name" selects the generator);
@@ -72,13 +75,15 @@ class ExperimentConfig:
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}; "
                              f"expected one of {EXPERIMENT_KINDS}")
-        if self.ensemble_size < 1:
-            raise ValueError("ensemble size must be >= 1")
+        size = self.ensemble_size
+        if not _is_integer(size) or size < 1:
+            raise ValueError(f"ensemble_size must be an integer >= 1, got {size!r}")
         seed = self.master_seed
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
+        if not _is_integer(seed) or not 0 <= seed < 2**64:
             raise ValueError(f"master_seed must be an integer in [0, 2**64), got {seed!r}")
         _grid(self.grid)
         _generator_args(self.generator)
+        _reject_unknown_keys(self.extra, EXTRA_KEYS[self.kind], "extra.")
         mode = self.extra.get("mode", "periodic")
         if mode not in CORRECTOR_MODES:
             raise ValueError(f"unknown corrector mode {mode!r} in 'extra.mode'; "
@@ -103,6 +108,10 @@ class ExperimentConfig:
     def load(cls, path) -> "ExperimentConfig":
         with open(path) as fh:
             return cls.from_json(fh.read())
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _field_names(cls) -> set:
@@ -198,7 +207,7 @@ def member_seed(master_seed: int, index: int) -> int:
 
 
 def _check_jobs(jobs) -> None:
-    if isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral) or jobs < 1:
+    if not _is_integer(jobs) or jobs < 1:
         raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
 
 
@@ -209,8 +218,8 @@ def ensemble_values(run, N: int, master_seed: int, jobs: int = 1):
     members are attempted even if some fail.  With jobs > 1 the members run
     in that many worker processes, so `run` must pickle.
     """
-    if N < 1:
-        raise ValueError("ensemble size must be >= 1")
+    if not _is_integer(N) or N < 1:
+        raise ValueError(f"ensemble size must be an integer >= 1, got {N!r}")
     _check_jobs(jobs)
     seeds = [member_seed(master_seed, i) for i in range(N)]
     values = [None] * N
@@ -470,11 +479,12 @@ def _write_csv(path, header, rows):
 
 def _write_json(path, payload):
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, default=_json_default)
+        json.dump(payload, fh, sort_keys=True, indent=2, default=json_default)
         fh.write("\n")
 
 
-def _json_default(obj):
+def json_default(obj):
+    """The JSON form of numpy arrays and scalars, as `json.dump`'s default."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer)):

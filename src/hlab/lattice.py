@@ -4,15 +4,18 @@ Grids cover the cube [0, 3^m)^d with k cells per unit length (h = 1/k).
 Coefficient-like data lives on cells, solution-like data on nodes.  The
 discrete gradient samples the bilinear (trilinear in 3d) element gradient at
 the cell center; the divergence is its negative adjoint, so summation by
-parts is exact.
+parts is exact.  Operators with a nearest-neighbour node stencil are
+assembled as sparse matrices by `stencil_matrix`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from . import spectral
 
@@ -20,12 +23,11 @@ __all__ = [
     "GridSpec",
     "TriadicCube",
     "triadic_partition",
-    "cell_average",
     "discrete_gradient",
-    "discrete_divergence",
     "gradient_adjoint",
     "node_to_cell",
     "cell_to_node_adjoint",
+    "stencil_matrix",
     "weak_norm_estimate",
     "dual_norm_oracle",
     "write_field",
@@ -112,12 +114,6 @@ class TriadicCube:
         s = self.side_length
         return tuple(slice(z * k, (z + s) * k) for z in self.offset)
 
-    def node_slices(self, grid: GridSpec) -> tuple:
-        self.check_inside(grid)
-        k = grid.k
-        s = self.side_length
-        return tuple(slice(z * k, (z + s) * k + 1) for z in self.offset)
-
     def side_cells(self, grid: GridSpec) -> int:
         return self.side_length * grid.k
 
@@ -136,66 +132,37 @@ def triadic_partition(cube: TriadicCube, n: int) -> list:
     return out
 
 
-def cell_average(f: np.ndarray, grid: GridSpec, cube: TriadicCube) -> np.ndarray:
-    """Arithmetic mean of cell values over the cube (scalar or per-component)."""
-    sl = cube.cell_slices(grid)
-    block = f[sl]
-    d = grid.d
-    return block.mean(axis=tuple(range(d)))
-
-
 # ---------------------------------------------------------------------------
-# One-dimensional building blocks of the cell-centered element calculus.
+# One-dimensional building blocks of the cell-centered element calculus: the
+# two-point difference (op np.subtract, div h) or average (np.add, 2) of the
+# node pairs (x, x + 1) along one axis, and its adjoint.
 # ---------------------------------------------------------------------------
 
 
-def _diff(u, axis, h, periodic):
-    if periodic:
-        return (np.roll(u, -1, axis=axis) - u) / h
-    lo = [slice(None)] * u.ndim
-    hi = [slice(None)] * u.ndim
+def _ends(ndim, axis):
+    lo = [slice(None)] * ndim
+    hi = [slice(None)] * ndim
     lo[axis] = slice(None, -1)
     hi[axis] = slice(1, None)
-    return (u[tuple(hi)] - u[tuple(lo)]) / h
+    return tuple(lo), tuple(hi)
 
 
-def _avg(u, axis, periodic):
+def _pair(u, axis, periodic, op, div):
     if periodic:
-        return (np.roll(u, -1, axis=axis) + u) / 2.0
-    lo = [slice(None)] * u.ndim
-    hi = [slice(None)] * u.ndim
-    lo[axis] = slice(None, -1)
-    hi[axis] = slice(1, None)
-    return (u[tuple(hi)] + u[tuple(lo)]) / 2.0
+        return op(np.roll(u, -1, axis=axis), u) / div
+    lo, hi = _ends(u.ndim, axis)
+    return op(u[hi], u[lo]) / div
 
 
-def _diff_adj(w, axis, h, periodic):
+def _pair_adj(w, axis, periodic, op, div):
     if periodic:
-        return (np.roll(w, 1, axis=axis) - w) / h
+        return op(np.roll(w, 1, axis=axis), w) / div
     shape = list(w.shape)
     shape[axis] += 1
     out = np.zeros(shape, dtype=w.dtype)
-    lo = [slice(None)] * w.ndim
-    hi = [slice(None)] * w.ndim
-    lo[axis] = slice(None, -1)
-    hi[axis] = slice(1, None)
-    out[tuple(hi)] += w / h
-    out[tuple(lo)] -= w / h
-    return out
-
-
-def _avg_adj(w, axis, periodic):
-    if periodic:
-        return (np.roll(w, 1, axis=axis) + w) / 2.0
-    shape = list(w.shape)
-    shape[axis] += 1
-    out = np.zeros(shape, dtype=w.dtype)
-    lo = [slice(None)] * w.ndim
-    hi = [slice(None)] * w.ndim
-    lo[axis] = slice(None, -1)
-    hi[axis] = slice(1, None)
-    out[tuple(hi)] += w / 2.0
-    out[tuple(lo)] += w / 2.0
+    lo, hi = _ends(w.ndim, axis)
+    out[hi] += w / div
+    out[lo] = op(out[lo], w / div)
     return out
 
 
@@ -209,10 +176,8 @@ def discrete_gradient(u: np.ndarray, h: float, periodic: bool = False, d: int = 
     for k in range(d):
         v = u
         for axis in range(d):
-            if axis == k:
-                v = _diff(v, axis - d, h, periodic)
-            else:
-                v = _avg(v, axis - d, periodic)
+            op, div = (np.subtract, h) if axis == k else (np.add, 2.0)
+            v = _pair(v, axis - d, periodic, op, div)
         comps.append(v)
     return np.stack(comps, axis=-1)
 
@@ -227,24 +192,17 @@ def gradient_adjoint(g: np.ndarray, h: float, periodic: bool = False) -> np.ndar
     for k in range(d):
         v = g[..., k]
         for axis in range(d - 1, -1, -1):
-            if axis == k:
-                v = _diff_adj(v, axis - d, h, periodic)
-            else:
-                v = _avg_adj(v, axis - d, periodic)
+            op, div = (np.subtract, h) if axis == k else (np.add, 2.0)
+            v = _pair_adj(v, axis - d, periodic, op, div)
         out = v if out is None else out + v
     return out
-
-
-def discrete_divergence(g: np.ndarray, h: float, periodic: bool = False) -> np.ndarray:
-    """Node divergence of a cell vector field: negative adjoint of the gradient."""
-    return -gradient_adjoint(g, h, periodic)
 
 
 def node_to_cell(u: np.ndarray, periodic: bool = False) -> np.ndarray:
     """Value at cell centers (mean of the 2^d surrounding nodes)."""
     v = u
     for axis in range(u.ndim):
-        v = _avg(v, axis, periodic)
+        v = _pair(v, axis, periodic, np.add, 2.0)
     return v
 
 
@@ -252,8 +210,46 @@ def cell_to_node_adjoint(f: np.ndarray, periodic: bool = False) -> np.ndarray:
     """Adjoint of node_to_cell; spreads cell data to nodes."""
     v = f
     for axis in range(f.ndim - 1, -1, -1):
-        v = _avg_adj(v, axis, periodic)
+        v = _pair_adj(v, axis, periodic, np.add, 2.0)
     return v
+
+
+def stencil_matrix(stencil: dict, periodic: bool = False):
+    """CSR matrix of a node stencil: row x holds stencil[delta][x] in column x + delta.
+
+    `stencil` maps offsets delta in {-1, 0, 1}^d to coefficient arrays of one
+    shape (*batch, *grid), the grid being the trailing d axes; the matrix is
+    block-diagonal over the batch axes.  A periodic grid wraps x + delta;
+    otherwise entries with x + delta off the grid are dropped (stored as zeros
+    on the row's own column).  Offsets whose coefficients all vanish get no
+    entries, every other offset one per row; indices are int32 below 2^31 entries.
+    """
+    shape = next(iter(stencil.values())).shape
+    d = len(next(iter(stencil)))
+    grid = shape[len(shape) - d:]
+    rows = math.prod(shape)
+
+    def on_grid(delta):
+        return (...,) + tuple(slice(None) if periodic else slice(max(0, -t), n - max(0, t))
+                              for t, n in zip(delta, grid))
+
+    kept = [delta for delta, c in stencil.items() if c[on_grid(delta)].any()]
+    index = np.int32 if rows * max(len(kept), 1) < 2**31 else np.int64
+    base = np.arange(rows, dtype=index).reshape(shape)
+    data = np.zeros((rows, len(kept)))
+    columns = np.empty((rows, len(kept)), dtype=index)
+    for j, delta in enumerate(kept):
+        on = on_grid(delta)
+        data[:, j].reshape(shape)[on] = stencil[delta][on]
+        shift = 0       # the flat step from x to x + delta, wrapped per axis
+        for axis, (t, n) in enumerate(zip(delta, grid)):
+            step = ((np.arange(n) + t) % n - np.arange(n)) * math.prod(grid[axis + 1:])
+            shift = shift + step.reshape((n,) + (1,) * (d - 1 - axis))
+        col = columns[:, j].reshape(shape)
+        col[...] = base
+        col[on] += np.broadcast_to(shift, grid)[on]
+    indptr = np.arange(rows + 1, dtype=index) * len(kept)
+    return scipy.sparse.csr_array((data.ravel(), columns.ravel(), indptr), shape=(rows, rows))
 
 
 # ---------------------------------------------------------------------------

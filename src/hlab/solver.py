@@ -1,18 +1,20 @@
 """Discrete variational solves of -div(a grad u) = div f on triadic cubes.
 
 All problems are symmetric positive (semi)definite and solved by
-preconditioned conjugate gradients on the node grid, matrix-free.  The
-preconditioner inverts the constant-coefficient operator exactly in a fast
-transform basis, which caps the condition number by the ellipticity ratio.
-Every Dirichlet problem shares one interior solve and every periodic problem
-one torus solve.
+preconditioned conjugate gradients on the node grid, with grad^T a grad
+assembled once per solve call as a sparse matrix straight from its node
+stencil.  The preconditioner inverts the constant-coefficient operator
+exactly in a fast transform basis, which caps the condition number by the
+ellipticity ratio.  Every Dirichlet problem shares one interior solve and
+every periodic problem one torus solve.
 
-The CG is column-batched: its arrays carry a leading column axis, with step
-sizes, residuals and iteration counts kept per column.  The affine Dirichlet
-and Neumann solves take a list of same-level cubes and solve them as one
-batch (coefficient blocks stacked as (B, *cells, d, d), one spectral symbol
-for all), which removes the per-call overhead that dominates tiny cubes.  A
-single cube, and every other solve, is a one-column batch.
+The CG is column-batched, with step sizes, residuals and iteration counts
+kept per column.  The affine solves take a stack of slopes or fluxes, so the
+d basis directions of a coarse matrix or corrector set share one assembly;
+the affine Dirichlet and Neumann solves also take a list of same-level cubes
+(coefficient blocks stacked as (B, *cells, d, d), a block-diagonal operator,
+one spectral symbol for all), which removes the per-call overhead that
+dominates tiny cubes.
 
 The cell-centered element has zero-energy node modes beyond constants: the
 parity fields (-1)^(i_r + i_s) over two or more axes.  They are projected
@@ -22,8 +24,8 @@ fluxes, and energies are invariant along them.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,19 +37,19 @@ from .lattice import (
     TriadicCube,
     discrete_gradient,
     gradient_adjoint,
-    cell_to_node_adjoint,
+    stencil_matrix,
 )
 
 __all__ = [
     "SolveOptions",
     "Solution",
     "SolverError",
+    "cg",
     "solve_dirichlet_affine",
     "solve_dirichlet_data",
     "solve_neumann_affine",
     "solve_periodic_cell",
     "solve_forced",
-    "solve_poisson_periodic",
 ]
 
 
@@ -72,12 +74,12 @@ class SolveOptions:
 
 @dataclass
 class Solution:
-    """Extremal on one cube, or on a batch of same-level cubes.
+    """Extremal on one cube, or a batch of them.
 
-    A batched solve puts a leading cube axis on u, gradient, flux and energy
-    and keeps the per-cube CG counts in `cube_iterations` and
-    `cube_residuals`; its `iterations` is their total and `residual` their
-    maximum.
+    A batch puts leading axes on u, gradient, flux and energy (the stack axes
+    of the slopes or fluxes, then the cube axis of a list of cubes) and keeps
+    the per-column CG counts in `column_iterations` and `column_residuals`;
+    `iterations` is their total and `residual` their maximum.
     """
 
     u: np.ndarray          # node field
@@ -86,90 +88,108 @@ class Solution:
     residual: float
     iterations: int
     energy: float          # volume-normalized functional value
-    cube_iterations: np.ndarray = None
-    cube_residuals: np.ndarray = None
+    column_iterations: np.ndarray = None
+    column_residuals: np.ndarray = None
 
-    def for_cube(self, i: int) -> "Solution":
-        """The i-th cube's Solution of a batch; its arrays are views into the batch."""
-        return Solution(self.u[i], self.gradient[i], self.flux[i], float(self.cube_residuals[i]),
-                        int(self.cube_iterations[i]), float(self.energy[i]))
+    def __getitem__(self, i) -> "Solution":
+        """The Solution at index i of the leading axes; its arrays are views into this one's."""
+        return _batch_solution(self.u[i], self.gradient[i], self.flux[i],
+                               self.column_residuals[i], self.column_iterations[i], self.energy[i])
 
 
 def _batch_solution(u, grad, flux, res, its, energy):
+    if np.ndim(its) == 0:
+        return Solution(u, grad, flux, float(res), int(its), float(energy))
     return Solution(u, grad, flux, float(res.max()), int(its.sum()), energy, its, res)
 
 
 # ---------------------------------------------------------------------------
-# operator plumbing: arrays carry a leading column axis, one column per cube
+# the assembled operator; arrays carry leading (column, cube) axes
 # ---------------------------------------------------------------------------
 
 
 def _amul(a, g):
-    """Cell-wise matrix-vector product a(x) g(x)."""
-    return np.einsum("...ij,...j->...i", a, g)
+    """Cell-wise matrix-vector product a(x) g(x), summed over the columns of a in order."""
+    out = a[..., 0] * g[..., :1]
+    for j in range(1, g.shape[-1]):
+        out += a[..., j] * g[..., j:j + 1]
+    return out
 
 
-def _apply(a, u, h, periodic):
-    g = discrete_gradient(u, h, periodic, d=a.shape[-1])
-    return gradient_adjoint(_amul(a, g), h, periodic)
+def _apply(a, u, h):
+    """grad^T a grad u on the full node grid, matrix-free: the load of lifted boundary data."""
+    return gradient_adjoint(_amul(a, discrete_gradient(u, h, False, d=a.shape[-1])), h, False)
 
 
-def _parity_modes(shape, periodic):
-    """Normalized zero-energy parity modes (two or more alternating axes)."""
-    d = len(shape)
-    modes = []
-    for rsize in range(2, d + 1):
-        for axes in itertools.combinations(range(d), rsize):
-            if periodic and any(shape[ax] % 2 for ax in axes):
+def _assemble(a, h, bc):
+    """grad^T a grad on the node grid of `bc`, block-diagonal over the cubes of a (B, *cells, d, d).
+
+    Entry (x, x + delta) sums, over the cells c = x - sigma holding both
+    nodes, eps . a(c) eta / (h^2 4^(d-1)) with the gradient's corner signs
+    eps = 2 sigma - 1 and eta = 2 (sigma + delta) - 1.  Summing cell by cell
+    makes isotropic cells cancel exactly, so those entries drop out.
+    """
+    d = a.shape[-1]
+    nodes = tuple(n + {"dirichlet": -1, "neumann": 1, "periodic": 0}[bc] for n in a.shape[1:1 + d])
+    # pad the cells so that node x's cell x - sigma sits at x + 1 - sigma
+    pad = [(0, 0)] + [(1, 1) if bc == "neumann" else (1, 0)] * d
+    comps = {(k, l): (np.ascontiguousarray(c) if bc == "dirichlet" else
+                      np.pad(c, pad, mode="wrap" if bc == "periodic" else "constant"))
+             for k, l in itertools.product(range(d), repeat=2) if (c := a[..., k, l]).any()}
+    stencil = {}
+    for delta in itertools.product((-1, 0, 1), repeat=d):
+        coef = np.zeros(a.shape[:1] + nodes)
+        for sigma in itertools.product((0, 1), repeat=d):
+            tau = [s + t for s, t in zip(sigma, delta)]
+            if not all(0 <= t <= 1 for t in tau):
                 continue
-            m = np.ones(shape)
-            for ax in axes:
-                sgn = (-1.0) ** np.arange(shape[ax])
-                sh = [1] * d
-                sh[ax] = shape[ax]
-                m = m * sgn.reshape(sh)
-            modes.append(m / np.linalg.norm(m))
-    return modes
+            view = (slice(None),) + tuple(slice(1 - s, 1 - s + n) for s, n in zip(sigma, nodes))
+            for (k, l), comp in comps.items():
+                (np.add if (2 * sigma[k] - 1) * (2 * tau[l] - 1) > 0 else np.subtract)(
+                    coef, comp[view], out=coef)
+        stencil[delta] = coef / (h * h * 4 ** (d - 1))
+    return stencil_matrix(stencil, periodic=bc == "periodic")
 
 
-def _make_projector(shape, periodic, include_constant):
-    """Projector off the modes on the trailing `shape` axes, column by column."""
-    modes = _parity_modes(shape, periodic)
-    if include_constant:
-        c = np.ones(shape)
-        modes.insert(0, c / np.linalg.norm(c))
-
-    if not modes:
-        return _identity
-
-    flat = [m.ravel() for m in modes]
+def _make_projector(shape, periodic):
+    """In-place projector, per column, off the constants and the parity fields
+    (-1)^(sum of i_ax) over two or more axes (on the torus, even-sided axes only)."""
+    d = len(shape)
+    subsets = [()] + [s for r in range(2, d + 1) for s in itertools.combinations(range(d), r)]
+    flat = []
+    for axes in subsets:
+        if periodic and any(shape[ax] % 2 for ax in axes):
+            continue
+        m = functools.reduce(np.multiply.outer, [(-1.0) ** np.arange(n) if ax in axes else
+                                                 np.ones(n) for ax, n in enumerate(shape)])
+        flat.append(m.ravel() / np.linalg.norm(m))
 
     def project(v):
         out = v.reshape(len(v), -1)
         for m in flat:
-            out = out - np.vecdot(out, m)[:, None] * m
+            out -= np.vecdot(out, m)[:, None] * m
         return out.reshape(v.shape)
 
     return project
 
 
-def _identity(v):
-    return v
+def cg(A, b, precondition, tol, maxiter, project=None, labels=None):
+    """Column-batched preconditioned CG for the symmetric sparse operator A.
 
-
-def _cg(apply_op, b, M, project, tol, maxiter, labels=None):
-    """Column-batched preconditioned CG.
-
-    b carries a leading column axis; apply_op, M and project act column by
-    column on arrays of its shape.  Step sizes, residual norms and iteration
-    counts are kept per column, and a column stops updating once its relative
-    residual is <= tol.  Returns (x, relative residuals, iterations), the
-    last two per column.  A SolverError names the first failing column
-    (by `labels[i]` when given, e.g. its cube) and carries its residual and
-    iteration count.
+    b carries a leading column axis; A acts on the rows of b.reshape(-1, A.shape[1]), a
+    column or a run of columns that a block-diagonal A spans.  `precondition` maps b-shaped
+    arrays to new ones; `project`, in place, keeps b and each preconditioned residual off
+    the kernel of a singular A.  Each column stops once its relative residual is <= tol.
+    Returns (x, relative residuals, iterations), the last two per column.  A SolverError
+    names the first failing column (by `labels[i]` when given) and carries its residual
+    and iteration count.
     """
     ncol = b.shape[0]
     col = (ncol,) + (1,) * (b.ndim - 1)
+    project = project or (lambda v: v)
+
+    def apply_op(v):
+        return np.stack([A @ row for row in v.reshape(-1, A.shape[1])]).reshape(v.shape)
 
     def dot(u, v):
         return np.vecdot(u.reshape(ncol, -1), v.reshape(ncol, -1))
@@ -178,9 +198,11 @@ def _cg(apply_op, b, M, project, tol, maxiter, labels=None):
         where = "" if labels is None else f" on {labels[i]}"
         raise SolverError(message + where, float(relres[i]), int(its))
 
-    b = project(b)
-    bnorm = np.sqrt(dot(b, b))
-    x = np.zeros_like(b)
+    # the residual starts as a private copy of b; no other copy of b stays alive
+    r = project(b.astype(float, copy=True))
+    del b
+    bnorm = np.sqrt(dot(r, r))
+    x = np.zeros_like(r)
     relres = np.zeros(ncol)
     its = np.zeros(ncol, dtype=int)
     running = bnorm > 0.0
@@ -189,12 +211,11 @@ def _cg(apply_op, b, M, project, tol, maxiter, labels=None):
         return x, relres, its
     relres[running] = 1.0
     bnorm[~running] = 1.0          # zero columns keep x = 0 and residual 0
-    r = b.copy()
-    z = project(M(r))
+    z = project(precondition(r))
     p = z * running.reshape(col)
     rz = dot(r, z)
     for it in range(1, maxiter + 1):
-        Ap = project(apply_op(p))
+        Ap = apply_op(p)
         pAp = dot(p, Ap)
         if nrun < ncol:
             # finished columns have p = Ap = 0: a unit denominator keeps their step finite
@@ -202,19 +223,22 @@ def _cg(apply_op, b, M, project, tol, maxiter, labels=None):
         if pAp.min() <= 0.0:
             fail("operator lost positive definiteness in CG", np.argmax(pAp <= 0.0), it)
         alpha = (rz / pAp).reshape(col)
-        x += alpha * p
-        r -= alpha * Ap
+        r -= np.multiply(alpha, Ap, out=Ap)
+        x += np.multiply(alpha, p, out=Ap)      # Ap's buffer holds the step
+        del Ap
         relres = np.sqrt(dot(r, r)) / bnorm
         its += running
         if relres.max() <= tol:
             return x, relres, its
         running = ~(relres <= tol)
         nrun = np.count_nonzero(running)
-        z = project(M(r))
+        del z
+        z = project(precondition(r))
         rz_new = dot(r, z)
         if nrun < ncol:
             rz = np.where(running, rz, 1.0)
-        p = z + (rz_new / rz).reshape(col) * p
+        p *= (rz_new / rz).reshape(col)
+        p += z
         if nrun < ncol:
             p *= running.reshape(col)
         rz = rz_new
@@ -223,39 +247,33 @@ def _cg(apply_op, b, M, project, tol, maxiter, labels=None):
          i, maxiter)
 
 
-def _preconditioner(shape, h, bc):
-    """Exact constant-operator inverse for bc in {'dirichlet', 'neumann', 'periodic'}.
+def _solve(a, b, h, bc, opts, labels=None):
+    """x with grad^T a grad x = b per (column, cube) of b (k, B, *nodes), and (k, B) counts.
 
-    `shape` is that of one column's residual: interior nodes for 'dirichlet',
-    all nodes otherwise.  The symbol is built once per solve and shared by
-    every column.
+    The nodes are those of `bc` in {'dirichlet' (interior), 'neumann', 'periodic'}; the
+    operator lives only for this call, and the free solves project out its kernel.
     """
-    if bc == "periodic":
-        symbol = spectral.torus_symbol(shape, h)
-        return lambda r: spectral.torus_solve_nodespace(r, h, symbol)
-    if bc == "dirichlet":
-        symbol = spectral.dirichlet_symbol(shape, h)
-        return lambda r: spectral.dirichlet_solve_nodespace(r, h, symbol)
-    symbol = spectral.neumann_symbol(shape, h)
-    return lambda r: spectral.neumann_solve_nodespace(r, h, symbol)
+    lead, shape = b.shape[:2], b.shape[2:]
+    kind = "torus" if bc == "periodic" else bc
+    symbol = getattr(spectral, f"{kind}_symbol")(shape, h)
+    x, res, its = cg(_assemble(a, h, bc), b.reshape((-1,) + shape),
+                     lambda r: getattr(spectral, f"{kind}_solve_nodespace")(r, h, symbol),
+                     opts.tol, opts.maxiter,
+                     None if bc == "dirichlet" else _make_projector(shape, bc == "periodic"),
+                     None if labels is None else labels * lead[0])
+    return x.reshape(b.shape), res.reshape(lead), its.reshape(lead)
 
 
-def _cell_axes(d):
-    return tuple(range(1, d + 1))
-
-
-def _vol_energy(a, grad, h):
-    """Volume-normalized energy 1/2 grad . a grad of each column."""
-    d = grad.shape[-1]
-    ncol = grad.shape[0]
-    vol = math.prod(grad.shape[1:-1]) * h**d
-    e = np.einsum("...i,...ij,...j->...", grad, a, grad).reshape(ncol, -1).sum(axis=1)
-    return h**d * 0.5 * e / vol
+def _vol_energy(grad, flux):
+    """Volume-normalized energy of each column: the cell mean of 1/2 grad . flux, flux = a grad."""
+    e = np.einsum("...i,...i->...", grad, flux)
+    return 0.5 * e.reshape(e.shape[:-grad.shape[-1]] + (-1,)).mean(axis=-1)
 
 
 def _solution(a, u, h, periodic, res, its):
     grad = discrete_gradient(u, h, periodic, d=a.shape[-1])
-    return _batch_solution(u, grad, _amul(a, grad), res, its, _vol_energy(a, grad, h))
+    flux = _amul(a, grad)
+    return _batch_solution(u, grad, flux, res, its, _vol_energy(grad, flux))
 
 
 def _plane(p, grid):
@@ -264,6 +282,14 @@ def _plane(p, grid):
     p = np.asarray(p, dtype=float)
     lead = p.shape[:-1] + (1,) * grid.d
     return sum(p[..., i].reshape(lead) * axes[i] for i in range(grid.d))
+
+
+def _stack(p, d):
+    """A stack of slopes or fluxes (..., d) as rows (k, d), and its stack shape."""
+    p = np.asarray(p, dtype=float)
+    if p.shape[-1:] != (d,):
+        raise ValueError(f"slopes and fluxes need a trailing axis of length {d}, got {p.shape}")
+    return p.reshape(-1, d), p.shape[:-1]
 
 
 def _blocks(a_field: CoefficientField, cube):
@@ -281,9 +307,11 @@ def _blocks(a_field: CoefficientField, cube):
     return cubes, GridSpec(g.d, levels[0], g.k), a
 
 
-def _result(sol: Solution, cube) -> Solution:
-    """The batch for a list of cubes, the one cube's Solution otherwise."""
-    return sol.for_cube(0) if isinstance(cube, TriadicCube) else sol
+def _result(sol: Solution, stack, cube) -> Solution:
+    """The (k, B) batch reshaped to the stack axes, then the cube axis unless `cube` is one cube."""
+    lead = stack + (() if isinstance(cube, TriadicCube) else sol.u.shape[1:2])
+    return _batch_solution(*(x.reshape(lead + x.shape[2:]) for x in (
+        sol.u, sol.gradient, sol.flux, sol.column_residuals, sol.column_iterations, sol.energy)))
 
 
 # ---------------------------------------------------------------------------
@@ -293,27 +321,18 @@ def _result(sol: Solution, cube) -> Solution:
 
 def _dirichlet_solve(a, u, b, h, opts, cubes):
     """Add to each column of u the zero-boundary v with grad^T a grad v = b on interior nodes."""
-    inner = (slice(None),) + tuple(slice(1, -1) for _ in range(u.ndim - 1))
-    res, its = np.zeros(len(u)), np.zeros(len(u), dtype=int)
+    inner = (slice(None),) * 2 + tuple(slice(1, -1) for _ in range(u.ndim - 2))
+    res, its = np.zeros(u.shape[:2]), np.zeros(u.shape[:2], dtype=int)
     if u[inner].size:
-        def apply_inner(v):
-            full = np.zeros_like(u)
-            full[inner] = v
-            return _apply(a, full, h, periodic=False)[inner]
-
-        M = _preconditioner(u[inner].shape[1:], h, "dirichlet")
-        corr, res, its = _cg(apply_inner, b[inner], M, _identity, opts.tol, opts.maxiter, cubes)
+        corr, res, its = _solve(a, b[inner], h, "dirichlet", opts, cubes)
         u[inner] += corr
     return _solution(a, u, h, False, res, its)
 
 
 def _torus_solve(a, b, h, opts):
     """Mean-zero periodic u with grad^T a grad u = b per column, up to the operator kernel."""
-    shape = b.shape[1:]
-    project = _make_projector(shape, periodic=True, include_constant=True)
-    M = _preconditioner(shape, h, "periodic")
-    u, res, its = _cg(lambda v: _apply(a, v, h, True), b, M, project, opts.tol, opts.maxiter)
-    return u - u.mean(axis=_cell_axes(len(shape)), keepdims=True), res, its
+    u, res, its = _solve(a, b, h, "periodic", opts)
+    return u - u.mean(axis=tuple(range(2, b.ndim)), keepdims=True), res, its
 
 
 # ---------------------------------------------------------------------------
@@ -325,14 +344,14 @@ def solve_dirichlet_affine(a_field: CoefficientField, cube, p,
                            opts: SolveOptions = None) -> Solution:
     """Minimize the volume-normalized energy over u = l_p on the cube boundary.
 
-    `cube` may be a list of same-level cubes, solved as one batch.
+    `p` may be a stack of slopes (..., d), and `cube` a list of same-level
+    cubes; every (slope, cube) pair is one column of one batched solve.
     """
     cubes, grid, a = _blocks(a_field, cube)
-    lp = _plane(p, grid)
-    u = np.repeat(lp[None], len(cubes), axis=0)
-    sol = _dirichlet_solve(a, u, -_apply(a, u, grid.h, periodic=False), grid.h,
-                           opts or SolveOptions(), cubes)
-    return _result(sol, cube)
+    p, stack = _stack(p, grid.d)
+    u = np.repeat(_plane(p, grid)[:, None], len(cubes), axis=1)
+    sol = _dirichlet_solve(a, u, -_apply(a, u, grid.h), grid.h, opts or SolveOptions(), cubes)
+    return _result(sol, stack, cube)
 
 
 def solve_dirichlet_data(a_field: CoefficientField, cube: TriadicCube, boundary: np.ndarray,
@@ -345,9 +364,9 @@ def solve_dirichlet_data(a_field: CoefficientField, cube: TriadicCube, boundary:
     cubes, grid, a = _blocks(a_field, cube)
     if boundary.shape != grid.node_shape:
         raise ValueError(f"boundary array shape {boundary.shape} != {grid.node_shape}")
-    u = boundary.astype(float, copy=True)[None]
-    return _dirichlet_solve(a, u, -_apply(a, u, grid.h, periodic=False), grid.h,
-                            opts or SolveOptions(), cubes).for_cube(0)
+    u = boundary.astype(float, copy=True)[None, None]
+    sol = _dirichlet_solve(a, u, -_apply(a, u, grid.h), grid.h, opts or SolveOptions(), cubes)
+    return _result(sol, (), cube)
 
 
 def solve_neumann_affine(a_field: CoefficientField, cube, q, opts: SolveOptions = None) -> Solution:
@@ -355,51 +374,53 @@ def solve_neumann_affine(a_field: CoefficientField, cube, q, opts: SolveOptions 
 
     The reported flux average is pinned to q exactly by an affine
     post-correction (the first-variation identity of the continuum problem).
-    `cube` may be a list of same-level cubes, solved as one batch.
+    `q` may be a stack of fluxes (..., d), and `cube` a list of same-level
+    cubes; every (flux, cube) pair is one column of one batched solve.
     """
     opts = opts or SolveOptions()
     cubes, grid, a = _blocks(a_field, cube)
     h, d = grid.h, grid.d
-    axes = _cell_axes(d)
-    q = np.asarray(q, dtype=float)
-
-    qcell = np.broadcast_to(q, grid.cell_shape + (d,))
-    b = np.broadcast_to(gradient_adjoint(qcell, h, periodic=False), (len(cubes),) + grid.node_shape)
-    project = _make_projector(grid.node_shape, periodic=False, include_constant=True)
-    M = _preconditioner(grid.node_shape, h, "neumann")
-    w, res, its = _cg(lambda v: _apply(a, v, h, False), b, M, project, opts.tol, opts.maxiter,
-                      cubes)
+    axes = tuple(range(2, d + 2))
+    q, stack = _stack(q, d)
+    qcol = q.reshape((len(q), 1) + (1,) * d + (d,))     # broadcasts over (k, B, *cells, d)
+    b = gradient_adjoint(np.broadcast_to(qcol, (len(q), 1) + grid.cell_shape + (d,)), h)
+    w, res, its = _solve(a, np.broadcast_to(b, (len(q), len(cubes)) + grid.node_shape), h,
+                         "neumann", opts, cubes)
 
     grad = discrete_gradient(w, h, periodic=False, d=d)
-    flux = _amul(a, grad)
-    mean_flux = flux.mean(axis=axes)
-    abar_cell = a.mean(axis=axes)
-    c = np.linalg.solve(abar_cell, (q - mean_flux)[..., None])[..., 0]
+    mean_flux = _amul(a, grad).mean(axis=axes)
+    abar_cell = a.mean(axis=tuple(range(1, d + 1)))
+    c = np.linalg.solve(abar_cell, (q[:, None] - mean_flux)[..., None])[..., 0]
     w = w + _plane(c, grid)
-    w = w - w.mean(axis=axes, keepdims=True)
+    w -= w.mean(axis=axes, keepdims=True)
     grad = discrete_gradient(w, h, periodic=False, d=d)
     flux = _amul(a, grad)
 
     # value = volume mean of (q . grad w  -  1/2 grad w . a grad w)
-    value = (grad @ q).reshape(len(cubes), -1).sum(axis=1) / grad[0, ..., 0].size
-    value -= _vol_energy(a, grad, h)
+    qgrad = np.einsum("...i,...i->...", grad, qcol)
+    value = qgrad.reshape(qgrad.shape[:2] + (-1,)).sum(axis=-1) / qgrad[0, 0].size
+    value -= _vol_energy(grad, flux)
     sol = _batch_solution(w - w.mean(axis=axes, keepdims=True), grad, flux, res, its, value)
-    return _result(sol, cube)
+    return _result(sol, stack, cube)
 
 
 def solve_periodic_cell(a_field: CoefficientField, e, opts: SolveOptions = None) -> Solution:
-    """First-order corrector on the torus: -div a (e + grad phi) = 0, phi mean zero."""
+    """First-order corrector on the torus: -div a (e + grad phi) = 0, phi mean zero.
+
+    `e` may be a stack of directions (..., d), one column each.
+    """
     grid = a_field.grid
     h, d = grid.h, grid.d
     a = a_field.a[None]
-    e = np.asarray(e, dtype=float)
-    ecell = np.broadcast_to(e, grid.cell_shape + (d,))
-    b = -gradient_adjoint(_amul(a_field.a, ecell), h, periodic=True)
-    phi, res, its = _torus_solve(a, b[None], h, opts or SolveOptions())
+    e, stack = _stack(e, d)
+    ecol = e.reshape((len(e), 1) + (1,) * d + (d,))
+    b = -gradient_adjoint(_amul(a, ecol), h, periodic=True)
+    phi, res, its = _torus_solve(a, b, h, opts or SolveOptions())
     grad = discrete_gradient(phi, h, periodic=True, d=d)
-    corrected = grad + e
+    corrected = grad + ecol
     flux = _amul(a, corrected)
-    return _batch_solution(phi, grad, flux, res, its, _vol_energy(a, corrected, h)).for_cube(0)
+    sol = _batch_solution(phi, grad, flux, res, its, _vol_energy(corrected, flux))
+    return _result(sol, stack, grid.macro_cube())
 
 
 def solve_forced(a_field: CoefficientField, cube: TriadicCube, f, bc: str = "dirichlet-zero",
@@ -413,24 +434,10 @@ def solve_forced(a_field: CoefficientField, cube: TriadicCube, f, bc: str = "dir
         raise ValueError(f"forcing shape {f.shape} incompatible with the cube grid")
 
     if bc == "dirichlet-zero":
-        b = -gradient_adjoint(f, h, periodic=False)[None]
-        return _dirichlet_solve(a, np.zeros(b.shape), b, h, opts, cubes).for_cube(0)
+        b = -gradient_adjoint(f, h, periodic=False)[None, None]
+        return _result(_dirichlet_solve(a, np.zeros(b.shape), b, h, opts, cubes), (), cube)
     if bc != "periodic":
         raise ValueError(f"unknown boundary condition {bc!r}")
-    b = -gradient_adjoint(f, h, periodic=True)[None]
+    b = -gradient_adjoint(f, h, periodic=True)[None, None]
     psi, res, its = _torus_solve(a, b, h, opts)
-    return _solution(a, psi, h, True, res, its).for_cube(0)
-
-
-def solve_poisson_periodic(rhs: np.ndarray, h: float) -> np.ndarray:
-    """Mean-zero periodic solution of -lap u = rhs (cell scalar data).
-
-    Constant coefficients: solved exactly in the Fourier basis.
-    """
-    rhs = np.asarray(rhs, dtype=float)
-    if abs(rhs.mean()) > 1e-10 * max(1.0, np.abs(rhs).max()):
-        raise ValueError("periodic Poisson data must have zero mean")
-    d = rhs.ndim
-    b = cell_to_node_adjoint(rhs - rhs.mean(), periodic=True) * h**d
-    u = spectral.torus_solve_nodespace(b, h)
-    return u - u.mean()
+    return _result(_solution(a, psi, h, True, res, its), (), cube)

@@ -56,8 +56,9 @@ def _symbol(theta, h, network=False):
 
 
 def _divide_above_floor(bh, symbol):
-    """bh / symbol, and zero on the modes whose symbol is below the eigenvalue floor."""
-    return np.divide(bh, symbol, out=np.zeros_like(bh), where=symbol > _EIG_FLOOR * symbol.max())
+    """bh / symbol in place, and zero on the modes whose symbol is below the eigenvalue floor."""
+    bh *= np.divide(1.0, symbol, out=np.zeros_like(symbol), where=symbol > _EIG_FLOOR * symbol.max())
+    return bh
 
 
 def _torus_angles(shape):

@@ -14,16 +14,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from . import spectral
 from .fields import CoefficientField
-from .lattice import GridSpec, _diff, _diff_adj
-from .solver import _cg, _identity
+from .lattice import GridSpec, stencil_matrix
+from .solver import cg
 
 __all__ = [
     "ConductanceNetwork",
     "DiffusionReport",
     "build_network",
+    "network_operator",
     "network_homogenized_matrix",
     "simulate_walks",
     "parabolic_green",
@@ -68,41 +70,39 @@ def build_network(a_field: CoefficientField) -> ConductanceNetwork:
 
 
 # ---------------------------------------------------------------------------
-# network calculus: cells as sites, forward-difference edges with torus wrap,
-# i.e. the periodic one-dimensional differences of `hlab.lattice`
+# the network Laplacian: cells as sites, forward-difference edges with torus wrap
 # ---------------------------------------------------------------------------
 
 
-def _net_apply(net: ConductanceNetwork, v):
-    h = net.grid.h
-    out = np.zeros_like(v)
-    for j in range(net.grid.d):
-        out += _diff_adj(net.cond[j] * _diff(v, j, h, True), j, h, True)
-    return out
+def network_operator(net: ConductanceNetwork):
+    """The network Laplacian sum_j D_j^T c_j D_j on the torus cells, as a sparse matrix,
+    with D_j v = (v(x + h e_j) - v(x)) / h and c_j the conductance of the edge (x, x + h e_j)."""
+    d, h = net.grid.d, net.grid.h
+    behind = [np.roll(c, 1, axis=j) for j, c in enumerate(net.cond)]   # edges (x - h e_j, x)
+    stencil = {(0,) * d: sum(c + b for c, b in zip(net.cond, behind)) / h**2}
+    for e, c, b in zip(np.eye(d, dtype=int), net.cond, behind):
+        stencil[tuple(e)], stencil[tuple(-e)] = -c / h**2, -b / h**2
+    return stencil_matrix(stencil, periodic=True)
 
 
 def network_homogenized_matrix(net: ConductanceNetwork, tol: float = 1e-10) -> np.ndarray:
     """Homogenized matrix of the conductance network via its cell problem.
 
-    For each axis k, the corrector minimizes the edge Dirichlet energy of
-    x_k + chi; the k-th column is the mean corrected edge flux per axis.
+    The corrector chi_k of axis k minimizes the edge Dirichlet energy of
+    x_k + chi_k, so L chi_k = b_k = -D_k^T c_k; the d correctors are one
+    batched solve.  Column k is the mean corrected edge flux per axis, read by
+    summation by parts: mean(c_j (D_j chi_k + delta_jk)) = delta_jk mean(c_k)
+    - mean(b_j chi_k).
     """
     grid = net.grid
     d, h = grid.d, grid.h
     sym = spectral.network_symbol(grid.cell_shape, h)
-
-    def M(r):
-        return spectral.torus_solve_nodespace(r, h, sym)
-
-    abar = np.zeros((d, d))
-    for k in range(d):
-        b = -_diff_adj(net.cond[k], k, h, True)
-        chi, _, _ = _cg(lambda v: _net_apply(net, v[0])[None], (b - b.mean())[None], M,
-                        _identity, tol, 10_000)
-        chi = chi[0]
-        for j in range(d):
-            slope = _diff(chi, j, h, True) + (1.0 if j == k else 0.0)
-            abar[j, k] = (net.cond[j] * slope).mean()
+    b = np.stack([(c - np.roll(c, 1, axis=k)) / h for k, c in enumerate(net.cond)])
+    b -= b.mean(axis=tuple(range(1, d + 1)), keepdims=True)
+    chi, _, _ = cg(network_operator(net), b, lambda r: spectral.torus_solve_nodespace(r, h, sym),
+                   tol, 10_000)
+    flux_gain = b.reshape(d, -1) @ chi.reshape(d, -1).T / b[0].size
+    abar = np.diag([c.mean() for c in net.cond]) - flux_gain
     return 0.5 * (abar + abar.T)
 
 
@@ -198,10 +198,7 @@ def parabolic_green(a_field: CoefficientField, t_final: float, source,
         raise ValueError("horizon must be an integer number of steps")
 
     denom = 1.0 + dt * spectral.network_symbol(grid.cell_shape, h)
-
-    def M(r):
-        return spectral.torus_solve_nodespace(r, h, denom)
-
+    step = scipy.sparse.identity(side**d, format="csr") + dt * network_operator(net)
     u = np.zeros(grid.cell_shape)
     u[tuple(source)] = 1.0 / h**d          # unit-mass density
     cell_mass = h**d
@@ -209,7 +206,8 @@ def parabolic_green(a_field: CoefficientField, t_final: float, source,
     iters = 0
     for _ in range(n_steps):
         before = u.sum() * cell_mass
-        u, _, it = _cg(lambda v: v + dt * _net_apply(net, v[0]), u[None], M, _identity, tol, 5000)
+        u, _, it = cg(step, u[None], lambda r: spectral.torus_solve_nodespace(r, h, denom), tol,
+                      5000)
         u = u[0]
         iters += int(it[0])
         mass_drift = max(mass_drift, abs(u.sum() * cell_mass - before))

@@ -87,7 +87,7 @@ class TestCoarseMatrices:
         def spy(kind, solve):
             def counted(*args, **kwargs):
                 sol = solve(*args, **kwargs)
-                calls[kind].append(sol.iterations)
+                calls[kind].append(sol)
                 return sol
             return counted
 
@@ -96,9 +96,10 @@ class TestCoarseMatrices:
         monkeypatch.setattr(hlab.coarse, "solve_neumann_affine",
                             spy("neumann", solve_neumann_affine))
         r = coarse_matrices(sample_checkerboard(GridSpec(d, 1, 1), 4), TriadicCube(1, (0,) * d))
-        assert len(calls["dirichlet"]) == d
-        assert len(calls["neumann"]) == d
-        assert r.iterations == sum(calls["dirichlet"]) + sum(calls["neumann"]) > 0
+        # the d basis solves of each kind are the d columns of one call
+        assert [s.column_iterations.shape for s in calls["dirichlet"]] == [(d, 1)]
+        assert [s.column_iterations.shape for s in calls["neumann"]] == [(d, 1)]
+        assert r.iterations == sum(s.iterations for s in calls["dirichlet"] + calls["neumann"]) > 0
 
     def test_ordering_chain_20_seeds(self):
         # lam I <= a*(U) <= a(U) <= cube mean of a <= Lam I as PSD inequalities
@@ -167,7 +168,7 @@ class TestPartitionMatrices:
         def spy(kind, solve):
             def counted(*args, **kwargs):
                 sol = solve(*args, **kwargs)
-                calls[kind].append(sol.iterations)
+                calls[kind].append(sol)
                 return sol
             return counted
 
@@ -178,8 +179,11 @@ class TestPartitionMatrices:
         f = sample_checkerboard(GridSpec(2, 4, 1), 3)
         results = partition_matrices(f, TriadicCube(4, (0, 0)), 1)
         assert len(results) == 729
-        assert len(calls["dirichlet"]) == 2 and len(calls["neumann"]) == 2
-        assert sum(r.iterations for r in results) == sum(calls["dirichlet"] + calls["neumann"])
+        # one call per kind, with a column per (basis direction, cube)
+        assert len(calls["dirichlet"]) == 1 and len(calls["neumann"]) == 1
+        assert calls["dirichlet"][0].column_iterations.shape == (2, 729)
+        assert sum(r.iterations for r in results) == sum(
+            s.iterations for s in calls["dirichlet"] + calls["neumann"])
         # the per-cube basis extremals are views into the batched solutions
         first, last = results[0].neumann_basis[1], results[-1].neumann_basis[1]
         for name in ("u", "gradient", "flux"):

@@ -65,6 +65,15 @@ class TestConfig:
         ExperimentConfig(kind="corrector", grid={"d": 3, "m": 2, "k": 1},
                          generator={"name": "gaussian", "Lam": 3.0},
                          extra={"mode": "finite-volume"}).validate()
+        for size in (2.5, True, "3", 0):
+            with pytest.raises(ValueError, match="ensemble_size"):
+                ExperimentConfig(kind="coarsen", ensemble_size=size).validate()
+        # each kind accepts only the extra keys it reads
+        for kind, extra in (("cascade", {"cube_level": [1, 2]}), ("walk", {"mode": "periodic"}),
+                            ("green", {"horizon": 4.0})):
+            with pytest.raises(ValueError, match=f"'extra.{next(iter(extra))}'"):
+                ExperimentConfig(kind=kind, extra=extra).validate()
+        ExperimentConfig(kind="cascade", ensemble_size=2, extra={"cube_levels": [1, 2]}).validate()
 
 
 class TestEnsembleStats:
@@ -146,6 +155,11 @@ class TestEnsembleExecution:
     def test_jobs_must_be_a_positive_integer(self, jobs):
         with pytest.raises(ValueError, match="jobs"):
             ensemble_values(_member_value, 2, master_seed=0, jobs=jobs)
+
+    @pytest.mark.parametrize("size", [0, 2.5, True])
+    def test_size_must_be_a_positive_integer(self, size):
+        with pytest.raises(ValueError, match="ensemble size"):
+            ensemble_values(_member_value, size, master_seed=0)
 
 
 class TestRateFit:

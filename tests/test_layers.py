@@ -61,3 +61,27 @@ def test_imports_only_at_module_top(name):
     nested = [node.lineno for node in ast.walk(tree)
               if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top]
     assert nested == [], f"hlab.{name} imports inside a block at lines {nested}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_private_names_from_other_modules(name):
+    # a private name (one leading underscore) stays inside its module
+    tree = _tree(name)
+    modules = set()
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "hlab"):
+            private += [a.name for a in node.names if _is_private(a.name)]
+            if node.module is None:
+                modules.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update(a.asname or a.name for a in node.names if a.name.startswith("hlab."))
+    private += [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and _is_private(node.attr)]
+    assert private == [], f"hlab.{name} uses private names of other modules: {private}"
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")

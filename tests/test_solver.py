@@ -1,8 +1,12 @@
 """Variational solves: closed-form oracles, exact identities, a dense reference."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import scipy.sparse
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hlab.fields import (
     GaussianFieldParams,
@@ -14,22 +18,23 @@ from hlab.fields import (
 from hlab.lattice import (
     GridSpec,
     TriadicCube,
+    cell_to_node_adjoint,
     discrete_gradient,
     gradient_adjoint,
     triadic_partition,
 )
 from hlab.solver import (
-    _cg,
-    _identity,
+    _assemble,
     SolveOptions,
     SolverError,
+    cg,
     solve_dirichlet_affine,
     solve_dirichlet_data,
     solve_forced,
     solve_neumann_affine,
     solve_periodic_cell,
-    solve_poisson_periodic,
 )
+from hlab.spectral import torus_solve_nodespace
 
 CUBE1 = TriadicCube(1, (0, 0))
 
@@ -254,14 +259,19 @@ class TestForced:
 
 
 class TestPoissonPeriodic:
+    """-lap u = rhs on the torus: the cell load spread to nodes, solved in the Fourier basis."""
+
+    @staticmethod
+    def _poisson(rhs, h):
+        u = torus_solve_nodespace(cell_to_node_adjoint(rhs, periodic=True) * h**rhs.ndim, h)
+        return u - u.mean()
+
     def test_zero_rhs(self):
-        u = solve_poisson_periodic(np.zeros((9, 9)), 1.0)
+        u = self._poisson(np.zeros((9, 9)), 1.0)
         assert np.abs(u).max() == 0.0
 
     def test_round_trip_identity(self):
         # feed the operator's own output back in and recover the input
-        from hlab.spectral import torus_solve_nodespace
-
         r = np.random.default_rng(4)
         h = 0.5
         u0 = r.normal(size=(12, 12))
@@ -276,15 +286,11 @@ class TestPoissonPeriodic:
         rhs = np.zeros((9, 9))
         rhs[2, 4] = 1.0
         rhs[6, 4] = -1.0
-        u = solve_poisson_periodic(rhs, 1.0)
+        u = self._poisson(rhs, 1.0)
         # the reflection x -> 9 - x exchanges the poles (cells 2 and 6);
         # on nodes it is j -> (9 - j) mod 9, so the solution is odd under it
         flipped = np.roll(u[::-1], 1, axis=0)
         assert np.abs(u + flipped).max() < 1e-9
-
-    def test_nonzero_mean_rejected(self):
-        with pytest.raises(ValueError):
-            solve_poisson_periodic(np.ones((6, 6)), 1.0)
 
 
 class TestSpectralPlumbing:
@@ -298,8 +304,6 @@ class TestSpectralPlumbing:
     @settings(max_examples=40, deadline=None)
     @given(SHAPES, STEPS, st.integers(0, 2**32 - 1))
     def test_torus_solve_inverts_operator(self, shape, h, seed):
-        from hlab.spectral import torus_solve_nodespace
-
         u = np.random.default_rng(seed).normal(size=shape)
         b = self._apply(u, h, True)
         b2 = self._apply(torus_solve_nodespace(b, h), h, True)
@@ -354,7 +358,7 @@ class TestSpectralPlumbing:
     @settings(max_examples=40, deadline=None)
     @given(SHAPES, STEPS, st.floats(0.01, 1.0), st.integers(0, 2**32 - 1))
     def test_torus_matches_complex_fft_solve(self, shape, h, dt, seed):
-        from hlab.spectral import network_symbol, torus_solve_nodespace, torus_symbol
+        from hlab.spectral import network_symbol, torus_symbol
 
         b = np.random.default_rng(seed).normal(size=shape)
         angles = [2.0 * np.pi * np.arange(n) / n for n in shape]
@@ -409,6 +413,61 @@ def _fft_solve_reference(b, symbol):
     return np.fft.ifftn(out).real
 
 
+# operator grids: d in {2, 3}; 1 to 7 cells per axis (3d: 1 to 4), either parity; 1 to 3 cubes
+OPERATOR_GRIDS = st.sampled_from([2, 3]).flatmap(
+    lambda d: st.tuples(st.just(d),
+                        st.lists(st.integers(1, 7 if d == 2 else 4), min_size=d, max_size=d)
+                        .map(tuple),
+                        st.integers(1, 3)))
+NODES = {"dirichlet": -1, "neumann": 1, "periodic": 0}   # nodes per axis minus cells
+
+
+class TestAssembledOperator:
+    """The assembled matrix is grad^T a grad: the matrix-free product is its oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(OPERATOR_GRIDS, st.sampled_from(sorted(NODES)), st.booleans(), STEPS,
+           st.integers(0, 2**32 - 1))
+    @example(grid=(2, (2, 2), 2), bc="dirichlet", isotropic=False, h=1.0, seed=0)
+    @example(grid=(3, (2, 2, 2), 3), bc="dirichlet", isotropic=False, h=0.5, seed=1)
+    @example(grid=(2, (2, 5), 1), bc="dirichlet", isotropic=True, h=1.0, seed=2)
+    @example(grid=(2, (3, 4), 2), bc="periodic", isotropic=False, h=1.0, seed=3)
+    @example(grid=(3, (1, 2, 3), 2), bc="periodic", isotropic=False, h=1.0, seed=4)
+    def test_product_matches_matrix_free(self, grid, bc, isotropic, h, seed):
+        d, cells, ncube = grid
+        assume(bc != "dirichlet" or min(cells) >= 2)     # an interior node on every axis
+        r = np.random.default_rng(seed)
+        if isotropic:
+            a = r.uniform(1.0, 4.0, size=(ncube,) + cells)[..., None, None] * np.eye(d)
+        else:
+            # general SPD cells with off-diagonal entries
+            m = r.normal(size=(ncube,) + cells + (d, d))
+            a = m @ np.swapaxes(m, -1, -2) + 0.5 * np.eye(d)
+        nodes = tuple(n + NODES[bc] for n in cells)
+        u = r.normal(size=(ncube,) + nodes)
+        periodic = bc == "periodic"
+        full = np.pad(u, [(0, 0)] + [(1, 1)] * d) if bc == "dirichlet" else u
+        ref = gradient_adjoint(np.einsum("...ij,...j->...i", a,
+                                         discrete_gradient(full, h, periodic, d)), h, periodic)
+        if bc == "dirichlet":
+            ref = ref[(slice(None),) + (slice(1, -1),) * d]
+        A = _assemble(a, h, bc)
+        got = (A @ u.ravel()).reshape(ref.shape)
+        # relative to the size of the terms: their cancellation can leave ref near zero
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(a).max() * np.abs(u).max() / h**2
+        # the cubes of a partition are blocks: no entry couples two cubes
+        coo = A.tocoo()
+        block = math.prod(nodes)
+        assert np.array_equal(coo.row // block, coo.col // block)
+        assert A.indices.dtype == np.int32
+        if isotropic and d == 2 and (not periodic or min(nodes) >= 3):
+            # axis-neighbour entries cancel exactly and drop out of the matrix (a torus
+            # narrower than 3 nodes wraps diagonal neighbours onto axis neighbours)
+            at = [np.array(np.unravel_index(i % block, nodes)) for i in (coo.row, coo.col)]
+            offsets = (at[1] - at[0]) % np.array(nodes)[:, None]
+            assert not ((offsets != 0).sum(axis=0) == 1).any()
+
+
 # partitions: d in {2, 3}, macro level m <= 3 (3d: m <= 2), partition level n < m
 PARTITIONS = st.sampled_from([2, 3]).flatmap(
     lambda d: st.integers(1, 3 if d == 2 else 2).flatmap(
@@ -427,46 +486,53 @@ class TestBatchedCG:
     """One CG over a block of columns: per-column steps, residuals and stops."""
 
     @staticmethod
-    def _diagonal_problem(spectra, seed):
-        # column i applies the diagonal operator spectra[i] on a 4 x 4 grid
-        diag = np.array([np.resize(s, 16).reshape(4, 4) for s in spectra])
-        b = np.random.default_rng(seed).normal(size=diag.shape)
-        return (lambda v: diag * v), b
+    def _diagonal_problem(spectrum, supports, seed):
+        # a shared diagonal operator on a 4 x 4 grid; column i has its load on supports[i]
+        A = scipy.sparse.diags_array(np.resize(spectrum, 16), format="csr")
+        b = np.random.default_rng(seed).normal(size=(len(supports), 4, 4))
+        for col, support in zip(b, supports):
+            col.ravel()[np.setdiff1d(np.arange(16), support)] = 0.0
+        return A, b
 
     def test_column_stopping_early_keeps_its_iterate(self):
-        # column 0 (one distinct eigenvalue) converges at once, column 1 (a
-        # spread spectrum) runs on; each ends exactly where its solo run does
-        spectra = [[2.0], np.linspace(1.0, 50.0, 16), np.linspace(1.0, 4.0, 5)]
-        apply_op, b = self._diagonal_problem(spectra, 0)
-        x, res, its = _cg(apply_op, b, _identity, _identity, 1e-10, 100)
+        # column 0 (load on one eigenvalue) converges at once, column 1 (the
+        # whole spread spectrum) runs on; each ends exactly where its solo run does
+        A, b = self._diagonal_problem(np.linspace(1.0, 50.0, 16),
+                                      [[3], np.arange(16), np.arange(0, 16, 3)], 0)
+        x, res, its = cg(A, b, _identity, 1e-10, 100)
         assert its[0] == 1 and its[1] > its[2] > its[0]
-        for i in range(len(spectra)):
-            solo_op, _ = self._diagonal_problem([spectra[i]], 0)
-            xi, ri, ti = _cg(solo_op, b[i:i + 1], _identity, _identity, 1e-10, 100)
+        for i in range(len(b)):
+            xi, ri, ti = cg(A, b[i:i + 1], _identity, 1e-10, 100)
             assert np.array_equal(x[i], xi[0])
             assert res[i] == ri[0] <= 1e-10 and its[i] == ti[0]
 
     def test_zero_columns_take_no_steps(self):
-        apply_op, b = self._diagonal_problem([np.linspace(1.0, 9.0, 16)] * 3, 1)
+        A, b = self._diagonal_problem(np.linspace(1.0, 9.0, 16), [np.arange(16)] * 3, 1)
         b[1] = 0.0
-        x, res, its = _cg(apply_op, b, _identity, _identity, 1e-10, 100)
+        x, res, its = cg(A, b, _identity, 1e-10, 100)
         assert its[1] == 0 and res[1] == 0.0 and np.array_equal(x[1], np.zeros((4, 4)))
         assert its[0] > 0 and its[2] > 0
-        x, res, its = _cg(apply_op, np.zeros_like(b), _identity, _identity, 1e-10, 100)
+        x, res, its = cg(A, np.zeros_like(b), _identity, 1e-10, 100)
         assert not its.any() and not res.any() and not x.any()
 
     def test_failing_column_is_named(self):
-        apply_op, b = self._diagonal_problem([[1.0], [1.0], [-1.0]], 2)
+        # only the third column loads the negative eigenvalue
+        A, b = self._diagonal_problem([1.0] * 15 + [-1.0], [[0], [1], [15]], 2)
         with pytest.raises(SolverError, match="positive definiteness.* on column c"):
-            _cg(apply_op, b, _identity, _identity, 1e-10, 100, labels=["a", "b", "column c"])
-        apply_op, b = self._diagonal_problem([[1.0], np.linspace(1.0, 50.0, 16)], 3)
+            cg(A, b, _identity, 1e-10, 100, labels=["a", "b", "column c"])
+        A, b = self._diagonal_problem(np.linspace(1.0, 50.0, 16), [[0], np.arange(16)], 3)
         with pytest.raises(SolverError, match="in 2 iterations.* on slow") as err:
-            _cg(apply_op, b, _identity, _identity, 1e-10, 2, labels=["fast", "slow"])
+            cg(A, b, _identity, 1e-10, 2, labels=["fast", "slow"])
         assert err.value.iterations == 2 and err.value.residual > 1e-10
 
 
+def _identity(v):
+    return v
+
+
 class TestBatchedSolves:
-    """A list of same-level cubes is one batched solve; each column is that cube's solve."""
+    """A stack of slopes and a list of same-level cubes is one batched solve;
+    each column is that (slope, cube) pair's solve."""
 
     @settings(max_examples=12, deadline=None)
     @given(PARTITIONS, FIELD_KINDS, st.integers(0, 2**32 - 1))
@@ -474,15 +540,15 @@ class TestBatchedSolves:
         d, m, n = dmn
         f = partition_field(kind, d, m, seed)
         cubes = triadic_partition(TriadicCube(m, (0,) * d), n)
-        p = np.random.default_rng(seed).normal(size=d)
+        ps = np.random.default_rng(seed).normal(size=(2, d))
         for solve in (solve_dirichlet_affine, solve_neumann_affine):
-            batch = solve(f, cubes, p)
-            assert batch.u.shape == (len(cubes),) + GridSpec(d, n, 1).node_shape
-            assert batch.iterations == batch.cube_iterations.sum()
-            assert batch.residual == batch.cube_residuals.max() <= 1e-8
+            batch = solve(f, cubes, ps)
+            assert batch.u.shape == (2, len(cubes)) + GridSpec(d, n, 1).node_shape
+            assert batch.iterations == batch.column_iterations.sum()
+            assert batch.residual == batch.column_residuals.max() <= 1e-8
             # the per-column arithmetic is that of the single solve, so columns match exactly
-            for i, cube in enumerate(cubes):
-                one, col = solve(f, cube, p), batch.for_cube(i)
+            for j, (i, cube) in itertools.product(range(2), enumerate(cubes)):
+                one, col = solve(f, cube, ps[j]), batch[j, i]
                 assert (col.iterations, col.residual, col.energy) == (
                     one.iterations, one.residual, one.energy)
                 for name in ("u", "gradient", "flux"):

@@ -9,6 +9,7 @@ from hlab.stochproc import (
     build_network,
     green_symmetry_check,
     network_homogenized_matrix,
+    network_operator,
     parabolic_green,
     simulate_walks,
 )
@@ -28,6 +29,19 @@ class TestNetwork:
         assert set(vals) == {1.0, 1.6, 4.0}
         # tangential edges stay inside one layer
         assert set(np.unique(net.cond[1])) == {1.0, 4.0}
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("k", [1, 2])   # odd and even torus sides
+    def test_operator_matches_edge_sum(self, d, k):
+        net = build_network(sample_checkerboard(GridSpec(d, 1, k), 3))
+        h = net.grid.h
+        v = np.random.default_rng(k).normal(size=net.grid.cell_shape)
+        ref = np.zeros_like(v)
+        for j, c in enumerate(net.cond):
+            flux = c * (np.roll(v, -1, axis=j) - v) / h
+            ref += (np.roll(flux, 1, axis=j) - flux) / h      # D_j^T (c_j D_j v)
+        got = (network_operator(net) @ v.ravel()).reshape(v.shape)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(v).max() * net.Lam / h**2
 
     def test_homogenized_constant_exact(self):
         net = build_network(make_constant(GridSpec(2, 2, 1), np.diag([2.0, 3.0])))
