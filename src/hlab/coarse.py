@@ -249,16 +249,15 @@ def spatial_average_identities(r: CoarseGrainResult, a_field: CoefficientField =
 def cascade_record(level: int, results) -> CascadeRecord:
     """Partition statistics of the coarse pairs of one level."""
     ups = np.array([r.a_upper for r in results])
-    gaps = [np.linalg.norm(r.a_upper - r.a_lower, ord=2) for r in results]
-    bounds = [duality_defect(r)["bound"] for r in results]
+    defects = [duality_defect(r) for r in results]
     return CascadeRecord(
         level=level,
         a_upper_mean=ups.mean(axis=0),
         a_upper_var=ups.var(axis=0),
         a_lower_harmonic=np.linalg.inv(
             np.mean([np.linalg.inv(r.a_lower) for r in results], axis=0)),
-        gap_mean=float(np.mean(gaps)),
-        defect_bound_mean=float(np.mean(bounds)),
+        gap_mean=float(np.mean([dd["gap"] for dd in defects])),
+        defect_bound_mean=float(np.mean([dd["bound"] for dd in defects])),
     )
 
 

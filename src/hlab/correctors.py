@@ -3,7 +3,8 @@
 Periodic mode solves the d cell problems on the torus and reads the
 homogenized matrix off the mean flux.  Finite-volume mode builds correctors
 from Dirichlet solves on a triadic cube and the flux corrector on the
-periodic extension of the centered flux.
+periodic extension of the centered flux.  Both hand their d fluxes to one
+builder, which centres each flux by its own cell mean.
 
 The flux corrector s is antisymmetric by construction: each entry potential
 s_ij (i < j) solves a constant-coefficient Poisson problem on the torus.
@@ -40,6 +41,8 @@ __all__ = [
     "sublinearity_R",
 ]
 
+_MEAN_TOL = 1e-10  # largest cell mean of a flux, relative to max(1, |g|), that counts as zero
+
 
 @dataclass
 class CorrectorSet:
@@ -51,147 +54,89 @@ class CorrectorSet:
     phi: list                  # per direction: mean-zero node field
     g: list                    # per direction: centered flux, cell vector field
     s: list                    # per direction: skew matrix cell field (*cells, d, d)
-    s_potentials: list         # per direction: dict {(i, j): node potential}, i < j
     abar: np.ndarray           # homogenized / coarse matrix estimate
     div_residuals: list        # per direction: weak-norm of (div s - g)
     metadata: dict = field(default_factory=dict)
 
 
-def _skew_cell_field(potentials, d, h, cell_shape):
-    """Assemble the skew matrix cell field from the node entry potentials."""
-    s = np.zeros(cell_shape + (d, d))
-    for (i, j), pot in potentials.items():
-        vals = node_to_cell(pot, periodic=True)
-        s[..., i, j] = vals
-        s[..., j, i] = -vals
-    return s
-
-
-def flux_corrector(g: np.ndarray, h: float, grid: GridSpec = None,
-                   mean_tol: float = 1e-10):
-    """Skew matrix potential of a mean-zero periodic cell vector field.
+def flux_corrector(g: np.ndarray, grid: GridSpec):
+    """Skew matrix potential of a mean-zero periodic cell vector field on `grid`.
 
     Entry potentials solve  -lap s_ij = d_i g_j - d_j g_i  on the torus,
     mean zero.  Returns (s_cell, potentials, div_residual_weak_norm) where
     the residual compares the discrete row divergence of s against g.
     """
     g = np.asarray(g, dtype=float)
-    d = g.shape[-1]
-    cell_shape = g.shape[:-1]
+    d, h = grid.d, grid.h
+    if g.shape != grid.cell_shape + (d,):
+        raise ValueError(f"flux of shape {g.shape} does not match the grid's cell vector "
+                         f"field shape {grid.cell_shape + (d,)}")
     means = g.reshape(-1, d).mean(axis=0)
-    if np.abs(means).max() > mean_tol * max(1.0, np.abs(g).max()):
+    if np.abs(means).max() > _MEAN_TOL * max(1.0, np.abs(g).max()):
         raise ValueError(f"flux corrector input must be mean zero, got {means}")
 
-    symbol = spectral.torus_symbol(cell_shape, h)
+    symbol = spectral.torus_symbol(grid.cell_shape, h)
+    s = np.zeros(grid.cell_shape + (d, d))
+    div_s = np.zeros_like(g)
     potentials = {}
     for i in range(d):
         for j in range(i + 1, d):
-            b = (gradient_adjoint(_lift(g[..., i], j, d), h, periodic=True)
-                 - gradient_adjoint(_lift(g[..., j], i, d), h, periodic=True))
-            pot = spectral.torus_solve_nodespace(b, h, symbol)
-            potentials[(i, j)] = pot - pot.mean()
-
-    div_s = _row_divergence(potentials, d, h, cell_shape)
-    resid = div_s - g
-    if grid is None:
-        # weak norm needs triadic structure; fall back to volume-normalized L2
-        residual = float(np.sqrt((resid**2).sum(axis=-1).mean()))
-    else:
-        residual = weak_norm_estimate(resid, grid)
-    s_cell = _skew_cell_field(potentials, d, h, cell_shape)
-    return s_cell, potentials, residual
+            rotated = np.zeros_like(g)
+            rotated[..., j], rotated[..., i] = g[..., i], -g[..., j]
+            pot = spectral.torus_solve_nodespace(gradient_adjoint(rotated, h, periodic=True),
+                                                 h, symbol)
+            pot = pot - pot.mean()
+            potentials[(i, j)] = pot
+            s[..., i, j] = node_to_cell(pot, periodic=True)
+            s[..., j, i] = -s[..., i, j]
+            grad = discrete_gradient(pot, h, periodic=True)
+            div_s[..., i] += grad[..., j]
+            div_s[..., j] -= grad[..., i]
+    return s, potentials, weak_norm_estimate(div_s - g, grid)
 
 
-def _lift(comp, j, d):
-    """Embed a scalar cell field as the j-th component of a vector field."""
-    out = np.zeros(comp.shape + (d,))
-    out[..., j] = comp
-    return out
-
-
-def _row_divergence(potentials, d, h, cell_shape):
-    """(div s)_i = sum_j d/dx_j s_ij as a cell vector field."""
-    div = np.zeros(cell_shape + (d,))
-    for (i, j), pot in potentials.items():
-        grad = discrete_gradient(pot, h, periodic=True)
-        div[..., i] += grad[..., j]
-        div[..., j] -= grad[..., i]
-    return div
+def _corrector_set(mode, grid, level, phis, fluxes, with_flux_correctors=True):
+    """abar (the symmetrised cell mean of the d stacked fluxes), the centred
+    fluxes and, unless switched off, their flux correctors."""
+    d = grid.d
+    abar = fluxes.mean(axis=tuple(range(1, d + 1))).T
+    gs = [flux - flux.reshape(-1, d).mean(axis=0) for flux in fluxes]
+    built = [flux_corrector(g, grid) for g in gs] if with_flux_correctors else []
+    return CorrectorSet(
+        mode=mode, grid=grid, level=level, phi=phis, g=gs,
+        s=[s for s, _, _ in built], abar=0.5 * (abar + abar.T),
+        div_residuals=[res for _, _, res in built],
+        metadata={"symmetry_drift": float(np.abs(abar - abar.T).max())},
+    )
 
 
 def periodic_homogenized_matrix(a_field: CoefficientField,
                                 opts: SolveOptions = None,
                                 with_flux_correctors: bool = True) -> CorrectorSet:
     """Solve the d periodic cell problems; abar e = torus-average flux."""
-    opts = opts or SolveOptions()
     grid = a_field.grid
-    d, h = grid.d, grid.h
-
-    sol = solve_periodic_cell(a_field, np.eye(d), opts)
-    phis, fluxes = list(sol.u), sol.flux          # flux k: a (e_k + grad phi_k)
-    abar = fluxes.mean(axis=tuple(range(1, d + 1))).T
-
-    drift = float(np.abs(abar - abar.T).max())
-    abar = 0.5 * (abar + abar.T)
-
-    gs, ss, pots, resids = [], [], [], []
-    for k in range(d):
-        g = fluxes[k] - abar[:, k]        # centered flux, discretely div-free
-        g = g - g.reshape(-1, d).mean(axis=0)
-        gs.append(g)
-        if with_flux_correctors:
-            s_cell, pot, res = flux_corrector(g, h, grid)
-            ss.append(s_cell)
-            pots.append(pot)
-            resids.append(res)
-
-    return CorrectorSet(
-        mode="periodic", grid=grid, level=grid.m,
-        phi=phis, g=gs, s=ss, s_potentials=pots,
-        abar=abar, div_residuals=resids,
-        metadata={"symmetry_drift": drift},
-    )
+    sol = solve_periodic_cell(a_field, np.eye(grid.d), opts or SolveOptions())
+    # flux k: a (e_k + grad phi_k), discretely divergence-free
+    return _corrector_set("periodic", grid, grid.m, list(sol.u), sol.flux,
+                          with_flux_correctors)
 
 
 def finite_volume_correctors(a_field: CoefficientField, m: int,
                              opts: SolveOptions = None) -> CorrectorSet:
     """Correctors from Dirichlet solves on the origin level-m cube.
 
-    phi_{m,e} = v - l_e;  g_{m,e} = a grad v - (mean flux) e-column, which has
-    exactly zero cube average; the flux corrector is built on the periodic
-    extension of g (one period = the cube), where the periodization seam
-    contributes the reported divergence residual.
+    phi_{m,e} = v - l_e;  g_{m,e} = a grad v minus its cube mean; the flux
+    corrector is built on the periodic extension of g (one period = the cube),
+    where the periodization seam contributes the reported divergence residual.
     """
-    opts = opts or SolveOptions()
     d = a_field.grid.d
-    cube = TriadicCube(m, (0,) * d)
-    sub = a_field if a_field.grid.m == m else a_field.restrict(cube)
-    grid = sub.grid
-    h = grid.h
-
-    sol = solve_dirichlet_affine(a_field, cube, np.eye(d), opts)
-    a_cube = sol.flux.mean(axis=tuple(range(1, d + 1))).T
-    nodes = np.meshgrid(*[np.arange(n + 1) * h for n in grid.cell_shape], indexing="ij")
-    phis, gs, ss, pots, resids = [], [], [], [], []
-    for k in range(d):
-        phi = sol.u[k] - nodes[k]
-        phis.append(phi - phi.mean())
-        g = sol.flux[k] - a_cube[:, k]
-        g = g - g.reshape(-1, d).mean(axis=0)
-        gs.append(g)
-        s_cell, pot, res = flux_corrector(g, h, grid)
-        ss.append(s_cell)
-        pots.append(pot)
-        resids.append(res)
-
-    drift = float(np.abs(a_cube - a_cube.T).max())
-    a_cube = 0.5 * (a_cube + a_cube.T)
-    return CorrectorSet(
-        mode="finite-volume", grid=grid, level=m,
-        phi=phis, g=gs, s=ss, s_potentials=pots,
-        abar=a_cube, div_residuals=resids,
-        metadata={"symmetry_drift": drift},
-    )
+    grid = GridSpec(d, m, a_field.grid.k)
+    sol = solve_dirichlet_affine(a_field, TriadicCube(m, (0,) * d), np.eye(d),
+                                 opts or SolveOptions())
+    nodes = np.meshgrid(*[np.arange(n + 1) * grid.h for n in grid.cell_shape], indexing="ij")
+    phis = [u - x for u, x in zip(sol.u, nodes)]
+    return _corrector_set("finite-volume", grid, m, [phi - phi.mean() for phi in phis],
+                          sol.flux)
 
 
 def sublinearity_R(cset: CorrectorSet) -> float:

@@ -2,8 +2,10 @@
 
 Randomness lives at the unit-cell scale: one draw per cube z + [0,1)^d,
 z in Z^d, so the grid resolution k only refines the solver.  Per-cell
-streams come from mixing (master seed, cell index) through the splitmix64
-finalizer, which makes sampling independent of iteration order.
+streams come from mixing (master seed, the unit cell's linear index on the
+level-m lattice) through the splitmix64 finalizer, which makes sampling
+independent of iteration order; the index depends on m, so fields of one
+seed at two levels do not share their cells.
 """
 
 from __future__ import annotations
@@ -165,16 +167,17 @@ def tile_unit_cell(unit: CoefficientField, m: int) -> CoefficientField:
     return CoefficientField(grid, a, unit.lam, unit.Lam, prov)
 
 
-def _unit_cell_index(grid: GridSpec):
-    """Linear index of the unit cell containing each grid cell."""
+def _unit_cells(grid: GridSpec) -> np.ndarray:
+    """Row-major linear index of each unit cell on the level-m lattice, shape (3^m,)*d."""
     L = 3**grid.m
-    axes = [np.arange(grid.side) // grid.k for _ in range(grid.d)]
-    idx = np.zeros(grid.cell_shape, dtype=np.uint64)
-    for ax, cells in enumerate(axes):
-        shape = [1] * grid.d
-        shape[ax] = grid.side
-        idx = idx * np.uint64(L) + cells.reshape(shape).astype(np.uint64)
-    return idx
+    return np.arange(L**grid.d, dtype=np.uint64).reshape((L,) * grid.d)
+
+
+def _refine(vals: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Per-unit-cell values onto the grid: each repeated k times along every axis."""
+    for ax in range(grid.d):
+        vals = np.repeat(vals, grid.k, axis=ax)
+    return vals
 
 
 def sample_checkerboard(grid: GridSpec, seed: int, v_white: float = 1.0, v_black: float = 4.0,
@@ -184,8 +187,8 @@ def sample_checkerboard(grid: GridSpec, seed: int, v_white: float = 1.0, v_black
         raise ValueError("checkerboard values must be > 0")
     if not 0.0 <= p_black <= 1.0:
         raise ValueError("p_black must be a probability")
-    u = _uniform01(seed, _unit_cell_index(grid))
-    vals = np.where(u < p_black, v_black, v_white)
+    u = _uniform01(seed, _unit_cells(grid))
+    vals = _refine(np.where(u < p_black, v_black, v_white), grid)
     prov = {
         "generator": "checkerboard", "prng": PRNG_NAME, "seed": int(seed),
         "v_white": v_white, "v_black": v_black, "p_black": p_black,
@@ -214,14 +217,7 @@ def sample_gaussian_field(grid: GridSpec, seed: int, params: GaussianFieldParams
     The white noise and the convolution wrap periodically on the macro torus.
     """
     d = grid.d
-    L = 3**grid.m
-    cell_idx = np.arange(L, dtype=np.uint64)
-    idx = np.zeros((L,) * d, dtype=np.uint64)
-    for ax in range(d):
-        shape = [1] * d
-        shape[ax] = L
-        idx = idx * np.uint64(L) + cell_idx.reshape(shape)
-    W = _standard_normal(seed, idx)
+    W = _standard_normal(seed, _unit_cells(grid))
     f = _kernel_stencil(d, params)
     F = np.zeros_like(W)
     R = params.truncation
@@ -229,10 +225,7 @@ def sample_gaussian_field(grid: GridSpec, seed: int, params: GaussianFieldParams
     for off in offsets:
         w = f[tuple(off)]
         F += w * np.roll(W, shift=tuple(int(o - R) for o in off), axis=tuple(range(d)))
-    vals_unit = gaussian_link(F, params.Lam)
-    vals = vals_unit
-    for ax in range(d):
-        vals = np.repeat(vals, grid.k, axis=ax)
+    vals = _refine(gaussian_link(F, params.Lam), grid)
     tail = _kernel_tail_estimate(d, params)
     prov = {
         "generator": "gaussian", "prng": PRNG_NAME, "seed": int(seed),

@@ -256,7 +256,8 @@ def ensemble(run, N: int, master_seed: int, jobs: int = 1) -> EnsembleStats:
     """Deterministic ensemble statistics of run(seed) over N derived seeds."""
     values, seeds, errors = ensemble_values(run, N, master_seed, jobs)
     if errors:
-        lines = "; ".join(f"member {i}: {msg}" for i, msg in sorted(errors.items()))
+        lines = "; ".join(f"member {i} (seed {seeds[i]}): {msg}"
+                          for i, msg in sorted(errors.items()))
         raise RuntimeError(f"{len(errors)}/{N} ensemble members failed ({lines})")
     leaves = [EnsembleStats().update(v, s) for v, s in zip(values, seeds)]
     return _reduce_tree(leaves)

@@ -153,16 +153,23 @@ def _assemble(a, h, bc):
 
 def _make_projector(shape, periodic):
     """In-place projector, per column, off the constants and the parity fields
-    (-1)^(sum of i_ax) over two or more axes (on the torus, even-sided axes only)."""
+    (-1)^(sum of i_ax) over two or more axes (on the torus, even-sided axes only).
+
+    On an odd number of nodes per axis these modes are not orthogonal, so they are
+    Gram-Schmidt orthogonalised before any is normalised; on even counts their dot
+    products are exact integer zeros, which leaves them as they are."""
     d = len(shape)
     subsets = [()] + [s for r in range(2, d + 1) for s in itertools.combinations(range(d), r)]
-    flat = []
+    modes = []
     for axes in subsets:
         if periodic and any(shape[ax] % 2 for ax in axes):
             continue
         m = functools.reduce(np.multiply.outer, [(-1.0) ** np.arange(n) if ax in axes else
-                                                 np.ones(n) for ax, n in enumerate(shape)])
-        flat.append(m.ravel() / np.linalg.norm(m))
+                                                 np.ones(n) for ax, n in enumerate(shape)]).ravel()
+        for q in modes:
+            m = m - (m @ q) / (q @ q) * q
+        modes.append(m)
+    flat = [m / np.linalg.norm(m) for m in modes]
 
     def project(v):
         out = v.reshape(len(v), -1)

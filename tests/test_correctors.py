@@ -10,20 +10,26 @@ from hlab.correctors import (
     sublinearity_R,
 )
 from hlab.fields import make_constant, make_laminate, sample_checkerboard
-from hlab.lattice import GridSpec, discrete_gradient
+from hlab.lattice import GridSpec, TriadicCube, discrete_gradient
 
 
 class TestFluxCorrector:
     def test_requires_mean_zero(self):
         g = np.ones((6, 6, 2))
-        with pytest.raises(ValueError):
-            flux_corrector(g, 0.5)
+        with pytest.raises(ValueError, match="mean zero"):
+            flux_corrector(g, GridSpec(2, 1, 2))
+
+    def test_rejects_a_flux_off_its_grid(self):
+        # h comes from the grid, so a flux of another cell shape is an error
+        g = np.zeros((6, 6, 2))
+        with pytest.raises(ValueError, match=r"\(6, 6, 2\).*\(9, 9, 2\)"):
+            flux_corrector(g, GridSpec(2, 1, 3))
 
     def test_skew_by_construction(self):
         rng = np.random.default_rng(0)
         g = rng.normal(size=(9, 9, 2))
         g -= g.reshape(-1, 2).mean(axis=0)
-        s, pots, _ = flux_corrector(g, 1.0 / 3.0)
+        s, pots, _ = flux_corrector(g, GridSpec(2, 1, 3))
         assert np.abs(s + np.swapaxes(s, -1, -2)).max() == 0.0
         assert abs(pots[(0, 1)].mean()) < 1e-12
 
@@ -31,11 +37,11 @@ class TestFluxCorrector:
         # a rotated discrete gradient is exactly divergence-free, and the
         # reconstruction from the skew potential reproduces it exactly
         rng = np.random.default_rng(1)
-        h = 0.5
-        psi = rng.normal(size=(8, 8))
-        grad = discrete_gradient(psi, h, periodic=True)
+        grid = GridSpec(2, 1, 2)
+        psi = rng.normal(size=grid.cell_shape)
+        grad = discrete_gradient(psi, grid.h, periodic=True)
         g = np.stack([grad[..., 1], -grad[..., 0]], axis=-1)
-        _, _, residual = flux_corrector(g, h)
+        _, _, residual = flux_corrector(g, grid)
         assert residual < 1e-11
 
     def test_generic_field_residual_reported(self):
@@ -44,7 +50,7 @@ class TestFluxCorrector:
         rng = np.random.default_rng(2)
         g = rng.normal(size=(9, 9, 2))
         g -= g.reshape(-1, 2).mean(axis=0)
-        _, _, residual = flux_corrector(g, 1.0)
+        _, _, residual = flux_corrector(g, GridSpec(2, 2, 1))
         assert np.isfinite(residual) and residual > 0
 
 
@@ -129,6 +135,21 @@ class TestFiniteVolume:
         cset = finite_volume_correctors(f, 1)
         assert max(np.abs(p).max() for p in cset.phi) < 1e-9
         assert sublinearity_R(cset) < 1e-9
+
+    def test_cube_above_the_grid_rejected(self):
+        f = sample_checkerboard(GridSpec(2, 1, 1), 0)
+        with pytest.raises(ValueError, match="exceeds grid level"):
+            finite_volume_correctors(f, 2)
+
+    def test_subcube_of_a_larger_field(self):
+        # the origin level-1 cube of a level-2 field gives the level-1 field's set
+        f = sample_checkerboard(GridSpec(2, 2, 1), 6)
+        sub = f.restrict(TriadicCube(1, (0, 0)))
+        got, want = finite_volume_correctors(f, 1), finite_volume_correctors(sub, 1)
+        assert got.grid == want.grid == sub.grid
+        assert np.array_equal(got.abar, want.abar)
+        for a, b in zip(got.s + got.phi, want.s + want.phi):
+            assert np.array_equal(a, b)
 
 
 class TestSublinearity:

@@ -148,8 +148,11 @@ class TestEnsembleExecution:
 
         values, seeds, errors = ensemble_values(run, 6, master_seed=0)
         assert set(errors) == {i for i, s in enumerate(seeds) if s % 2 == 0}
-        with pytest.raises(RuntimeError, match="member"):
+        with pytest.raises(RuntimeError, match="member") as info:
             ensemble(run, 6, master_seed=0)
+        # each failed member is named with its seed, so it can be rerun alone
+        for i in errors:
+            assert f"member {i} (seed {seeds[i]}): RuntimeError: boom" in str(info.value)
 
     @pytest.mark.parametrize("jobs", [0, -3, None, 1.5])
     def test_jobs_must_be_a_positive_integer(self, jobs):

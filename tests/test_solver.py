@@ -25,6 +25,7 @@ from hlab.lattice import (
 )
 from hlab.solver import (
     _assemble,
+    _make_projector,
     SolveOptions,
     SolverError,
     cg,
@@ -466,6 +467,26 @@ class TestAssembledOperator:
             at = [np.array(np.unravel_index(i % block, nodes)) for i in (coo.row, coo.col)]
             offsets = (at[1] - at[0]) % np.array(nodes)[:, None]
             assert not ((offsets != 0).sum(axis=0) == 1).any()
+
+
+class TestProjector:
+    @pytest.mark.parametrize("nodes", [(7, 7), (7, 7, 7), (8, 8), (7, 8), (4, 4, 4)])
+    def test_free_grid_projection(self, nodes):
+        # odd node counts: the constant and parity modes overlap, and the
+        # projector must still remove their whole span
+        d = len(nodes)
+        v = np.random.default_rng(d).normal(size=(2,) + nodes)
+        project = _make_projector(nodes, periodic=False)
+        pv = project(v.copy())
+        assert np.abs(project(pv.copy()) - pv).max() <= 1e-14 * np.abs(pv).max()
+        subsets = [()] + [s for r in range(2, d + 1) for s in itertools.combinations(range(d), r)]
+        for axes in subsets:
+            mode = np.ones(nodes)
+            for ax in axes:
+                mode = mode * ((-1.0) ** np.arange(nodes[ax])).reshape(
+                    [-1 if i == ax else 1 for i in range(d)])
+            along = np.abs(pv.reshape(2, -1) @ mode.ravel()) / np.linalg.norm(mode)
+            assert along.max() <= 1e-14 * np.linalg.norm(v), axes
 
 
 # partitions: d in {2, 3}, macro level m <= 3 (3d: m <= 2), partition level n < m
