@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import numbers
 import os
 import time
@@ -40,10 +41,12 @@ __all__ = [
     "json_default",
 ]
 
-# each experiment kind and the `extra` keys it reads
-EXTRA_KEYS = {"field-gen": (), "coarsen": (), "corrector": ("mode",), "twoscale": ("slope",),
-              "cascade": ("cube_levels",), "walk": ("horizon", "n_paths", "sample_times"),
-              "green": ("t", "dt", "source")}
+# each experiment kind, the `extra` keys it reads and their defaults (None: the
+# runner works the value out from the grid, or skips what the key asks for)
+EXTRA_KEYS = {"field-gen": {}, "coarsen": {}, "corrector": {"mode": "periodic"},
+              "twoscale": {"slope": None}, "cascade": {"cube_levels": None},
+              "walk": {"horizon": 100.0, "n_paths": 10_000, "sample_times": None},
+              "green": {"t": 25.0, "dt": 0.25, "source": None}}
 EXPERIMENT_KINDS = tuple(EXTRA_KEYS)
 CORRECTOR_MODES = ("periodic", "finite-volume")
 GRID_DEFAULTS = {"d": 2, "m": 1, "k": 1}
@@ -81,13 +84,16 @@ class ExperimentConfig:
         seed = self.master_seed
         if not _is_integer(seed) or not 0 <= seed < 2**64:
             raise ValueError(f"master_seed must be an integer in [0, 2**64), got {seed!r}")
-        _grid(self.grid)
+        grid = _grid(self.grid)
         _generator_args(self.generator)
-        _reject_unknown_keys(self.extra, EXTRA_KEYS[self.kind], "extra.")
-        mode = self.extra.get("mode", "periodic")
-        if mode not in CORRECTOR_MODES:
-            raise ValueError(f"unknown corrector mode {mode!r} in 'extra.mode'; "
+        extra = _extra_args(self.kind, self.extra)
+        if self.kind == "corrector" and extra["mode"] not in CORRECTOR_MODES:
+            raise ValueError(f"unknown corrector mode {extra['mode']!r} in 'extra.mode'; "
                              f"expected one of {CORRECTOR_MODES}")
+        if self.kind == "walk":
+            _check_walk(extra)
+        if self.kind == "green":
+            _check_green(extra, grid)
         _reject_unknown_keys(self.solver, _field_names(solver.SolveOptions), "solver.")
         solver.SolveOptions(**self.solver)
 
@@ -114,6 +120,10 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _field_names(cls) -> set:
     return {f.name for f in dataclass_fields(cls)}
 
@@ -123,6 +133,39 @@ def _reject_unknown_keys(data: dict, known, prefix: str = "") -> None:
     if unknown:
         raise ValueError(f"unknown config key {', '.join(unknown)}; "
                          f"expected one of {sorted(known)}")
+
+
+def _extra_args(kind: str, extra: dict) -> dict:
+    """The `extra` values the kind reads, defaults filled in."""
+    _reject_unknown_keys(extra, EXTRA_KEYS[kind], "extra.")
+    return {k: extra.get(k, v) for k, v in EXTRA_KEYS[kind].items()}
+
+
+def _positive(extra: dict, key: str) -> float:
+    value = extra[key]
+    if not _is_real(value) or not 0 < value < math.inf:
+        raise ValueError(f"'extra.{key}' must be a finite number > 0, got {value!r}")
+    return float(value)
+
+
+def _check_walk(extra: dict) -> None:
+    horizon = _positive(extra, "horizon")
+    n_paths = extra["n_paths"]
+    if not _is_integer(n_paths) or n_paths < 2:
+        raise ValueError(f"'extra.n_paths' must be an integer >= 2, got {n_paths!r}")
+    times = extra["sample_times"]
+    if times is not None and not (isinstance(times, (list, tuple)) and times and all(
+            _is_real(s) and 0 <= s <= horizon for s in times)):
+        raise ValueError(f"'extra.sample_times' must be a non-empty list of times in "
+                         f"[0, horizon = {horizon}], got {times!r}")
+
+
+def _check_green(extra: dict, grid) -> None:
+    t, dt = _positive(extra, "t"), _positive(extra, "dt")
+    if not np.isclose(round(t / dt) * dt, t):     # the step rule of parabolic_green
+        raise ValueError(f"'extra.t' = {t} must be a whole multiple of 'extra.dt' = {dt}")
+    if extra["source"] is not None:
+        lattice.cell_index(extra["source"], grid.cell_shape, name="'extra.source'")
 
 
 class EnsembleStats:
@@ -567,7 +610,7 @@ def _exp_coarsen(cfg, jobs):
 
 def _exp_corrector(cfg, jobs):
     opts = _solve_options(cfg)
-    mode = cfg.extra.get("mode", "periodic")
+    mode = _extra_args("corrector", cfg.extra)["mode"]
     if mode == "periodic":
         run = partial(_periodic_abar_member, cfg.generator, cfg.grid, opts)
         stats = ensemble(run, cfg.ensemble_size, cfg.master_seed, jobs)
@@ -633,10 +676,10 @@ def _exp_cascade(cfg, jobs):
 def _exp_walk(cfg, jobs):
     fld = field_from_config(cfg.generator, cfg.grid, cfg.master_seed)
     net = stochproc.build_network(fld)
-    T = float(cfg.extra.get("horizon", 100.0))
-    n_paths = int(cfg.extra.get("n_paths", 10_000))
-    rep = stochproc.simulate_walks(net, T, n_paths, cfg.master_seed,
-                                   cfg.extra.get("sample_times"))
+    extra = _extra_args("walk", cfg.extra)
+    T = float(extra["horizon"])
+    n_paths = int(extra["n_paths"])
+    rep = stochproc.simulate_walks(net, T, n_paths, cfg.master_seed, extra["sample_times"])
     return {
         "kind": "walk", "times": rep.times, "n_paths": n_paths,
         "covariances": [c for c in rep.covariances],
@@ -647,9 +690,10 @@ def _exp_walk(cfg, jobs):
 
 def _exp_green(cfg, jobs):
     fld = field_from_config(cfg.generator, cfg.grid, cfg.master_seed)
-    t_final = float(cfg.extra.get("t", 25.0))
-    dt = float(cfg.extra.get("dt", 0.25))
-    source = cfg.extra.get("source") or [fld.grid.side // 2] * fld.grid.d
+    extra = _extra_args("green", cfg.extra)
+    t_final = float(extra["t"])
+    dt = float(extra["dt"])
+    source = extra["source"] or [fld.grid.side // 2] * fld.grid.d
     rep = stochproc.parabolic_green(fld, t_final, tuple(int(s) for s in source), dt)
     return {
         "kind": "green", "t": t_final, "dt": dt, "source": list(source),

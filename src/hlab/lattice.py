@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ __all__ = [
     "GridSpec",
     "TriadicCube",
     "triadic_partition",
+    "cell_index",
     "discrete_gradient",
     "gradient_adjoint",
     "node_to_cell",
@@ -130,6 +132,25 @@ def triadic_partition(cube: TriadicCube, n: int) -> list:
         off = tuple(z + i * s for z, i in zip(cube.offset, idx))
         out.append(TriadicCube(n, off))
     return out
+
+
+def cell_index(point, cell_shape: tuple, periodic: bool = False, name: str = "point") -> tuple:
+    """`point` as a tuple of integer indices of a cell in an array of `cell_shape`.
+
+    A ValueError names the point and the cell shape when the point has the
+    wrong length or a coordinate that is not an integer, or, unless the cells
+    wrap periodically, a coordinate outside [0, side).
+    """
+    coords = tuple(point)
+    ok = len(coords) == len(cell_shape) and all(
+        isinstance(c, numbers.Integral) and not isinstance(c, bool) for c in coords)
+    if ok and not periodic:
+        ok = all(0 <= c < n for c, n in zip(coords, cell_shape))
+    if not ok:
+        where = "" if periodic else " in [0, side)"
+        raise ValueError(f"{name} {point!r} must be {len(cell_shape)} integer cell indices"
+                         f"{where} for the cell shape {tuple(cell_shape)}")
+    return tuple(int(c) for c in coords)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import scipy.ndimage
 from .coarse import coarse_matrices, partition_matrices
 from .correctors import CorrectorSet
 from .fields import CoefficientField
-from .lattice import GridSpec, TriadicCube, discrete_gradient
+from .lattice import GridSpec, TriadicCube, cell_index, discrete_gradient
 from .solver import SolveOptions
 
 __all__ = [
@@ -82,11 +82,16 @@ def heat_convolve(f: np.ndarray, r: float, h: float, periodic: bool = True,
 
 
 def heat_point_value(f: np.ndarray, r: float, h: float, point) -> np.ndarray:
-    """(f * Phi_r)(x) at one cell center of a periodic field, by direct sum."""
+    """(f * Phi_r)(x) at one cell center of a periodic field, by direct sum.
+
+    `point` holds the integer indices of the cell along the leading len(point)
+    axes of `f`; they wrap periodically.
+    """
     f = np.asarray(f, dtype=float)
     w, _ = heat_kernel_1d(r, h)
     n = (w.size - 1) // 2
     d = len(point)
+    point = cell_index(point, f.shape[:d], periodic=True)
     out = f
     for ax in range(d):
         idx = (point[ax] + np.arange(-n, n + 1)) % f.shape[ax]

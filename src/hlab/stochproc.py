@@ -18,7 +18,7 @@ import scipy.sparse
 
 from . import spectral
 from .fields import CoefficientField
-from .lattice import GridSpec, stencil_matrix
+from .lattice import GridSpec, cell_index, stencil_matrix
 from .solver import cg
 
 __all__ = [
@@ -116,51 +116,81 @@ def simulate_walks(net: ConductanceNetwork, T: float, n_paths: int, seed: int,
     """Covariance of the unwrapped displacement at the sampled times.
 
     All paths start at the origin cell; the environment wraps on the torus
-    while displacements accumulate unwrapped.
+    while displacements accumulate unwrapped.  The site tables are built once
+    per call: the rate of each of the 2d moves (+e_j across the edge
+    (x, x + h e_j), -e_j across (x - h e_j, x)), their total and its inverse,
+    the cumulative-rate thresholds one contiguous column per move, and the
+    flat index of the neighbour each move lands on.  Each step gathers from
+    them by a flat cell index per path, and the arrays of running paths are
+    compacted, in ascending path order, only when some path passes T.  Every
+    step draws one exponential holding time and then one uniform move choice
+    per running path, so the same seed gives the same draws, and the same
+    bits, as a loop that recomputes the rates at every step.
     """
     if n_paths < 2:
-        raise ValueError("need at least 2 paths")
+        raise ValueError(f"need at least 2 paths, got n_paths = {n_paths!r}")
+    if not 0 < T < np.inf:
+        raise ValueError(f"horizon T must be finite and > 0, got {T!r}")
     grid = net.grid
     d, h, side = grid.d, grid.h, grid.side
     if sample_times is None:
         sample_times = [T / 2.0, 3.0 * T / 4.0, T]
     sample_times = sorted(float(s) for s in sample_times)
+    if not sample_times:
+        raise ValueError("sample_times must not be empty")
+    if not sample_times[0] >= 0:
+        raise ValueError(f"sample times must be >= 0, got {sample_times[0]!r}")
     if sample_times[-1] > T:
-        raise ValueError("sample times must lie within the horizon")
+        raise ValueError(f"sample time {sample_times[-1]!r} lies beyond the horizon T = {T!r}")
+
+    n_moves = 2 * d
+    inv_h2 = 1.0 / (h * h)
+    sites = np.arange(side**d).reshape(grid.cell_shape)
+    rates = np.empty((side**d, n_moves))
+    nbr = np.empty((side**d, n_moves), dtype=np.intp)
+    move = np.zeros((n_moves, d), dtype=np.int64)
+    for j, c in enumerate(net.cond):
+        rates[:, 2 * j] = c.ravel() * inv_h2                               # +e_j
+        rates[:, 2 * j + 1] = np.roll(c, 1, axis=j).ravel() * inv_h2       # -e_j
+        nbr[:, 2 * j] = np.roll(sites, -1, axis=j).ravel()
+        nbr[:, 2 * j + 1] = np.roll(sites, 1, axis=j).ravel()
+        move[2 * j, j], move[2 * j + 1, j] = 1, -1
+    total = rates.sum(axis=1)
+    scale = 1.0 / total
+    thresholds = [np.ascontiguousarray(col) for col in rates.cumsum(axis=1).T]
+    nbr = nbr.ravel()
 
     rng = np.random.default_rng(seed)
-    pos = np.zeros((n_paths, d), dtype=np.int64)     # unwrapped, lattice steps
-    t = np.zeros(n_paths)
     S = len(sample_times)
     recorded = np.zeros((S, n_paths, d))
-    inv_h2 = 1.0 / (h * h)
+    ids = np.arange(n_paths)                         # the running paths, ascending
+    pos = np.zeros((n_paths, d), dtype=np.int64)     # unwrapped, lattice steps
+    t = np.zeros(n_paths)
+    cell = np.zeros(n_paths, dtype=np.intp)          # flat index of pos on the torus
 
-    active = t < T
-    while active.any():
-        idx = np.nonzero(active)[0]
-        site = tuple((pos[idx, j] % side) for j in range(d))
-        rates = np.empty((idx.size, 2 * d))
-        for j in range(d):
-            rates[:, 2 * j] = net.cond[j][site] * inv_h2            # +e_j
-            back = list(site)
-            back[j] = (site[j] - 1) % side
-            rates[:, 2 * j + 1] = net.cond[j][tuple(back)] * inv_h2  # -e_j
-        total = rates.sum(axis=1)
-        tn = t[idx] + rng.exponential(1.0 / total)
-
+    # rows of the (n, d) arrays move by np.take / np.compress: fancy and boolean
+    # row indexing cost about ten times as much per step
+    while ids.size:
+        n = ids.size
+        # numpy's exponential(1 / total) is (1 / total) * standard_exponential: same bits
+        tn = rng.standard_exponential(n) * scale[cell] + t
         for si, s in enumerate(sample_times):
-            hit = (t[idx] <= s) & (s < tn)
+            hit = (t <= s) & (s < tn)
             if hit.any():
-                recorded[si, idx[hit]] = pos[idx[hit]]
+                recorded[si, ids[hit]] = np.compress(hit, pos, axis=0)
 
-        u = rng.random(idx.size) * total
-        choice = (rates.cumsum(axis=1) < u[:, None]).sum(axis=1)
-        choice = np.minimum(choice, 2 * d - 1)
-        axis = choice // 2
-        step = np.where(choice % 2 == 0, 1, -1)
-        pos[idx, axis] += step
-        t[idx] = tn
-        active = t < T
+        u = rng.random(n) * total[cell]
+        choice = (thresholds[0][cell] < u).astype(np.intp)
+        for cum in thresholds[1:]:
+            choice += cum[cell] < u
+        np.minimum(choice, n_moves - 1, out=choice)   # rounding can put u past every threshold
+        pos += np.take(move, choice, axis=0)
+        cell = nbr[cell * n_moves + choice]
+        t = tn
+        running = t < T
+        if not running.all():
+            ids, t, cell = ids[running], t[running], cell[running]
+            pos = np.compress(running, pos, axis=0)
 
     covs, means = [], []
     for si in range(S):
@@ -186,10 +216,11 @@ def parabolic_green(a_field: CoefficientField, t_final: float, source,
                     abar: np.ndarray = None) -> DiffusionReport:
     """Green density P(t, ., source) with Gaussian comparison and margins.
 
-    Each implicit-Euler step solves (I + dt A) u_new = u_old by CG with an
-    exact constant-coefficient preconditioner; the scheme conserves mass up
-    to the solve tolerance.
+    `source` holds the integer indices of a cell.  Each implicit-Euler step
+    solves (I + dt A) u_new = u_old by CG with an exact constant-coefficient
+    preconditioner; the scheme conserves mass up to the solve tolerance.
     """
+    source = cell_index(source, a_field.grid.cell_shape, name="source")
     net = build_network(a_field)
     grid = net.grid
     d, h, side = grid.d, grid.h, grid.side
@@ -200,7 +231,7 @@ def parabolic_green(a_field: CoefficientField, t_final: float, source,
     denom = 1.0 + dt * spectral.network_symbol(grid.cell_shape, h)
     step = scipy.sparse.identity(side**d, format="csr") + dt * network_operator(net)
     u = np.zeros(grid.cell_shape)
-    u[tuple(source)] = 1.0 / h**d          # unit-mass density
+    u[source] = 1.0 / h**d                 # unit-mass density
     cell_mass = h**d
     mass_drift = 0.0
     iters = 0

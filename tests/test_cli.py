@@ -76,13 +76,14 @@ def test_jobs_below_one_rejected_before_any_solve(runner, tmp_path, monkeypatch,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("override, key", [
-    ({"ensemble_size": 2.5}, "ensemble_size"),
-    ({"ensemble_size": True}, "ensemble_size"),
-    ({"ensemble_size": "3"}, "ensemble_size"),
-    ({"extra": {"cube_level": [1, 2]}}, "'extra.cube_level'"),
-], ids=["size-float", "size-bool", "size-str", "extra-key"])
-def test_bad_config_rejected_before_any_solve(runner, tmp_path, monkeypatch, override, key):
+@pytest.mark.parametrize("kind, override, key", [
+    ("cascade", {"ensemble_size": 2.5}, "ensemble_size"),
+    ("cascade", {"ensemble_size": True}, "ensemble_size"),
+    ("cascade", {"ensemble_size": "3"}, "ensemble_size"),
+    ("cascade", {"extra": {"cube_level": [1, 2]}}, "'extra.cube_level'"),
+    ("walk", {"extra": {"horizon": -5}}, "'extra.horizon'"),
+], ids=["size-float", "size-bool", "size-str", "extra-key", "walk-horizon"])
+def test_bad_config_rejected_before_any_solve(runner, tmp_path, monkeypatch, kind, override, key):
     import hlab.harness
 
     def no_field(*args, **kwargs):
@@ -90,9 +91,9 @@ def test_bad_config_rejected_before_any_solve(runner, tmp_path, monkeypatch, ove
 
     monkeypatch.setattr(hlab.harness, "field_from_config", no_field)
     path = tmp_path / "cfg.json"
-    ExperimentConfig(kind="cascade", **override).save(path)
+    ExperimentConfig(kind=kind, **override).save(path)
     out = tmp_path / "out"
-    result = runner.invoke(main, ["cascade", "--config", str(path), "--out", str(out)])
+    result = runner.invoke(main, [kind, "--config", str(path), "--out", str(out)])
     assert result.exit_code == 1
     assert "ValueError" in result.output and key in result.output
     assert not out.exists()

@@ -74,6 +74,27 @@ class TestConfig:
             with pytest.raises(ValueError, match=f"'extra.{next(iter(extra))}'"):
                 ExperimentConfig(kind=kind, extra=extra).validate()
         ExperimentConfig(kind="cascade", ensemble_size=2, extra={"cube_levels": [1, 2]}).validate()
+        # walk and green values are checked before any solve, by key
+        for kind, extra, key in (
+                ("walk", {"horizon": -5}, "'extra.horizon'"),
+                ("walk", {"horizon": float("inf")}, "'extra.horizon'"),
+                ("walk", {"n_paths": 1}, "'extra.n_paths'"),
+                ("walk", {"n_paths": 100.0}, "'extra.n_paths'"),
+                ("walk", {"sample_times": [200]}, "'extra.sample_times'"),
+                ("walk", {"horizon": 4.0, "sample_times": [-1.0, 2.0]}, "'extra.sample_times'"),
+                ("walk", {"sample_times": []}, "'extra.sample_times'"),
+                ("green", {"t": -1}, "'extra.t'"),
+                ("green", {"dt": 0.0}, "'extra.dt'"),
+                ("green", {"dt": 0.3}, "'extra.dt'"),
+                ("green", {"source": [99, 99]}, "'extra.source'"),
+                ("green", {"source": [1.5, 1]}, "'extra.source'"),
+                ("green", {"source": [1]}, "'extra.source'")):
+            with pytest.raises(ValueError, match=key):
+                ExperimentConfig(kind=kind, extra=extra).validate()
+        ExperimentConfig(kind="walk", extra={"horizon": 4, "n_paths": 2,
+                                             "sample_times": [0, 2.5, 4]}).validate()
+        ExperimentConfig(kind="green", grid={"d": 3, "m": 1, "k": 2},
+                         extra={"t": 1.0, "dt": 0.25, "source": [5, 0, 3]}).validate()
 
 
 class TestEnsembleStats:

@@ -75,6 +75,11 @@ class TestConvolve:
             assert heat_point_value(f, 2.0, 1.0, pt) == pytest.approx(
                 full[pt], abs=1e-12)
 
+    @pytest.mark.parametrize("pt", [(13.5, 44), (np.float64(13.0), 2), (True, 2)])
+    def test_point_must_be_cell_indices(self, pt):
+        with pytest.raises(ValueError, match=r"point .*cell shape \(60, 60\)"):
+            heat_point_value(np.zeros((60, 60, 2)), 2.0, 1.0, pt)
+
     def test_vector_data_smoothing(self):
         rng = np.random.default_rng(2)
         f = rng.normal(size=(60, 60, 2))
@@ -102,6 +107,12 @@ class TestCoarseGrainedB:
         ev = np.linalg.eigvalsh(0.5 * (hc.b[0] + hc.b[0].T))
         assert ev.min() > 0.5 and ev.max() < 5.0
         assert 0.0 <= hc.chi[0] <= 1.0
+
+    def test_float_point_named(self):
+        fld = make_constant(GridSpec(2, 3, 1), np.eye(2))
+        cset = periodic_homogenized_matrix(fld, with_flux_correctors=False)
+        with pytest.raises(ValueError, match=r"\(13\.5, 5\)"):
+            coarse_grained_b(cset, fld, 2.0, [(13.5, 5)])
 
     def test_small_torus_rejected(self):
         fld = make_constant(GridSpec(2, 1, 1), np.eye(2))

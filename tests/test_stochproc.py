@@ -2,8 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from hlab.fields import make_constant, make_laminate, sample_checkerboard
+from hlab.fields import (
+    GaussianFieldParams,
+    make_constant,
+    make_laminate,
+    sample_checkerboard,
+    sample_gaussian_field,
+)
 from hlab.lattice import GridSpec
 from hlab.stochproc import (
     build_network,
@@ -63,7 +70,85 @@ class TestNetwork:
         assert ev.max() < 1.5 * f.Lam
 
 
+def _reference_walks(net, T, n_paths, seed, sample_times):
+    """The event loop that gathers each path's rates from the edge arrays at every
+    step; the oracle for `simulate_walks`, which must make the same draws.
+
+    Returns the covariances and mean displacements at the sample times, and each
+    path's last jump time before T (0 if it never jumped).
+    """
+    d, h, side = net.grid.d, net.grid.h, net.grid.side
+    sample_times = sorted(float(s) for s in sample_times)
+    rng = np.random.default_rng(seed)
+    pos = np.zeros((n_paths, d), dtype=np.int64)
+    t = np.zeros(n_paths)
+    recorded = np.zeros((len(sample_times), n_paths, d))
+    last_jump = np.zeros(n_paths)
+    inv_h2 = 1.0 / (h * h)
+    active = t < T
+    while active.any():
+        idx = np.nonzero(active)[0]
+        site = tuple((pos[idx, j] % side) for j in range(d))
+        rates = np.empty((idx.size, 2 * d))
+        for j in range(d):
+            rates[:, 2 * j] = net.cond[j][site] * inv_h2
+            back = list(site)
+            back[j] = (site[j] - 1) % side
+            rates[:, 2 * j + 1] = net.cond[j][tuple(back)] * inv_h2
+        total = rates.sum(axis=1)
+        tn = t[idx] + rng.exponential(1.0 / total)
+        for si, s in enumerate(sample_times):
+            hit = (t[idx] <= s) & (s < tn)
+            if hit.any():
+                recorded[si, idx[hit]] = pos[idx[hit]]
+        u = rng.random(idx.size) * total
+        choice = (rates.cumsum(axis=1) < u[:, None]).sum(axis=1)
+        choice = np.minimum(choice, 2 * d - 1)
+        pos[idx, choice // 2] += np.where(choice % 2 == 0, 1, -1)
+        t[idx] = tn
+        active = t < T
+        last_jump[idx[tn < T]] = tn[tn < T]
+    X = recorded * h
+    return [np.cov(x.T) for x in X], [x.mean(axis=0) for x in X], last_jump
+
+
+def _walk_field(kind, d, k, seed):
+    if kind == "laminate":    # periodic layers need an even side: k -> 2k (h = 1/6 at k = 3)
+        return make_laminate(GridSpec(d, 1, 2 * k), 1.0, 4.0, 1.0, axis=1 + seed % d)
+    if kind == "checkerboard":
+        return sample_checkerboard(GridSpec(d, 1, k), seed)
+    return sample_gaussian_field(GridSpec(d, 1, k), seed,
+                                 GaussianFieldParams(amplitude=0.5, decay=1.0))
+
+
 class TestWalks:
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.sampled_from([2, 3]), kind=st.sampled_from(["laminate", "checkerboard", "gaussian"]),
+           k=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2**32 - 1),
+           n_paths=st.integers(2, 300), steps=st.floats(0.5, 20.0),
+           fractions=st.lists(st.sampled_from([0.0, 1e-4, 0.5]) | st.floats(0.0, 1.0),
+                              min_size=1, max_size=3))
+    @example(d=3, kind="checkerboard", k=3, seed=5, n_paths=300, steps=10.0,
+             fractions=[1e-4, 0.5, 0.5])
+    @example(d=2, kind="laminate", k=3, seed=0, n_paths=2, steps=3.0, fractions=[1.0, 0.0, 1.0])
+    def test_matches_reference_event_loop(self, d, kind, k, seed, n_paths, steps, fractions):
+        # a repeated time, one inside the first holding interval (1e-4 T) and paths
+        # that pass T on different steps all take the same draws as the oracle;
+        # T = steps h^2 keeps the expected jumps per path near 2d steps mean(c).
+        # The last jump time of each of the first four paths, and the float just
+        # below it, are sample times too: a jump time off by one ulp either way
+        # records the position on the wrong side of that jump.
+        net = build_network(_walk_field(kind, d, k, seed))
+        T = steps * net.grid.h**2
+        _, _, last_jump = _reference_walks(net, T, n_paths, seed, [T])
+        edges = [s for s in last_jump[:4] if s > 0]
+        times = [f * T for f in fractions] + edges + list(np.nextafter(edges, 0.0))
+        rep = simulate_walks(net, T, n_paths, seed, times)
+        covs, means, _ = _reference_walks(net, T, n_paths, seed, times)
+        assert rep.times == sorted(times)
+        for got, ref in zip(rep.covariances + rep.mean_displacement, covs + means):
+            assert np.array_equal(got, ref)
+
     def test_reproducible_and_seed_sensitive(self):
         net = build_network(sample_checkerboard(GridSpec(2, 1, 1), 0))
         a = simulate_walks(net, 4.0, 64, seed=1)
@@ -87,6 +172,15 @@ class TestWalks:
             simulate_walks(net, 4.0, 16, seed=0, sample_times=[8.0])
         with pytest.raises(ValueError):
             simulate_walks(net, 4.0, 1, seed=0)
+
+    @pytest.mark.parametrize("T, times, named", [
+        (0.0, None, "0.0"), (-5.0, [1.0], "-5.0"), (np.inf, [1.0], "inf"),
+        (4.0, [], "sample_times"), (4.0, [-1.0, 4.0], "-1.0"),
+    ])
+    def test_bad_walk_inputs_named(self, T, times, named):
+        net = build_network(make_constant(GridSpec(2, 1, 1), np.eye(2)))
+        with pytest.raises(ValueError, match=named):
+            simulate_walks(net, T, 16, seed=0, sample_times=times)
 
     def test_covariance_grows_with_time(self):
         net = build_network(sample_checkerboard(GridSpec(2, 1, 1), 7))
@@ -125,3 +219,9 @@ class TestGreen:
         fld = make_constant(GridSpec(2, 2, 1), np.eye(2))
         with pytest.raises(ValueError):
             parabolic_green(fld, 1.0, (0, 0), dt=0.3)
+
+    @pytest.mark.parametrize("source", [(9, 0), (0, -1), (4.5, 4), (4,), (True, 4)])
+    def test_source_must_be_a_cell(self, source):
+        fld = make_constant(GridSpec(2, 2, 1), np.eye(2))
+        with pytest.raises(ValueError, match=r"source .*cell shape \(9, 9\)"):
+            parabolic_green(fld, 1.0, source)
