@@ -218,7 +218,7 @@ def multiscale_E(a_field: CoefficientField, m: int, a_ref: np.ndarray,
     return {"E": E, "per_level_J_mean": per_level, "m": m}
 
 
-def spatial_average_identities(r: CoarseGrainResult, a_field: CoefficientField = None) -> dict:
+def spatial_average_identities(r: CoarseGrainResult) -> dict:
     """First-variation averages of the cached basis extremals.
 
     The Dirichlet slope-e_i minimizer has cell-average gradient exactly e_i

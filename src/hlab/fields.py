@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 PRNG_NAME = "splitmix64"
+_VALIDATE_TOL = 1e-10   # slack of CoefficientField.validate's symmetry and eigenvalue checks
 
 
 def mix64(seed: int, counter) -> np.ndarray:
@@ -69,16 +70,16 @@ class CoefficientField:
         if self.a.shape != expect:
             raise ValueError(f"coefficient array shape {self.a.shape}, expected {expect}")
 
-    def validate(self, atol: float = 1e-10) -> None:
+    def validate(self) -> None:
         """Cell-by-cell symmetry and eigenvalue check of the ellipticity bounds."""
         d = self.grid.d
         asym = np.abs(self.a - np.swapaxes(self.a, -1, -2)).max()
-        if asym > atol:
+        if asym > _VALIDATE_TOL:
             raise ValueError(f"coefficient matrices not symmetric (max drift {asym:.2e})")
         ev = np.linalg.eigvalsh(self.a.reshape(-1, d, d))
-        if ev.min() < self.lam - atol:
+        if ev.min() < self.lam - _VALIDATE_TOL:
             raise ValueError(f"ellipticity lower bound violated: min eig {ev.min()}")
-        if ev.max() > self.Lam + atol:
+        if ev.max() > self.Lam + _VALIDATE_TOL:
             raise ValueError(f"ellipticity upper bound violated: max eig {ev.max()}")
 
     def restrict(self, cube) -> "CoefficientField":
@@ -118,7 +119,7 @@ def _iso(values: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def make_constant(grid: GridSpec, matrix: np.ndarray, lam: float = None, Lam: float = None) -> CoefficientField:
+def make_constant(grid: GridSpec, matrix: np.ndarray) -> CoefficientField:
     matrix = np.asarray(matrix, dtype=float)
     if matrix.shape != (grid.d, grid.d):
         raise ValueError(f"matrix shape {matrix.shape} != ({grid.d}, {grid.d})")
@@ -127,11 +128,9 @@ def make_constant(grid: GridSpec, matrix: np.ndarray, lam: float = None, Lam: fl
     ev = np.linalg.eigvalsh(matrix)
     if ev.min() <= 0:
         raise ValueError("matrix must be positive definite")
-    lam = float(ev.min()) if lam is None else lam
-    Lam = float(ev.max()) if Lam is None else Lam
     a = np.broadcast_to(matrix, grid.cell_shape + (grid.d, grid.d)).copy()
     prov = {"generator": "constant", "matrix": matrix.tolist()}
-    return CoefficientField(grid, a, lam, Lam, prov)
+    return CoefficientField(grid, a, float(ev.min()), float(ev.max()), prov)
 
 
 def make_laminate(grid: GridSpec, v1: float, v2: float, period: float, axis: int) -> CoefficientField:

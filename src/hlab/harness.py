@@ -13,15 +13,18 @@ final statistics are always reduced in a fixed tree over member indices.
 
 from __future__ import annotations
 
+import copy
 import csv
+import inspect
 import json
 import math
 import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields as dataclass_fields
+from dataclasses import asdict, dataclass, field, fields as dataclass_fields, replace
 from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -41,23 +44,27 @@ __all__ = [
     "json_default",
 ]
 
-# each experiment kind, the `extra` keys it reads and their defaults (None: the
-# runner works the value out from the grid, or skips what the key asks for)
-EXTRA_KEYS = {"field-gen": {}, "coarsen": {}, "corrector": {"mode": "periodic"},
-              "twoscale": {"slope": None}, "cascade": {"cube_levels": None},
-              "walk": {"horizon": 100.0, "n_paths": 10_000, "sample_times": None},
-              "green": {"t": 25.0, "dt": 0.25, "source": None}}
-EXPERIMENT_KINDS = tuple(EXTRA_KEYS)
-CORRECTOR_MODES = ("periodic", "finite-volume")
+
+def _defaults(fn) -> dict:
+    """The parameters of `fn` that have a default value, with that value."""
+    return {k: p.default for k, p in inspect.signature(fn).parameters.items()
+            if p.default is not p.empty}
+
+
 GRID_DEFAULTS = {"d": 2, "m": 1, "k": 1}
-# each generator's config keys and their defaults ("name" selects the generator);
+# each generator's config keys and defaults, read from its signature where it has them;
 # the constant generator's matrix defaults to the identity of the grid's dimension
 GENERATORS = {
     "constant": {"matrix": None},
     "laminate": {"v1": 1.0, "v2": 4.0, "period": 1.0, "axis": 1},
-    "checkerboard": {"v_white": 1.0, "v_black": 4.0, "p_black": 0.5},
-    "gaussian": {"amplitude": 0.5, "decay": 1.0, "truncation": 8, "Lam": 4.0},
+    "checkerboard": _defaults(fields.sample_checkerboard),
+    "gaussian": {"amplitude": 0.5, "decay": 1.0, **_defaults(fields.GaussianFieldParams)},
 }
+CORRECTOR_MODES = ("periodic", "finite-volume")
+MIN_FIT_POINTS = 3      # points a rate fit needs
+MIN_SEEDS = 2           # ensemble members a variance needs
+_N_BOOT = 200           # bootstrap resamples of a rate fit
+_BOOT_SEED = 0
 
 
 @dataclass
@@ -74,28 +81,33 @@ class ExperimentConfig:
     output_dir: str = "."
     extra: dict = field(default_factory=dict)       # experiment-specific knobs
 
-    def validate(self) -> None:
-        if self.kind not in EXPERIMENT_KINDS:
+    def validate(self) -> "ResolvedConfig":
+        """The checked config with its defaults filled in; each ValueError names its key."""
+        if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}; "
-                             f"expected one of {EXPERIMENT_KINDS}")
+                             f"expected one of {tuple(KINDS)}")
+        kind = KINDS[self.kind]
         size = self.ensemble_size
         if not _is_integer(size) or size < 1:
             raise ValueError(f"ensemble_size must be an integer >= 1, got {size!r}")
         seed = self.master_seed
         if not _is_integer(seed) or not 0 <= seed < 2**64:
             raise ValueError(f"master_seed must be an integer in [0, 2**64), got {seed!r}")
-        grid = _grid(self.grid)
-        _generator_args(self.generator)
-        extra = _extra_args(self.kind, self.extra)
-        if self.kind == "corrector" and extra["mode"] not in CORRECTOR_MODES:
-            raise ValueError(f"unknown corrector mode {extra['mode']!r} in 'extra.mode'; "
-                             f"expected one of {CORRECTOR_MODES}")
-        if self.kind == "walk":
-            _check_walk(extra)
-        if self.kind == "green":
-            _check_green(extra, grid)
-        _reject_unknown_keys(self.solver, _field_names(solver.SolveOptions), "solver.")
-        solver.SolveOptions(**self.solver)
+        grid = lattice.GridSpec(**_filled(self.grid, {**GRID_DEFAULTS, **kind.grid}, "grid."))
+        name = self.generator.get("name", "checkerboard")
+        if name not in GENERATORS:
+            raise ValueError(f"unknown generator {name!r} in 'generator.name'; "
+                             f"expected one of {sorted(GENERATORS)}")
+        gen_args = {k: v for k, v in self.generator.items() if k != "name"}
+        generator = name, _filled(gen_args, GENERATORS[name], "generator.")
+        extra = _filled(self.extra, kind.extra, "extra.")
+        opts = solver.SolveOptions(**_filled(self.solver, _defaults(solver.SolveOptions), "solver."))
+        if not isinstance(self.scales, (list, tuple)):
+            raise ValueError(f"'scales' must be a list, got {self.scales!r}")
+        return kind.check(ResolvedConfig(
+            kind=self.kind, grid=grid, generator=generator, extra=extra, opts=opts,
+            scales=tuple(self.scales or kind.scales(grid)), ensemble_size=size,
+            master_seed=seed, output_dir=self.output_dir))
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2)
@@ -103,7 +115,7 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         data = json.loads(text)
-        _reject_unknown_keys(data, _field_names(cls))
+        _reject_unknown_keys(data, {f.name for f in dataclass_fields(cls)})
         return cls(**data)
 
     def save(self, path) -> None:
@@ -116,16 +128,27 @@ class ExperimentConfig:
             return cls.from_json(fh.read())
 
 
+@dataclass(frozen=True)
+class ResolvedConfig:
+    """A checked `ExperimentConfig` with its defaults filled in; the runners read only this."""
+
+    kind: str
+    grid: lattice.GridSpec
+    generator: tuple            # (name, keyword arguments)
+    scales: tuple
+    extra: dict                 # every `extra` key the kind reads
+    opts: solver.SolveOptions
+    ensemble_size: int
+    master_seed: int
+    output_dir: str
+
+
 def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _field_names(cls) -> set:
-    return {f.name for f in dataclass_fields(cls)}
 
 
 def _reject_unknown_keys(data: dict, known, prefix: str = "") -> None:
@@ -135,37 +158,10 @@ def _reject_unknown_keys(data: dict, known, prefix: str = "") -> None:
                          f"expected one of {sorted(known)}")
 
 
-def _extra_args(kind: str, extra: dict) -> dict:
-    """The `extra` values the kind reads, defaults filled in."""
-    _reject_unknown_keys(extra, EXTRA_KEYS[kind], "extra.")
-    return {k: extra.get(k, v) for k, v in EXTRA_KEYS[kind].items()}
-
-
-def _positive(extra: dict, key: str) -> float:
-    value = extra[key]
-    if not _is_real(value) or not 0 < value < math.inf:
-        raise ValueError(f"'extra.{key}' must be a finite number > 0, got {value!r}")
-    return float(value)
-
-
-def _check_walk(extra: dict) -> None:
-    horizon = _positive(extra, "horizon")
-    n_paths = extra["n_paths"]
-    if not _is_integer(n_paths) or n_paths < 2:
-        raise ValueError(f"'extra.n_paths' must be an integer >= 2, got {n_paths!r}")
-    times = extra["sample_times"]
-    if times is not None and not (isinstance(times, (list, tuple)) and times and all(
-            _is_real(s) and 0 <= s <= horizon for s in times)):
-        raise ValueError(f"'extra.sample_times' must be a non-empty list of times in "
-                         f"[0, horizon = {horizon}], got {times!r}")
-
-
-def _check_green(extra: dict, grid) -> None:
-    t, dt = _positive(extra, "t"), _positive(extra, "dt")
-    if not np.isclose(round(t / dt) * dt, t):     # the step rule of parabolic_green
-        raise ValueError(f"'extra.t' = {t} must be a whole multiple of 'extra.dt' = {dt}")
-    if extra["source"] is not None:
-        lattice.cell_index(extra["source"], grid.cell_shape, name="'extra.source'")
+def _filled(block: dict, defaults: dict, prefix: str) -> dict:
+    """A config block with its defaults filled in, after its unknown keys are rejected."""
+    _reject_unknown_keys(block, defaults, prefix)
+    return {k: block.get(k, v) for k, v in defaults.items()}
 
 
 class EnsembleStats:
@@ -200,16 +196,11 @@ class EnsembleStats:
 
     def merge(self, other: "EnsembleStats") -> "EnsembleStats":
         """Combined statistics, exactly those of the concatenated sample."""
-        out = EnsembleStats()
         if other.count == 0:
-            a = self
-            out.count, out.seeds = a.count, list(a.seeds)
-            if a.count:
-                out.mean, out.M2 = a.mean.copy(), a.M2.copy()
-                out.min, out.max = a.min.copy(), a.max.copy()
-            return out
+            return copy.deepcopy(self)
         if self.count == 0:
-            return other.merge(self)
+            return copy.deepcopy(other)
+        out = EnsembleStats()
         n = self.count + other.count
         delta = other.mean - self.mean
         out.count = n
@@ -330,7 +321,7 @@ class FitTarget:
 
 
 def rate_fit(scales, values, variances=None, expected: float = None,
-             band: tuple = None, n_boot: int = 200, boot_seed: int = 0) -> FitTarget:
+             band: tuple = None) -> FitTarget:
     """Least-squares slope of log(value) against log(scale), with bootstrap CI.
 
     With per-point ensemble variances the bootstrap perturbs each value by its
@@ -338,16 +329,16 @@ def rate_fit(scales, values, variances=None, expected: float = None,
     """
     scales = np.asarray(scales, dtype=float)
     values = np.asarray(values, dtype=float)
-    if scales.size < 3:
-        raise ValueError("rate fit needs at least 3 points")
+    if scales.size < MIN_FIT_POINTS:
+        raise ValueError(f"rate fit needs at least {MIN_FIT_POINTS} points")
     if np.any(values <= 0) or np.any(scales <= 0):
         raise ValueError("rate fit needs positive scales and values")
     ls, lv = np.log(scales), np.log(values)
     slope, intercept = np.polyfit(ls, lv, 1)
 
-    rng = np.random.default_rng(boot_seed)
+    rng = np.random.default_rng(_BOOT_SEED)
     boots = []
-    for _ in range(n_boot):
+    for _ in range(_N_BOOT):
         if variances is not None:
             se = np.sqrt(np.asarray(variances, dtype=float))
             v = values + rng.standard_normal(values.shape) * se
@@ -373,26 +364,15 @@ def rate_fit(scales, values, variances=None, expected: float = None,
 # ---------------------------------------------------------------------------
 
 
-def _grid(grid_cfg: dict):
-    """The GridSpec of a config grid block, defaults filled in."""
-    _reject_unknown_keys(grid_cfg, GRID_DEFAULTS, "grid.")
-    return lattice.GridSpec(**{k: grid_cfg.get(k, v) for k, v in GRID_DEFAULTS.items()})
-
-
-def _generator_args(generator: dict):
-    """The generator's name and its keyword arguments, defaults filled in."""
-    name = generator.get("name", "checkerboard")
-    if name not in GENERATORS:
-        raise ValueError(f"unknown generator {name!r} in 'generator.name'; "
-                         f"expected one of {sorted(GENERATORS)}")
-    _reject_unknown_keys(generator, {"name", *GENERATORS[name]}, "generator.")
-    return name, {k: generator.get(k, v) for k, v in GENERATORS[name].items()}
-
-
 def field_from_config(generator: dict, grid_cfg: dict, seed: int):
-    """Build a coefficient field from a config generator block."""
-    grid = _grid(grid_cfg)
-    name, kw = _generator_args(generator)
+    """Build a coefficient field from config generator and grid blocks."""
+    rc = ExperimentConfig("field-gen", generator=generator, grid=grid_cfg).validate()
+    return _build_field(rc.generator, rc.grid, seed)
+
+
+def _build_field(generator: tuple, grid, seed: int):
+    """The field of a resolved generator (name, keyword arguments) on a GridSpec."""
+    name, kw = generator
     if name == "constant":
         matrix = np.eye(grid.d) if kw["matrix"] is None else kw["matrix"]
         return fields.make_constant(grid, np.asarray(matrix, dtype=float))
@@ -407,31 +387,31 @@ def field_from_config(generator: dict, grid_cfg: dict, seed: int):
 # ensemble members and scaling studies
 # ---------------------------------------------------------------------------
 
-# Ensemble members are module-level functions of plain data (config blocks,
-# SolveOptions, the member seed last), bound with functools.partial, so that
-# worker processes can unpickle them.
+# Ensemble members are module-level functions of plain data (the resolved
+# generator and GridSpec, SolveOptions, the member seed last), bound with
+# functools.partial, so that worker processes can unpickle them.
 
 
-def _config_field(generator: dict, grid_cfg: dict, seed: int, m: int):
+def _level_field(generator: tuple, grid, seed: int, m: int):
     """The configured field on the level-m grid: the `make_field` of `hlab cascade`."""
-    return field_from_config(generator, dict(grid_cfg, m=m), seed)
+    return _build_field(generator, replace(grid, m=m), seed)
 
 
-def _periodic_abar_member(generator, grid_cfg, opts, seed):
-    fld = field_from_config(generator, grid_cfg, seed)
+def _periodic_abar_member(generator, grid, opts, seed):
+    fld = _build_field(generator, grid, seed)
     return correctors.periodic_homogenized_matrix(fld, opts).abar.ravel()
 
 
-def _sublinearity_member(generator, grid_cfg, m, opts, seed):
-    fld = _config_field(generator, grid_cfg, seed, m)
+def _sublinearity_member(generator, grid, m, opts, seed):
+    fld = _level_field(generator, grid, seed, m)
     return correctors.sublinearity_R(correctors.finite_volume_correctors(fld, m, opts))
 
 
-def _b_r_at_origin(make_field, r, m, delta, opts, seed):
+def _b_r_at_origin(make_field, r, opts, seed):
     """Ensemble member of `fluctuation_cascade`: b_r at the origin cell, flattened."""
-    fld = make_field(seed, m)
+    fld = make_field(seed, _torus_level_for(r))
     cset = correctors.periodic_homogenized_matrix(fld, opts, with_flux_correctors=False)
-    hc = renorm.coarse_grained_b(cset, fld, r, [(0,) * fld.grid.d], delta=delta, opts=opts)
+    hc = renorm.coarse_grained_b(cset, fld, r, [(0,) * fld.grid.d], opts=opts)
     return hc.b[0].ravel()
 
 
@@ -450,9 +430,20 @@ def _torus_level_for(r: float) -> int:
     return m
 
 
+def _variance_fit(runs, n_seeds: int, master_seed: int, band: tuple, jobs: int):
+    """One ensemble per (length, member) pair of `runs`, in increasing length, and
+    the log-log fit of each ensemble's summed variance against its length."""
+    if n_seeds < MIN_SEEDS:
+        raise ValueError(f"variance estimation needs at least {MIN_SEEDS} seeds")
+    stats = [ensemble(run, n_seeds, master_seed, jobs) for _, run in runs]
+    fit = rate_fit([length for length, _ in runs],
+                   [max(float(np.sum(st.variance)), 1e-300) for st in stats], band=band)
+    return stats, fit
+
+
 def fluctuation_cascade(make_field, r_list, n_seeds: int, master_seed: int = 0,
-                        delta: float = 0.25, band: tuple = None,
-                        opts: solver.SolveOptions = None, jobs: int = 1) -> dict:
+                        band: tuple = None, opts: solver.SolveOptions = None,
+                        jobs: int = 1) -> dict:
     """Ensemble variance of b_r(0) across radii, with a log-log slope fit.
 
     `make_field(seed, m)` must return a periodic coefficient field on the
@@ -460,24 +451,14 @@ def fluctuation_cascade(make_field, r_list, n_seeds: int, master_seed: int = 0,
     a functools.partial of one).  Every sampled point enters the statistics:
     degenerate points contribute their blended value.
     """
-    if n_seeds < 2:
-        raise ValueError("variance estimation needs at least 2 seeds")
-    per_r = []
-    for r in sorted(r_list):
-        m = _torus_level_for(r)
-        run = partial(_b_r_at_origin, make_field, r, m, delta, opts)
-        stats = ensemble(run, n_seeds, master_seed, jobs)
-        per_r.append({
-            "r": float(r), "torus_level": m,
-            "mean": np.asarray(stats.mean),
-            "variance": np.asarray(stats.variance),
-            "total_variance": float(np.asarray(stats.variance).sum()),
-        })
-    fit = rate_fit([row["r"] for row in per_r],
-                   [max(row["total_variance"], 1e-300) for row in per_r],
-                   band=band)
-    return {"per_r": per_r, "fit": fit, "n_seeds": n_seeds,
-            "master_seed": master_seed, "delta": delta}
+    radii = [float(r) for r in sorted(r_list)]
+    stats, fit = _variance_fit([(r, partial(_b_r_at_origin, make_field, r, opts)) for r in radii],
+                               n_seeds, master_seed, band, jobs)
+    per_r = [{"r": r, "torus_level": _torus_level_for(r), "mean": np.asarray(st.mean),
+              "variance": np.asarray(st.variance),
+              "total_variance": float(np.asarray(st.variance).sum())}
+             for r, st in zip(radii, stats)]
+    return {"per_r": per_r, "fit": fit, "n_seeds": n_seeds, "master_seed": master_seed}
 
 
 def cube_average_fluctuations(make_field, n_list, n_seeds: int,
@@ -487,30 +468,18 @@ def cube_average_fluctuations(make_field, n_list, n_seeds: int,
 
     `make_field` is as in `fluctuation_cascade`.
     """
-    if n_seeds < 2:
-        raise ValueError("variance estimation needs at least 2 seeds")
-    per_n = []
-    for n in sorted(n_list):
-        stats = ensemble(partial(_e1_upper_entry, make_field, n, opts), n_seeds, master_seed, jobs)
-        per_n.append({
-            "n": int(n), "scale": float(3**n),
-            "mean": float(stats.mean),
-            "variance": float(stats.variance),
-        })
-    fit = rate_fit([row["scale"] for row in per_n],
-                   [max(row["variance"], 1e-300) for row in per_n],
-                   band=band)
-    return {"per_n": per_n, "fit": fit, "n_seeds": n_seeds,
-            "master_seed": master_seed}
+    levels = sorted(n_list)
+    stats, fit = _variance_fit(
+        [(float(3**n), partial(_e1_upper_entry, make_field, n, opts)) for n in levels],
+        n_seeds, master_seed, band, jobs)
+    per_n = [{"n": int(n), "scale": float(3**n), "mean": float(st.mean),
+              "variance": float(st.variance)} for n, st in zip(levels, stats)]
+    return {"per_n": per_n, "fit": fit, "n_seeds": n_seeds, "master_seed": master_seed}
 
 
 # ---------------------------------------------------------------------------
 # experiment execution
 # ---------------------------------------------------------------------------
-
-
-def _solve_options(cfg: "ExperimentConfig"):
-    return solver.SolveOptions(**cfg.solver)
 
 
 def _write_csv(path, header, rows):
@@ -529,10 +498,8 @@ def _write_json(path, payload):
 
 def json_default(obj):
     """The JSON form of numpy arrays and scalars, as `json.dump`'s default."""
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.ndarray, np.floating, np.integer)):
         return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
@@ -543,16 +510,16 @@ def run_experiment(cfg: "ExperimentConfig", jobs: int = 1) -> dict:
     (also written as summary.json).  Any failure is captured in error.json
     and re-raised.
     """
-    cfg.validate()
+    rc = cfg.validate()
     _check_jobs(jobs)
-    out = cfg.output_dir
+    out = rc.output_dir
     os.makedirs(out, exist_ok=True)
     t0 = time.time()
     try:
-        summary = _EXPERIMENTS[cfg.kind](cfg, jobs)
+        summary = KINDS[rc.kind].run(rc, jobs)
     except Exception as exc:  # noqa: BLE001 - reported then re-raised
         _write_json(os.path.join(out, "error.json"),
-                    {"kind": cfg.kind, "error": f"{type(exc).__name__}: {exc}"})
+                    {"kind": rc.kind, "error": f"{type(exc).__name__}: {exc}"})
         raise
     meta = {
         "config": json.loads(cfg.to_json()),
@@ -565,121 +532,87 @@ def run_experiment(cfg: "ExperimentConfig", jobs: int = 1) -> dict:
     return summary
 
 
-def _exp_field_gen(cfg, jobs):
-    fld = field_from_config(cfg.generator, cfg.grid, cfg.master_seed)
-    path = os.path.join(cfg.output_dir, "field.bin")
+def _exp_field_gen(rc, jobs):
+    fld = _build_field(rc.generator, rc.grid, rc.master_seed)
+    path = os.path.join(rc.output_dir, "field.bin")
     lattice.write_field(path, fld.a, fld.grid, kind="coefficient", provenance=fld.provenance)
     return {"kind": "field-gen", "path": path, "provenance": fld.provenance}
 
 
-def _exp_coarsen(cfg, jobs):
-    opts = _solve_options(cfg)
-    fld = field_from_config(cfg.generator, cfg.grid, cfg.master_seed)
-    m = fld.grid.m
-    cube = fld.grid.macro_cube()
-    levels = [int(s) for s in (cfg.scales or range(m + 1))]
-    outside = [n for n in levels if not 0 <= n <= m]
-    if outside:
-        raise ValueError(f"scales {outside} lie outside the levels [0, {m}] of the grid")
-    # each level's partition is solved once; the ledger reads the finest
-    # level's children and the level-m parent from the cascade's results
+def _exp_coarsen(rc, jobs):
+    fld = _build_field(rc.generator, rc.grid, rc.master_seed)
+    m, levels = rc.grid.m, rc.scales
     below = [n for n in levels if n < m]
-    children = parent = None
-    recs = []
-    for n in sorted(levels):
-        results = coarse.partition_matrices(fld, cube, n, opts)
-        recs.append(coarse.cascade_record(n, results))
-        if below and n == min(below):
-            children = results
-        elif n == m:
-            parent = results[0]
-    coarse.write_cascade_csv(os.path.join(cfg.output_dir, "cascade.csv"), recs)
-    sub = None
-    if below:
-        if parent is None:
-            parent = coarse.partition_matrices(fld, cube, m, opts)[0]
-        sub = coarse.subadditivity_slacks(parent, children)
+    parts = {n: coarse.partition_matrices(fld, rc.grid.macro_cube(), n, rc.opts)
+             for n in sorted(set(levels) | ({m} if below else set()))}
+    recs = [coarse.cascade_record(n, parts[n]) for n in sorted(levels)]
+    coarse.write_cascade_csv(os.path.join(rc.output_dir, "cascade.csv"), recs)
+    sub = coarse.subadditivity_slacks(parts[m][0], parts[min(below)]) if below else None
     return {
         "kind": "coarsen",
-        "levels": levels,
+        "levels": list(levels),
         "gap_by_level": {r.level: r.gap_mean for r in recs},
         "subadditivity_slacks": None if sub is None else {
             "upper": sub["upper_slack_min_eig"], "lower": sub["lower_slack_min_eig"]},
     }
 
 
-def _exp_corrector(cfg, jobs):
-    opts = _solve_options(cfg)
-    mode = _extra_args("corrector", cfg.extra)["mode"]
+def _exp_corrector(rc, jobs):
+    mode = rc.extra["mode"]
     if mode == "periodic":
-        run = partial(_periodic_abar_member, cfg.generator, cfg.grid, opts)
-        stats = ensemble(run, cfg.ensemble_size, cfg.master_seed, jobs)
-        d = cfg.grid.get("d", 2)
-        summary = {"kind": "corrector", "mode": mode,
-                   "abar_mean": np.asarray(stats.mean).reshape(d, d),
-                   "abar_variance": np.asarray(stats.variance).reshape(d, d)}
-    else:
-        levels = [int(s) for s in cfg.scales]
-        table = []
-        for m in levels:
-            run = partial(_sublinearity_member, cfg.generator, cfg.grid, m, opts)
-            stats = ensemble(run, cfg.ensemble_size, cfg.master_seed, jobs)
-            table.append((m, float(stats.mean), float(stats.variance)))
-        _write_csv(os.path.join(cfg.output_dir, "sublinearity.csv"),
-                   ["m", "R_mean", "R_variance"], table)
-        fit = rate_fit([3.0**m for m, _, _ in table], [r for _, r, _ in table])
-        summary = {"kind": "corrector", "mode": mode,
-                   "R_table": table, "fit": fit.to_dict()}
-    return summary
+        run = partial(_periodic_abar_member, rc.generator, rc.grid, rc.opts)
+        stats = ensemble(run, rc.ensemble_size, rc.master_seed, jobs)
+        d = rc.grid.d
+        return {"kind": "corrector", "mode": mode,
+                "abar_mean": np.asarray(stats.mean).reshape(d, d),
+                "abar_variance": np.asarray(stats.variance).reshape(d, d)}
+    table = []
+    for m in rc.scales:
+        run = partial(_sublinearity_member, rc.generator, rc.grid, m, rc.opts)
+        stats = ensemble(run, rc.ensemble_size, rc.master_seed, jobs)
+        table.append((m, float(stats.mean), float(stats.variance)))
+    _write_csv(os.path.join(rc.output_dir, "sublinearity.csv"),
+               ["m", "R_mean", "R_variance"], table)
+    fit = rate_fit([3.0**m for m, _, _ in table], [r for _, r, _ in table])
+    return {"kind": "corrector", "mode": mode, "R_table": table, "fit": fit.to_dict()}
 
 
-def _exp_twoscale(cfg, jobs):
-    opts = _solve_options(cfg)
-    d, k = cfg.grid.get("d", 2), cfg.grid.get("k", 10)
-    unit = field_from_config(cfg.generator, dict(cfg.grid, m=0, k=k), cfg.master_seed)
-    cset = correctors.periodic_homogenized_matrix(unit, opts)
-    p = cfg.extra.get("slope", [1.0] + [0.0] * (d - 1))
-    u = twoscale.macro_affine(p)
-    reports = []
-    for eps in (cfg.scales or [1 / 3, 1 / 9, 1 / 27]):
-        M = round(-np.log(float(eps)) / np.log(3.0))
-        fld = fields.tile_unit_cell(unit, M)
-        reports.append(twoscale.dirichlet_error(fld, u, cset, float(eps), opts))
+def _exp_twoscale(rc, jobs):
+    unit = _level_field(rc.generator, rc.grid, rc.master_seed, 0)
+    cset = correctors.periodic_homogenized_matrix(unit, rc.opts)
+    u = twoscale.macro_affine(rc.extra["slope"])
+    reports = [twoscale.dirichlet_error(fields.tile_unit_cell(unit, twoscale.scale_level(eps)),
+                                        u, cset, eps, rc.opts) for eps in rc.scales]
     rows = twoscale.error_table_rows(reports)
-    _write_csv(os.path.join(cfg.output_dir, "twoscale.csv"),
+    _write_csv(os.path.join(rc.output_dir, "twoscale.csv"),
                list(rows[0].keys()), [list(r.values()) for r in rows])
     fit = rate_fit([r.eps for r in reports], [r.grad_error for r in reports])
     return {"kind": "twoscale", "rows": rows, "grad_rate": fit.to_dict(),
             "abar": cset.abar}
 
 
-def _exp_cascade(cfg, jobs):
-    radii = [float(r) for r in (cfg.scales or [4, 8, 16, 32])]
-    make_field = partial(_config_field, cfg.generator, cfg.grid)
-    out = fluctuation_cascade(make_field, radii, cfg.ensemble_size,
-                              cfg.master_seed, opts=_solve_options(cfg), jobs=jobs)
+def _exp_cascade(rc, jobs):
+    make_field = partial(_level_field, rc.generator, rc.grid)
+    out = fluctuation_cascade(make_field, rc.scales, rc.ensemble_size,
+                              rc.master_seed, opts=rc.opts, jobs=jobs)
     rows = [(row["r"], row["torus_level"], row["total_variance"])
             for row in out["per_r"]]
-    _write_csv(os.path.join(cfg.output_dir, "cascade_variance.csv"),
+    _write_csv(os.path.join(rc.output_dir, "cascade_variance.csv"),
                ["r", "torus_level", "total_variance"], rows)
     summary = {"kind": "cascade", "per_r": rows, "fit": out["fit"].to_dict()}
-    cube_levels = cfg.extra.get("cube_levels")
-    if cube_levels:
-        out2 = cube_average_fluctuations(make_field, [int(n) for n in cube_levels],
-                                         cfg.ensemble_size, cfg.master_seed,
-                                         opts=_solve_options(cfg), jobs=jobs)
+    if rc.extra["cube_levels"]:
+        out2 = cube_average_fluctuations(make_field, rc.extra["cube_levels"],
+                                         rc.ensemble_size, rc.master_seed,
+                                         opts=rc.opts, jobs=jobs)
         summary["cube_fit"] = out2["fit"].to_dict()
         summary["cube_per_n"] = [(r["n"], r["variance"]) for r in out2["per_n"]]
     return summary
 
 
-def _exp_walk(cfg, jobs):
-    fld = field_from_config(cfg.generator, cfg.grid, cfg.master_seed)
-    net = stochproc.build_network(fld)
-    extra = _extra_args("walk", cfg.extra)
-    T = float(extra["horizon"])
-    n_paths = int(extra["n_paths"])
-    rep = stochproc.simulate_walks(net, T, n_paths, cfg.master_seed, extra["sample_times"])
+def _exp_walk(rc, jobs):
+    net = stochproc.build_network(_build_field(rc.generator, rc.grid, rc.master_seed))
+    horizon, n_paths, times = rc.extra["horizon"], rc.extra["n_paths"], rc.extra["sample_times"]
+    rep = stochproc.simulate_walks(net, horizon, n_paths, rc.master_seed, times)
     return {
         "kind": "walk", "times": rep.times, "n_paths": n_paths,
         "covariances": [c for c in rep.covariances],
@@ -688,13 +621,10 @@ def _exp_walk(cfg, jobs):
     }
 
 
-def _exp_green(cfg, jobs):
-    fld = field_from_config(cfg.generator, cfg.grid, cfg.master_seed)
-    extra = _extra_args("green", cfg.extra)
-    t_final = float(extra["t"])
-    dt = float(extra["dt"])
-    source = extra["source"] or [fld.grid.side // 2] * fld.grid.d
-    rep = stochproc.parabolic_green(fld, t_final, tuple(int(s) for s in source), dt)
+def _exp_green(rc, jobs):
+    fld = _build_field(rc.generator, rc.grid, rc.master_seed)
+    t_final, dt, source = rc.extra["t"], rc.extra["dt"], rc.extra["source"]
+    rep = stochproc.parabolic_green(fld, t_final, source, dt)
     return {
         "kind": "green", "t": t_final, "dt": dt, "source": list(source),
         "errors": rep.green_errors, "nash_margins": rep.nash_margins,
@@ -702,12 +632,119 @@ def _exp_green(cfg, jobs):
     }
 
 
-_EXPERIMENTS = {
-    "field-gen": _exp_field_gen,
-    "coarsen": _exp_coarsen,
-    "corrector": _exp_corrector,
-    "twoscale": _exp_twoscale,
-    "cascade": _exp_cascade,
-    "walk": _exp_walk,
-    "green": _exp_green,
+# ---------------------------------------------------------------------------
+# the experiment kinds: each kind's defaults, its check and its runner
+# ---------------------------------------------------------------------------
+
+
+def _check_levels(levels, key: str, top=math.inf, count: int = 1) -> None:
+    if not (isinstance(levels, (list, tuple)) and len(levels) >= count
+            and all(_is_integer(n) and 0 <= n <= top for n in levels)):
+        raise ValueError(f"{key} must be {count} or more integer levels in [0, {top}], "
+                         f"got {levels!r}")
+
+
+def _numbers(values, key: str, count: int, check=float) -> tuple:
+    """`values` as floats, if it lists `count` or more finite numbers that
+    `check` accepts; a ValueError from `check` is raised again naming `key`."""
+    if not (isinstance(values, (list, tuple)) and len(values) >= count
+            and all(_is_real(x) and math.isfinite(x) for x in values)):
+        raise ValueError(f"{key} must be {count} or more finite numbers, got {values!r}")
+    try:
+        for x in values:
+            check(x)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+    return tuple(float(x) for x in values)
+
+
+def _positive(extra: dict, key: str) -> float:
+    value = extra[key]
+    if not _is_real(value) or not 0 < value < math.inf:
+        raise ValueError(f"'extra.{key}' must be a finite number > 0, got {value!r}")
+    return float(value)
+
+
+def _check_coarsen(rc):
+    _check_levels(rc.scales, "'scales'", top=rc.grid.m)
+    return rc
+
+
+def _check_corrector(rc):
+    mode = rc.extra["mode"]
+    if mode not in CORRECTOR_MODES:
+        raise ValueError(f"unknown corrector mode {mode!r} in 'extra.mode'; "
+                         f"expected one of {CORRECTOR_MODES}")
+    if mode == "finite-volume":
+        _check_levels(rc.scales, "'scales'", count=MIN_FIT_POINTS)
+    return rc
+
+
+def _check_twoscale(rc):
+    scales = _numbers(rc.scales, "'scales'", MIN_FIT_POINTS, twoscale.scale_level)
+    d, slope = rc.grid.d, rc.extra["slope"]
+    if slope is not None and len(_numbers(slope, "'extra.slope'", d)) != d:
+        raise ValueError(f"'extra.slope' must be {d} numbers, got {slope!r}")
+    return replace(rc, scales=scales, extra={"slope": slope or [1.0] + [0.0] * (d - 1)})
+
+
+def _check_cascade(rc):
+    if rc.ensemble_size < MIN_SEEDS:
+        raise ValueError(f"ensemble_size must be >= {MIN_SEEDS} for a variance, "
+                         f"got {rc.ensemble_size}")
+    radii = _numbers(rc.scales, "'scales'", MIN_FIT_POINTS,
+                     partial(renorm.heat_kernel_1d, h=rc.grid.h))
+    if rc.extra["cube_levels"]:
+        _check_levels(rc.extra["cube_levels"], "'extra.cube_levels'", count=MIN_FIT_POINTS)
+    return replace(rc, scales=radii)
+
+
+def _check_walk(rc):
+    horizon = _positive(rc.extra, "horizon")
+    n_paths = rc.extra["n_paths"]
+    if not _is_integer(n_paths) or n_paths < 2:
+        raise ValueError(f"'extra.n_paths' must be an integer >= 2, got {n_paths!r}")
+    times = rc.extra["sample_times"]
+    if times is not None and not (isinstance(times, (list, tuple)) and times and all(
+            _is_real(s) and 0 <= s <= horizon for s in times)):
+        raise ValueError(f"'extra.sample_times' must be a non-empty list of times in "
+                         f"[0, horizon = {horizon}], got {times!r}")
+    return replace(rc, extra=dict(rc.extra, horizon=horizon))
+
+
+def _check_green(rc):
+    t, dt = _positive(rc.extra, "t"), _positive(rc.extra, "dt")
+    if not np.isclose(round(t / dt) * dt, t):     # the step rule of parabolic_green
+        raise ValueError(f"'extra.t' = {t} must be a whole multiple of 'extra.dt' = {dt}")
+    source = rc.extra["source"]
+    if source is not None:
+        lattice.cell_index(source, rc.grid.cell_shape, name="'extra.source'")
+    return replace(rc, extra={"t": t, "dt": dt,
+                              "source": source or [rc.grid.side // 2] * rc.grid.d})
+
+
+@dataclass(frozen=True)
+class ExperimentKind:
+    """One experiment kind: its runner, its check and its defaults."""
+
+    run: Callable                       # run(resolved, jobs) -> summary
+    check: Callable = lambda rc: rc     # check(resolved) -> resolved, derived values filled in
+    extra: dict = field(default_factory=dict)   # the `extra` keys it reads, with defaults
+    grid: dict = field(default_factory=dict)    # its grid defaults over GRID_DEFAULTS
+    scales: Callable = lambda grid: ()  # scales(grid) -> the default scales
+
+
+KINDS = {
+    "field-gen": ExperimentKind(_exp_field_gen),
+    "coarsen": ExperimentKind(_exp_coarsen, _check_coarsen,
+                              scales=lambda grid: range(grid.m + 1)),
+    "corrector": ExperimentKind(_exp_corrector, _check_corrector, extra={"mode": "periodic"}),
+    "twoscale": ExperimentKind(_exp_twoscale, _check_twoscale, extra={"slope": None},
+                               grid={"k": 10}, scales=lambda grid: (1 / 3, 1 / 9, 1 / 27)),
+    "cascade": ExperimentKind(_exp_cascade, _check_cascade, extra={"cube_levels": None},
+                              scales=lambda grid: (4.0, 8.0, 16.0, 32.0)),
+    "walk": ExperimentKind(_exp_walk, _check_walk,
+                           extra={"horizon": 100.0, "n_paths": 10_000, "sample_times": None}),
+    "green": ExperimentKind(_exp_green, _check_green,
+                            extra={"t": 25.0, "dt": 0.25, "source": None}),
 }

@@ -291,21 +291,19 @@ def _block_averages(block: np.ndarray, bs: int, d: int) -> np.ndarray:
     return r.mean(axis=axes)
 
 
-def weak_norm_estimate(f: np.ndarray, grid: GridSpec, cube: TriadicCube = None) -> float:
-    """Multiscale dual-norm upper bound: L2 term plus weighted subcube averages.
+def weak_norm_estimate(f: np.ndarray, grid: GridSpec) -> float:
+    """Multiscale dual-norm upper bound on the macro cube: L2 term plus weighted
+    subcube averages.
 
     All prefactor constants are set to one; only ratios and scalings matter.
     """
-    if cube is None:
-        cube = grid.macro_cube()
-    sl = cube.cell_slices(grid)
-    block = np.asarray(f, dtype=float)[sl]
+    block = np.asarray(f, dtype=float)[grid.macro_cube().cell_slices(grid)]
     d = grid.d
     sq = block**2
     if block.ndim > d:
         sq = sq.sum(axis=tuple(range(d, block.ndim)))
     total = float(np.sqrt(sq.mean()))
-    for n in range(cube.level):
+    for n in range(grid.m):
         bs = 3**n * grid.k
         av = _block_averages(block, bs, d)
         av_sq = av**2
@@ -315,15 +313,12 @@ def weak_norm_estimate(f: np.ndarray, grid: GridSpec, cube: TriadicCube = None) 
     return total
 
 
-def dual_norm_oracle(f: np.ndarray, grid: GridSpec, cube: TriadicCube = None) -> float:
-    """Energy norm of the Neumann solution of -lap v = f - (f) on the cube.
+def dual_norm_oracle(f: np.ndarray, grid: GridSpec) -> float:
+    """Energy norm of the Neumann solution of -lap v = f - (f) on the macro cube.
 
     Solved exactly in the cosine basis of the constant-coefficient operator.
     """
-    if cube is None:
-        cube = grid.macro_cube()
-    sl = cube.cell_slices(grid)
-    block = np.asarray(f, dtype=float)[sl]
+    block = np.asarray(f, dtype=float)[grid.macro_cube().cell_slices(grid)]
     if block.ndim != grid.d:
         raise ValueError("dual_norm_oracle expects a scalar cell field")
     block = block - block.mean()

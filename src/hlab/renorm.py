@@ -33,6 +33,8 @@ __all__ = [
 ]
 
 COND_GATE = 1e3
+PROXY_DELTA = 0.25    # duality-gap threshold of the local minimal-scale proxy, in units of Lam - lam
+PROXY_CAP = 4         # highest cube level the local proxy searches
 KERNEL_SUPPORT = 6.0  # support radius in units of r
 
 
@@ -142,8 +144,7 @@ def _local_min_scale(a_field: CoefficientField, point, delta: float,
 
 
 def coarse_grained_b(cset: CorrectorSet, a_field: CoefficientField, r: float,
-                     points, delta: float = 0.25, proxy_cap: int = 4,
-                     opts: SolveOptions = None) -> HeatCoarsening:
+                     points, opts: SolveOptions = None) -> HeatCoarsening:
     """b_r at the given cell centers from a periodic corrector set."""
     if cset.mode != "periodic":
         raise ValueError("heat coarsening needs a periodic corrector set")
@@ -162,7 +163,7 @@ def coarse_grained_b(cset: CorrectorSet, a_field: CoefficientField, r: float,
         G = np.column_stack([heat_point_value(grads[k], r, h, pt) for k in range(d)])
         Q = np.column_stack([heat_point_value(fluxes[k], r, h, pt) for k in range(d)])
         c = float(np.linalg.cond(G))
-        X = _local_min_scale(a_field, pt, delta, proxy_cap, opts)
+        X = _local_min_scale(a_field, pt, PROXY_DELTA, PROXY_CAP, opts)
         chi = float(np.clip(2.0 - X / r, 0.0, 1.0))
         if c <= COND_GATE:
             b_hat = Q @ np.linalg.inv(G)
@@ -176,7 +177,7 @@ def coarse_grained_b(cset: CorrectorSet, a_field: CoefficientField, r: float,
         r=r, points=list(points), G=Gs, Q=Qs, b_hat=b_hats,
         cond=conds, chi=chis, b=bs, abar=cset.abar,
         metadata={"kernel_tail_mass": tail, "cond_gate": COND_GATE,
-                  "delta": delta, "proxy_cap": proxy_cap},
+                  "delta": PROXY_DELTA, "proxy_cap": PROXY_CAP},
     )
 
 

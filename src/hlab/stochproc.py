@@ -32,6 +32,9 @@ __all__ = [
     "green_symmetry_check",
 ]
 
+CELL_TOL = 1e-10    # CG tolerance of the network's periodic cell problem
+STEP_TOL = 1e-11    # CG tolerance of each implicit-Euler step of the Green function
+
 
 @dataclass
 class ConductanceNetwork:
@@ -85,7 +88,7 @@ def network_operator(net: ConductanceNetwork):
     return stencil_matrix(stencil, periodic=True)
 
 
-def network_homogenized_matrix(net: ConductanceNetwork, tol: float = 1e-10) -> np.ndarray:
+def network_homogenized_matrix(net: ConductanceNetwork) -> np.ndarray:
     """Homogenized matrix of the conductance network via its cell problem.
 
     The corrector chi_k of axis k minimizes the edge Dirichlet energy of
@@ -100,7 +103,7 @@ def network_homogenized_matrix(net: ConductanceNetwork, tol: float = 1e-10) -> n
     b = np.stack([(c - np.roll(c, 1, axis=k)) / h for k, c in enumerate(net.cond)])
     b -= b.mean(axis=tuple(range(1, d + 1)), keepdims=True)
     chi, _, _ = cg(network_operator(net), b, lambda r: spectral.torus_solve_nodespace(r, h, sym),
-                   tol, 10_000)
+                   CELL_TOL, 10_000)
     flux_gain = b.reshape(d, -1) @ chi.reshape(d, -1).T / b[0].size
     abar = np.diag([c.mean() for c in net.cond]) - flux_gain
     return 0.5 * (abar + abar.T)
@@ -212,8 +215,7 @@ def simulate_walks(net: ConductanceNetwork, T: float, n_paths: int, seed: int,
 
 
 def parabolic_green(a_field: CoefficientField, t_final: float, source,
-                    dt: float = 0.25, tol: float = 1e-11,
-                    abar: np.ndarray = None) -> DiffusionReport:
+                    dt: float = 0.25) -> DiffusionReport:
     """Green density P(t, ., source) with Gaussian comparison and margins.
 
     `source` holds the integer indices of a cell.  Each implicit-Euler step
@@ -237,15 +239,13 @@ def parabolic_green(a_field: CoefficientField, t_final: float, source,
     iters = 0
     for _ in range(n_steps):
         before = u.sum() * cell_mass
-        u, _, it = cg(step, u[None], lambda r: spectral.torus_solve_nodespace(r, h, denom), tol,
-                      5000)
+        u, _, it = cg(step, u[None], lambda r: spectral.torus_solve_nodespace(r, h, denom),
+                      STEP_TOL, 5000)
         u = u[0]
         iters += int(it[0])
         mass_drift = max(mass_drift, abs(u.sum() * cell_mass - before))
 
-    if abar is None:
-        abar = network_homogenized_matrix(net)
-    abar = np.asarray(abar, dtype=float)
+    abar = network_homogenized_matrix(net)
     ainv = np.linalg.inv(abar)
     det = np.linalg.det(abar)
 
@@ -285,8 +285,8 @@ def parabolic_green(a_field: CoefficientField, t_final: float, source,
 
 
 def green_symmetry_check(a_field: CoefficientField, t_final: float, x, y,
-                         dt: float = 0.25, tol: float = 1e-11) -> float:
+                         dt: float = 0.25) -> float:
     """|P(t, y, x) - P(t, x, y)| for one source/target pair."""
-    px = parabolic_green(a_field, t_final, x, dt, tol).green_field
-    py = parabolic_green(a_field, t_final, y, dt, tol).green_field
+    px = parabolic_green(a_field, t_final, x, dt).green_field
+    py = parabolic_green(a_field, t_final, y, dt).green_field
     return float(abs(px[tuple(y)] - py[tuple(x)]))

@@ -25,6 +25,7 @@ __all__ = [
     "TwoScaleReport",
     "macro_affine",
     "macro_harmonic_quadratic",
+    "scale_level",
     "build_two_scale",
     "dirichlet_error",
     "error_table_rows",
@@ -94,6 +95,14 @@ def _tile_corrector_nodes(phi: np.ndarray, reps: int) -> np.ndarray:
     return tiled
 
 
+def scale_level(eps: float) -> int:
+    """The level M of the scale ratio eps = 3^-M; a ValueError unless M is an integer >= 0."""
+    M = round(-np.log(eps) / np.log(3.0)) if 0.0 < eps < np.inf else -1
+    if M < 0 or not np.isclose(eps, 3.0 ** (-M)):
+        raise ValueError(f"scale ratio {eps} is not a nonnegative power of 1/3")
+    return M
+
+
 def build_two_scale(u: MacroFunction, cset: CorrectorSet, eps: float) -> np.ndarray:
     """w^eps = u + eps sum_k (d_k u) phi_k(./eps) at the nodes of the lattice cube.
 
@@ -103,9 +112,7 @@ def build_two_scale(u: MacroFunction, cset: CorrectorSet, eps: float) -> np.ndar
     """
     if cset.mode != "periodic" or cset.grid.m != 0:
         raise ValueError("two-scale expansion needs a periodic unit-cell corrector set")
-    M = round(-np.log(eps) / np.log(3.0))
-    if not np.isclose(eps, 3.0 ** (-M)) or M < 0:
-        raise ValueError(f"scale ratio {eps} is not a nonnegative power of 1/3")
+    M = scale_level(eps)
     d, k = cset.grid.d, cset.grid.k
     reps = 3**M
     macro_grid = GridSpec(d, M, k)
@@ -129,9 +136,7 @@ def dirichlet_error(a_field: CoefficientField, u: MacroFunction, cset: Corrector
     centers); the fine problem then has no bulk forcing.
     """
     opts = opts or SolveOptions()
-    M = round(-np.log(eps) / np.log(3.0))
-    if not np.isclose(eps, 3.0 ** (-M)):
-        raise ValueError(f"scale ratio {eps} is not a power of 1/3")
+    M = scale_level(eps)
     grid = a_field.grid
     d, k, h = grid.d, grid.k, grid.h
     if grid.m != M or k != cset.grid.k:

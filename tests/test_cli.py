@@ -53,7 +53,7 @@ def test_negative_seed_rejected_before_any_solve(runner, tmp_path, monkeypatch):
     def no_field(*args, **kwargs):
         raise AssertionError("built a field before the seed was checked")
 
-    monkeypatch.setattr(hlab.harness, "field_from_config", no_field)
+    monkeypatch.setattr(hlab.harness, "_build_field", no_field)
     out = tmp_path / "out"
     result = runner.invoke(main, ["coarsen", "--seed", "-1", "--out", str(out)])
     assert result.exit_code == 1
@@ -68,7 +68,7 @@ def test_jobs_below_one_rejected_before_any_solve(runner, tmp_path, monkeypatch,
     def no_field(*args, **kwargs):
         raise AssertionError("built a field before the jobs were checked")
 
-    monkeypatch.setattr(hlab.harness, "field_from_config", no_field)
+    monkeypatch.setattr(hlab.harness, "_build_field", no_field)
     out = tmp_path / "out"
     result = runner.invoke(main, ["coarsen", "--jobs", jobs, "--out", str(out)])
     assert result.exit_code == 1
@@ -82,14 +82,15 @@ def test_jobs_below_one_rejected_before_any_solve(runner, tmp_path, monkeypatch,
     ("cascade", {"ensemble_size": "3"}, "ensemble_size"),
     ("cascade", {"extra": {"cube_level": [1, 2]}}, "'extra.cube_level'"),
     ("walk", {"extra": {"horizon": -5}}, "'extra.horizon'"),
-], ids=["size-float", "size-bool", "size-str", "extra-key", "walk-horizon"])
+    ("twoscale", {"scales": [0.5, 1 / 9, 1 / 27]}, "'scales'"),
+], ids=["size-float", "size-bool", "size-str", "extra-key", "walk-horizon", "twoscale-eps"])
 def test_bad_config_rejected_before_any_solve(runner, tmp_path, monkeypatch, kind, override, key):
     import hlab.harness
 
     def no_field(*args, **kwargs):
         raise AssertionError("built a field before the config was checked")
 
-    monkeypatch.setattr(hlab.harness, "field_from_config", no_field)
+    monkeypatch.setattr(hlab.harness, "_build_field", no_field)
     path = tmp_path / "cfg.json"
     ExperimentConfig(kind=kind, **override).save(path)
     out = tmp_path / "out"

@@ -1,5 +1,6 @@
 """Configs, deterministic ensembles, streaming statistics, rate fits, runner."""
 
+import csv
 import json
 
 import numpy as np
@@ -62,7 +63,7 @@ class TestConfig:
                          (dict(extra={"mode": "periodc"}), "'extra.mode'")):
             with pytest.raises(ValueError, match=key):
                 ExperimentConfig(kind="corrector", **bad).validate()
-        ExperimentConfig(kind="corrector", grid={"d": 3, "m": 2, "k": 1},
+        ExperimentConfig(kind="corrector", grid={"d": 3, "m": 2, "k": 1}, scales=[1, 2, 3],
                          generator={"name": "gaussian", "Lam": 3.0},
                          extra={"mode": "finite-volume"}).validate()
         for size in (2.5, True, "3", 0):
@@ -73,7 +74,8 @@ class TestConfig:
                             ("green", {"horizon": 4.0})):
             with pytest.raises(ValueError, match=f"'extra.{next(iter(extra))}'"):
                 ExperimentConfig(kind=kind, extra=extra).validate()
-        ExperimentConfig(kind="cascade", ensemble_size=2, extra={"cube_levels": [1, 2]}).validate()
+        ExperimentConfig(kind="cascade", ensemble_size=2,
+                         extra={"cube_levels": [1, 2, 3]}).validate()
         # walk and green values are checked before any solve, by key
         for kind, extra, key in (
                 ("walk", {"horizon": -5}, "'extra.horizon'"),
@@ -95,6 +97,38 @@ class TestConfig:
                                              "sample_times": [0, 2.5, 4]}).validate()
         ExperimentConfig(kind="green", grid={"d": 3, "m": 1, "k": 2},
                          extra={"t": 1.0, "dt": 0.25, "source": [5, 0, 3]}).validate()
+        # scales, slopes and levels that would fail only after solves
+        fv = {"mode": "finite-volume"}
+        for kind, bad, key in (
+                ("twoscale", dict(scales=[0.5, 1 / 9, 1 / 27]), "'scales'"),
+                ("twoscale", dict(scales=[3.0, 1.0, 1 / 3]), "'scales'"),
+                ("twoscale", dict(scales=[1 / 3, 1 / 9]), "'scales'"),
+                ("twoscale", dict(extra={"slope": [1, 0, 0]}), "'extra.slope'"),
+                ("twoscale", dict(extra={"slope": [1, "0"]}), "'extra.slope'"),
+                ("cascade", dict(ensemble_size=2, scales=[0.5, 1, 2]), "'scales'"),
+                ("cascade", dict(ensemble_size=2, scales=[1, 2]), "'scales'"),
+                ("cascade", dict(ensemble_size=2, extra={"cube_levels": [-1, 1, 2]}),
+                 "'extra.cube_levels'"),
+                ("cascade", dict(ensemble_size=2, extra={"cube_levels": [1, 2]}),
+                 "'extra.cube_levels'"),
+                ("cascade", dict(ensemble_size=1), "ensemble_size"),
+                ("corrector", dict(scales=[-1, 1, 2], extra=fv), "'scales'"),
+                ("corrector", dict(scales=[1, 2], extra=fv), "'scales'"),
+                ("corrector", dict(extra=fv), "'scales'"),
+                ("coarsen", dict(scales=[0.5, 1]), "'scales'"),
+                ("coarsen", dict(scales=3), "'scales'")):
+            with pytest.raises(ValueError, match=key):
+                ExperimentConfig(kind=kind, **bad).validate()
+
+    def test_validate_resolves_defaults(self):
+        rc = ExperimentConfig(kind="twoscale", grid={"d": 3}).validate()
+        assert (rc.grid.d, rc.grid.k) == (3, 10)
+        assert rc.scales == (1 / 3, 1 / 9, 1 / 27)
+        assert rc.extra == {"slope": [1.0, 0.0, 0.0]}
+        rc = ExperimentConfig(kind="coarsen", grid={"m": 2}, solver={"tol": 1e-6}).validate()
+        assert rc.scales == (0, 1, 2) and rc.opts.tol == 1e-6
+        rc = ExperimentConfig(kind="green", grid={"m": 2}).validate()
+        assert rc.extra["source"] == [4, 4]
 
 
 class TestEnsembleStats:
@@ -339,6 +373,15 @@ class TestRunExperiment:
             run_experiment(cfg)
         err = json.loads((tmp_path / "error.json").read_text())
         assert "error" in err
+
+    def test_twoscale_experiment(self, tmp_path):
+        cfg = ExperimentConfig(kind="twoscale", generator={"name": "laminate"},
+                               grid={"d": 2, "k": 2}, output_dir=str(tmp_path))
+        summary = run_experiment(cfg)
+        with open(tmp_path / "twoscale.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["eps"]) for r in rows] == [1 / 3, 1 / 9, 1 / 27]
+        assert np.abs(summary["abar"] - np.diag([1.6, 2.5])).max() < 1e-6
 
     def test_walk_experiment(self, tmp_path):
         cfg = ExperimentConfig(kind="walk", generator={"name": "constant"},

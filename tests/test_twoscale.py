@@ -12,6 +12,7 @@ from hlab.twoscale import (
     error_table_rows,
     macro_affine,
     macro_harmonic_quadratic,
+    scale_level,
 )
 
 
@@ -64,6 +65,12 @@ class TestBuildTwoScale:
         cset = periodic_homogenized_matrix(make_constant(GridSpec(2, 0, 2), np.eye(2)))
         with pytest.raises(ValueError):
             build_two_scale(macro_affine([1.0, 0.0]), cset, 0.25)
+
+    def test_scale_level(self):
+        assert [scale_level(eps) for eps in (1.0, 1 / 3, 1 / 27)] == [0, 1, 3]
+        for eps in (0.25, 3.0, 0.0, -1 / 3, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="power of 1/3"):
+                scale_level(eps)
 
     def test_corrector_oscillation_periodic(self):
         # with an affine macro slope the added oscillation repeats per cell
