@@ -75,7 +75,7 @@ def flux_corrector(g: np.ndarray, grid: GridSpec):
     if np.abs(means).max() > _MEAN_TOL * max(1.0, np.abs(g).max()):
         raise ValueError(f"flux corrector input must be mean zero, got {means}")
 
-    symbol = spectral.torus_symbol(grid.cell_shape, h)
+    inverse = spectral.pseudo_inverse(spectral.torus_symbol(grid.cell_shape, h))
     s = np.zeros(grid.cell_shape + (d, d))
     div_s = np.zeros_like(g)
     potentials = {}
@@ -84,7 +84,7 @@ def flux_corrector(g: np.ndarray, grid: GridSpec):
             rotated = np.zeros_like(g)
             rotated[..., j], rotated[..., i] = g[..., i], -g[..., j]
             pot = spectral.torus_solve_nodespace(gradient_adjoint(rotated, h, periodic=True),
-                                                 h, symbol)
+                                                 h, inverse=inverse)
             pot = pot - pot.mean()
             potentials[(i, j)] = pot
             s[..., i, j] = node_to_cell(pot, periodic=True)

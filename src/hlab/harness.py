@@ -75,7 +75,7 @@ class ExperimentConfig:
     generator: dict = field(default_factory=dict)   # e.g. {"name": "checkerboard", ...}
     grid: dict = field(default_factory=dict)        # {"d": 2, "m": 3, "k": 1}
     scales: list = field(default_factory=list)      # levels, radii, or eps values
-    ensemble_size: int = 1
+    ensemble_size: int = None                       # None: the kind's default
     master_seed: int = 0
     solver: dict = field(default_factory=dict)      # SolveOptions overrides
     output_dir: str = "."
@@ -87,7 +87,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}; "
                              f"expected one of {tuple(KINDS)}")
         kind = KINDS[self.kind]
-        size = self.ensemble_size
+        size = kind.ensemble_size if self.ensemble_size is None else self.ensemble_size
         if not _is_integer(size) or size < 1:
             raise ValueError(f"ensemble_size must be an integer >= 1, got {size!r}")
         seed = self.master_seed
@@ -629,6 +629,7 @@ def _exp_green(rc, jobs):
         "kind": "green", "t": t_final, "dt": dt, "source": list(source),
         "errors": rep.green_errors, "nash_margins": rep.nash_margins,
         "mass_drift": rep.mass_drift,
+        "steps": rep.metadata["steps"], "cg_iterations": rep.metadata["cg_iterations"],
     }
 
 
@@ -677,6 +678,11 @@ def _check_corrector(rc):
                          f"expected one of {CORRECTOR_MODES}")
     if mode == "finite-volume":
         _check_levels(rc.scales, "'scales'", count=MIN_FIT_POINTS)
+        # a cube of one cell has no interior node, so its corrector and R vanish
+        n = min(rc.scales)
+        if 3**n * rc.grid.k < 2:
+            raise ValueError(f"'scales' level {n} gives a cube of {3**n * rc.grid.k} cell per "
+                             f"side; a finite-volume corrector needs at least 2")
     return rc
 
 
@@ -732,6 +738,7 @@ class ExperimentKind:
     extra: dict = field(default_factory=dict)   # the `extra` keys it reads, with defaults
     grid: dict = field(default_factory=dict)    # its grid defaults over GRID_DEFAULTS
     scales: Callable = lambda grid: ()  # scales(grid) -> the default scales
+    ensemble_size: int = 1              # members when the config gives none
 
 
 KINDS = {
@@ -742,7 +749,8 @@ KINDS = {
     "twoscale": ExperimentKind(_exp_twoscale, _check_twoscale, extra={"slope": None},
                                grid={"k": 10}, scales=lambda grid: (1 / 3, 1 / 9, 1 / 27)),
     "cascade": ExperimentKind(_exp_cascade, _check_cascade, extra={"cube_levels": None},
-                              scales=lambda grid: (4.0, 8.0, 16.0, 32.0)),
+                              scales=lambda grid: (4.0, 8.0, 16.0, 32.0),
+                              ensemble_size=MIN_SEEDS),
     "walk": ExperimentKind(_exp_walk, _check_walk,
                            extra={"horizon": 100.0, "n_paths": 10_000, "sample_times": None}),
     "green": ExperimentKind(_exp_green, _check_green,

@@ -180,22 +180,27 @@ def _make_projector(shape, periodic):
     return project
 
 
-def cg(A, b, precondition, tol, maxiter, project=None, labels=None):
+def cg(A, b, precondition, tol, maxiter, project=None, labels=None, x0=None):
     """Column-batched preconditioned CG for the symmetric sparse operator A.
 
     b carries a leading column axis; A acts on the rows of b.reshape(-1, A.shape[1]), a
     column or a run of columns that a block-diagonal A spans.  `precondition` maps b-shaped
-    arrays to new ones; `project`, in place, keeps b and each preconditioned residual off
-    the kernel of a singular A.  Each column stops once its relative residual is <= tol.
-    Returns (x, relative residuals, iterations), the last two per column.  A SolverError
-    names the first failing column (by `labels[i]` when given) and carries its residual
-    and iteration count.
+    arrays to new ones; `project`, in place, keeps b, the guess and each preconditioned
+    residual off the kernel of a singular A.  The iterate starts at the guess x0 (b-shaped)
+    when given, so the residual starts as b - A x0, and at zero otherwise; a zero column of
+    b keeps x = 0 whatever its guess.  Each column stops once ||r|| <= tol ||b||, with b
+    projected, so a guess changes the work but not the accuracy, and a guess that already
+    meets the tolerance takes no iteration.  Returns (x, relative residuals, iterations),
+    the last two per column.  A SolverError names the first failing column (by `labels[i]`
+    when given) and carries its residual and iteration count.
     """
     ncol = b.shape[0]
     col = (ncol,) + (1,) * (b.ndim - 1)
     project = project or (lambda v: v)
 
     def apply_op(v):
+        if v.size == A.shape[1]:
+            return (A @ v.ravel()).reshape(v.shape)
         return np.stack([A @ row for row in v.reshape(-1, A.shape[1])]).reshape(v.shape)
 
     def dot(u, v):
@@ -209,15 +214,21 @@ def cg(A, b, precondition, tol, maxiter, project=None, labels=None):
     r = project(b.astype(float, copy=True))
     del b
     bnorm = np.sqrt(dot(r, r))
-    x = np.zeros_like(r)
-    relres = np.zeros(ncol)
+    nonzero = bnorm > 0.0
+    bnorm[~nonzero] = 1.0          # zero columns keep x = 0 and residual 0
+    if x0 is None:
+        x = np.zeros_like(r)
+        relres = nonzero.astype(float)
+    else:
+        x = project(np.array(x0, dtype=float).reshape(r.shape))
+        x[~nonzero] = 0.0
+        r -= apply_op(x)
+        relres = np.sqrt(dot(r, r)) / bnorm
     its = np.zeros(ncol, dtype=int)
-    running = bnorm > 0.0
+    running = ~(relres <= tol)
     nrun = np.count_nonzero(running)
     if nrun == 0:
         return x, relres, its
-    relres[running] = 1.0
-    bnorm[~running] = 1.0          # zero columns keep x = 0 and residual 0
     z = project(precondition(r))
     p = z * running.reshape(col)
     rz = dot(r, z)
@@ -262,9 +273,10 @@ def _solve(a, b, h, bc, opts, labels=None):
     """
     lead, shape = b.shape[:2], b.shape[2:]
     kind = "torus" if bc == "periodic" else bc
-    symbol = getattr(spectral, f"{kind}_symbol")(shape, h)
+    inverse = spectral.pseudo_inverse(getattr(spectral, f"{kind}_symbol")(shape, h))
+    solve = getattr(spectral, f"{kind}_solve_nodespace")
     x, res, its = cg(_assemble(a, h, bc), b.reshape((-1,) + shape),
-                     lambda r: getattr(spectral, f"{kind}_solve_nodespace")(r, h, symbol),
+                     lambda r: solve(r, h, inverse=inverse),
                      opts.tol, opts.maxiter,
                      None if bc == "dirichlet" else _make_projector(shape, bc == "periodic"),
                      None if labels is None else labels * lead[0])

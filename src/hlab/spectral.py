@@ -10,6 +10,9 @@ solves back both the identity-Laplacian problems and the preconditioner that
 keeps conjugate-gradient iteration counts bounded by the ellipticity ratio.
 A solve acts on the trailing d axes of b, d being the symbol's dimension, so
 leading batch axes (one column per subcube of a partition) share one symbol.
+A caller that applies one symbol many times, as a preconditioner does, builds
+its `pseudo_inverse` once and passes it to each solve, so that a solve divides
+by the symbol with one multiply.
 The torus solve also accepts the symbol of the cell network's nearest-neighbour
 Laplacian, which preconditions the random-conductance solves.
 """
@@ -26,6 +29,7 @@ __all__ = [
     "network_symbol",
     "dirichlet_symbol",
     "neumann_symbol",
+    "pseudo_inverse",
     "torus_solve_nodespace",
     "dirichlet_solve_nodespace",
     "neumann_solve_nodespace",
@@ -55,10 +59,10 @@ def _symbol(theta, h, network=False):
     return total
 
 
-def _divide_above_floor(bh, symbol):
-    """bh / symbol in place, and zero on the modes whose symbol is below the eigenvalue floor."""
-    bh *= np.divide(1.0, symbol, out=np.zeros_like(symbol), where=symbol > _EIG_FLOOR * symbol.max())
-    return bh
+def pseudo_inverse(symbol):
+    """1 / symbol, and zero on the modes whose symbol is below the eigenvalue floor."""
+    keep = symbol > _EIG_FLOOR * symbol.max()
+    return np.divide(1.0, symbol, out=np.zeros_like(symbol), where=keep)
 
 
 def _torus_angles(shape):
@@ -77,28 +81,31 @@ def network_symbol(shape, h):
     return _symbol(_torus_angles(shape), h, network=True)
 
 
-def _columns(b, symbol):
-    """b and the axes to transform: the trailing symbol.ndim axes of b.
+def _columns(b, inverse):
+    """b and the axes to transform: the trailing inverse.ndim axes of b.
 
     Leading axes that hold a single column are dropped, so that one-column
     solves skip the transforms' handling of an `axes` argument.
     """
-    d = symbol.ndim
+    d = inverse.ndim
     if b.ndim > d and b.size == math.prod(b.shape[-d:]):
         b = b.reshape(b.shape[-d:])
     return b, (None if b.ndim == d else tuple(range(-d, 0)))
 
 
-def torus_solve_nodespace(b: np.ndarray, h: float, symbol=None) -> np.ndarray:
+def torus_solve_nodespace(b: np.ndarray, h: float, symbol=None, *,
+                         inverse=None) -> np.ndarray:
     """Pseudoinverse of the periodic constant operator (or of `symbol`'s) applied to b.
 
-    `symbol` is an rfftn half-spectrum, as returned by `torus_symbol`.
+    `symbol` is an rfftn half-spectrum, as returned by `torus_symbol`; `inverse`,
+    its `pseudo_inverse`, replaces it when given.
     """
-    if symbol is None:
-        symbol = torus_symbol(b.shape, h)
-    x, axes = _columns(b, symbol)
-    xh = _divide_above_floor(fft.rfftn(x, axes=axes), symbol)
-    return fft.irfftn(xh, s=b.shape[-symbol.ndim:], axes=axes).reshape(b.shape)
+    if inverse is None:
+        inverse = pseudo_inverse(torus_symbol(b.shape, h) if symbol is None else symbol)
+    x, axes = _columns(b, inverse)
+    xh = fft.rfftn(x, axes=axes)
+    xh *= inverse
+    return fft.irfftn(xh, s=b.shape[-inverse.ndim:], axes=axes).reshape(b.shape)
 
 
 def dirichlet_symbol(shape, h):
@@ -106,12 +113,17 @@ def dirichlet_symbol(shape, h):
     return _symbol([np.pi * np.arange(1, n + 1) / (n + 1) for n in shape], h)
 
 
-def dirichlet_solve_nodespace(b: np.ndarray, h: float, symbol=None) -> np.ndarray:
-    """Inverse of the constant operator on the zero-boundary interior grid."""
-    if symbol is None:
-        symbol = dirichlet_symbol(b.shape, h)
-    x, axes = _columns(b, symbol)
-    xh = _divide_above_floor(fft.dstn(x, type=1, axes=axes), symbol)
+def dirichlet_solve_nodespace(b: np.ndarray, h: float, symbol=None, *,
+                             inverse=None) -> np.ndarray:
+    """Inverse of the constant operator on the zero-boundary interior grid.
+
+    `inverse`, the `pseudo_inverse` of `symbol`, replaces it when given.
+    """
+    if inverse is None:
+        inverse = pseudo_inverse(dirichlet_symbol(b.shape, h) if symbol is None else symbol)
+    x, axes = _columns(b, inverse)
+    xh = fft.dstn(x, type=1, axes=axes)
+    xh *= inverse
     return fft.idstn(xh, type=1, axes=axes).reshape(b.shape)
 
 
@@ -120,21 +132,24 @@ def neumann_symbol(shape, h):
     return _symbol([np.pi * np.arange(n) / (n - 1) for n in shape], h)
 
 
-def neumann_solve_nodespace(b: np.ndarray, h: float, symbol=None) -> np.ndarray:
+def neumann_solve_nodespace(b: np.ndarray, h: float, symbol=None, *,
+                           inverse=None) -> np.ndarray:
     """Pseudoinverse of the constant operator on the free node grid.
 
     Boundary-plane loads carry weight 2 per extreme coordinate; the DCT-I of
     the weighted load is the Fourier transform of its even reflection onto
     the double-size torus, so the cosine solve matches the boxed quadratic
-    form exactly.
+    form exactly.  `inverse`, the `pseudo_inverse` of `symbol`, replaces it
+    when given.
     """
-    if symbol is None:
-        symbol = neumann_symbol(b.shape, h)
-    x, axes = _columns(b, symbol)
+    if inverse is None:
+        inverse = pseudo_inverse(neumann_symbol(b.shape, h) if symbol is None else symbol)
+    x, axes = _columns(b, inverse)
     w = x.astype(float, copy=True)
-    for axis in range(-symbol.ndim, 0):
+    for axis in range(-inverse.ndim, 0):
         ends = [slice(None)] * w.ndim
         ends[axis] = [0, -1]
         w[tuple(ends)] *= 2.0
-    xh = _divide_above_floor(fft.dctn(w, type=1, axes=axes), symbol)
+    xh = fft.dctn(w, type=1, axes=axes)
+    xh *= inverse
     return fft.idctn(xh, type=1, axes=axes).reshape(b.shape)

@@ -99,10 +99,11 @@ def network_homogenized_matrix(net: ConductanceNetwork) -> np.ndarray:
     """
     grid = net.grid
     d, h = grid.d, grid.h
-    sym = spectral.network_symbol(grid.cell_shape, h)
+    inverse = spectral.pseudo_inverse(spectral.network_symbol(grid.cell_shape, h))
     b = np.stack([(c - np.roll(c, 1, axis=k)) / h for k, c in enumerate(net.cond)])
     b -= b.mean(axis=tuple(range(1, d + 1)), keepdims=True)
-    chi, _, _ = cg(network_operator(net), b, lambda r: spectral.torus_solve_nodespace(r, h, sym),
+    chi, _, _ = cg(network_operator(net), b,
+                   lambda r: spectral.torus_solve_nodespace(r, h, inverse=inverse),
                    CELL_TOL, 10_000)
     flux_gain = b.reshape(d, -1) @ chi.reshape(d, -1).T / b[0].size
     abar = np.diag([c.mean() for c in net.cond]) - flux_gain
@@ -122,8 +123,8 @@ def simulate_walks(net: ConductanceNetwork, T: float, n_paths: int, seed: int,
     while displacements accumulate unwrapped.  The site tables are built once
     per call: the rate of each of the 2d moves (+e_j across the edge
     (x, x + h e_j), -e_j across (x - h e_j, x)), their total and its inverse,
-    the cumulative-rate thresholds one contiguous column per move, and the
-    flat index of the neighbour each move lands on.  Each step gathers from
+    the cumulative-rate thresholds one contiguous column per move but the
+    last, and the flat index of the neighbour each move lands on.  Each step gathers from
     them by a flat cell index per path, and the arrays of running paths are
     compacted, in ascending path order, only when some path passes T.  Every
     step draws one exponential holding time and then one uniform move choice
@@ -160,7 +161,9 @@ def simulate_walks(net: ConductanceNetwork, T: float, n_paths: int, seed: int,
         move[2 * j, j], move[2 * j + 1, j] = 1, -1
     total = rates.sum(axis=1)
     scale = 1.0 / total
-    thresholds = [np.ascontiguousarray(col) for col in rates.cumsum(axis=1).T]
+    # the last move takes whatever lies past the other thresholds, rounding included;
+    # the thresholds never decrease, so counting only these gives the same move
+    thresholds = [np.ascontiguousarray(col) for col in rates.cumsum(axis=1).T[:-1]]
     nbr = nbr.ravel()
 
     rng = np.random.default_rng(seed)
@@ -186,7 +189,6 @@ def simulate_walks(net: ConductanceNetwork, T: float, n_paths: int, seed: int,
         choice = (thresholds[0][cell] < u).astype(np.intp)
         for cum in thresholds[1:]:
             choice += cum[cell] < u
-        np.minimum(choice, n_moves - 1, out=choice)   # rounding can put u past every threshold
         pos += np.take(move, choice, axis=0)
         cell = nbr[cell * n_moves + choice]
         t = tn
@@ -220,7 +222,10 @@ def parabolic_green(a_field: CoefficientField, t_final: float, source,
 
     `source` holds the integer indices of a cell.  Each implicit-Euler step
     solves (I + dt A) u_new = u_old by CG with an exact constant-coefficient
-    preconditioner; the scheme conserves mass up to the solve tolerance.
+    preconditioner, starting from the linear extrapolation 2 u_n - u_(n-1) of
+    the last two densities (the first step from u_0).  The guess carries the
+    exact mass, and neither I + dt A nor the preconditioner moves the mean of
+    a correction, so the scheme conserves mass to rounding.
     """
     source = cell_index(source, a_field.grid.cell_shape, name="source")
     net = build_network(a_field)
@@ -230,20 +235,24 @@ def parabolic_green(a_field: CoefficientField, t_final: float, source,
     if not np.isclose(n_steps * dt, t_final):
         raise ValueError("horizon must be an integer number of steps")
 
-    denom = 1.0 + dt * spectral.network_symbol(grid.cell_shape, h)
+    inverse = spectral.pseudo_inverse(1.0 + dt * spectral.network_symbol(grid.cell_shape, h))
     step = scipy.sparse.identity(side**d, format="csr") + dt * network_operator(net)
     u = np.zeros(grid.cell_shape)
     u[source] = 1.0 / h**d                 # unit-mass density
+    guess = u
     cell_mass = h**d
     mass_drift = 0.0
     iters = 0
     for _ in range(n_steps):
         before = u.sum() * cell_mass
-        u, _, it = cg(step, u[None], lambda r: spectral.torus_solve_nodespace(r, h, denom),
-                      STEP_TOL, 5000)
-        u = u[0]
+        new, _, it = cg(step, u[None],
+                        lambda r: spectral.torus_solve_nodespace(r, h, inverse=inverse),
+                        STEP_TOL, 5000, x0=guess[None])
+        new = new[0]
         iters += int(it[0])
-        mass_drift = max(mass_drift, abs(u.sum() * cell_mass - before))
+        mass_drift = max(mass_drift, abs(new.sum() * cell_mass - before))
+        guess = 2.0 * new - u
+        u = new
 
     abar = network_homogenized_matrix(net)
     ainv = np.linalg.inv(abar)

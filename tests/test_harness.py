@@ -76,6 +76,12 @@ class TestConfig:
                 ExperimentConfig(kind=kind, extra=extra).validate()
         ExperimentConfig(kind="cascade", ensemble_size=2,
                          extra={"cube_levels": [1, 2, 3]}).validate()
+        # a config without ensemble_size takes its kind's default
+        assert ExperimentConfig(kind="cascade").validate().ensemble_size == 2
+        assert ExperimentConfig(kind="walk").validate().ensemble_size == 1
+        # a finite-volume level 0 is fine once the cube has 2 cells per side
+        ExperimentConfig(kind="corrector", grid={"k": 2}, scales=[0, 1, 2],
+                         extra={"mode": "finite-volume"}).validate()
         # walk and green values are checked before any solve, by key
         for kind, extra, key in (
                 ("walk", {"horizon": -5}, "'extra.horizon'"),
@@ -115,6 +121,7 @@ class TestConfig:
                 ("corrector", dict(scales=[-1, 1, 2], extra=fv), "'scales'"),
                 ("corrector", dict(scales=[1, 2], extra=fv), "'scales'"),
                 ("corrector", dict(extra=fv), "'scales'"),
+                ("corrector", dict(scales=[0, 1, 2], extra=fv), "'scales'"),
                 ("coarsen", dict(scales=[0.5, 1]), "'scales'"),
                 ("coarsen", dict(scales=3), "'scales'")):
             with pytest.raises(ValueError, match=key):
@@ -382,6 +389,13 @@ class TestRunExperiment:
             rows = list(csv.DictReader(fh))
         assert [float(r["eps"]) for r in rows] == [1 / 3, 1 / 9, 1 / 27]
         assert np.abs(summary["abar"] - np.diag([1.6, 2.5])).max() < 1e-6
+
+    def test_green_experiment_reports_its_steps(self, tmp_path):
+        cfg = ExperimentConfig(kind="green", grid={"d": 2, "m": 2, "k": 1},
+                               extra={"t": 1.0, "dt": 0.25}, output_dir=str(tmp_path))
+        run_experiment(cfg)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["steps"] == 4 and summary["cg_iterations"] > 0
 
     def test_walk_experiment(self, tmp_path):
         cfg = ExperimentConfig(kind="walk", generator={"name": "constant"},

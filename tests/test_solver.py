@@ -23,6 +23,7 @@ from hlab.lattice import (
     gradient_adjoint,
     triadic_partition,
 )
+from hlab import spectral
 from hlab.solver import (
     _assemble,
     _make_projector,
@@ -382,15 +383,15 @@ class TestSpectralPlumbing:
     @settings(max_examples=30, deadline=None)
     @given(SHAPES, STEPS, st.integers(1, 4), st.integers(0, 2**32 - 1))
     def test_leading_batch_axes_share_the_symbol(self, shape, h, batch, seed):
-        # a stack of right-hand sides solves column by column, exactly
-        from hlab import spectral
-
+        # a stack of right-hand sides solves column by column, exactly, and a
+        # precomputed pseudo-inverse gives the bits of its symbol
         b = np.random.default_rng(seed).normal(size=(batch,) + shape)
         for kind in ("torus", "dirichlet", "neumann"):
             solve = getattr(spectral, f"{kind}_solve_nodespace")
             symbol = getattr(spectral, f"{kind}_symbol")(shape, h)
             got = solve(b, h, symbol)
             assert got.shape == b.shape
+            assert np.array_equal(got, solve(b, h, inverse=spectral.pseudo_inverse(symbol)))
             for i in range(batch):
                 assert np.array_equal(got[i], solve(b[i], h, symbol))
 
@@ -545,6 +546,55 @@ class TestBatchedCG:
         with pytest.raises(SolverError, match="in 2 iterations.* on slow") as err:
             cg(A, b, _identity, 1e-10, 2, labels=["fast", "slow"])
         assert err.value.iterations == 2 and err.value.residual > 1e-10
+
+    def test_guess_at_the_solution_takes_no_step(self):
+        A, b = self._diagonal_problem(np.linspace(1.0, 50.0, 16), [np.arange(16)] * 2, 4)
+        exact = b / A.diagonal().reshape(4, 4)
+        x, res, its = cg(A, b, _identity, 1e-10, 100, x0=exact)
+        assert not its.any() and res.max() <= 1e-10 and np.array_equal(x, exact)
+        # on the torus the guess is projected like b: a constant offset drops out
+        grid = GridSpec(2, 1, 2)
+        a = sample_checkerboard(grid, 5).a[None]
+        A = _assemble(a, grid.h, "periodic")
+        project = _make_projector(grid.cell_shape, True)
+        inverse = spectral.pseudo_inverse(spectral.torus_symbol(grid.cell_shape, grid.h))
+
+        def precondition(r):
+            return spectral.torus_solve_nodespace(r, grid.h, inverse=inverse)
+
+        b = np.random.default_rng(4).normal(size=(1,) + grid.cell_shape)
+        x, _, its = cg(A, b, precondition, 1e-10, 200, project)
+        assert its[0] > 0
+        x2, res2, its2 = cg(A, b, precondition, 1e-10, 200, project, x0=x + 3.0)
+        assert its2[0] == 0 and res2[0] <= 1e-10
+        assert np.abs(x2 - x).max() <= 1e-12 * np.abs(x).max()
+
+    def test_bad_guess_meets_the_tolerance_of_b(self):
+        # the stopping rule is relative to b, not to the guess's residual
+        A, b = self._diagonal_problem(np.linspace(1.0, 50.0, 16), [np.arange(16)] * 2, 5)
+        guess = 1e3 * np.random.default_rng(6).normal(size=b.shape)
+        x, res, its = cg(A, b, _identity, 1e-8, 100, x0=guess)
+        assert np.all(its > 0) and np.all(res <= 1e-8)
+        for xi, bi in zip(x, b):
+            assert np.linalg.norm(bi.ravel() - A @ xi.ravel()) <= 1e-8 * np.linalg.norm(bi)
+
+    def test_zero_column_ignores_its_guess(self):
+        A, b = self._diagonal_problem(np.linspace(1.0, 9.0, 16), [np.arange(16)] * 2, 7)
+        b[1] = 0.0
+        guess = np.random.default_rng(8).normal(size=b.shape)
+        x, res, its = cg(A, b, _identity, 1e-10, 100, x0=guess)
+        assert its[1] == 0 and res[1] == 0.0 and not x[1].any()
+        assert its[0] > 0 and res[0] <= 1e-10
+
+    def test_batched_guesses_equal_solo_runs(self):
+        A, b = self._diagonal_problem(np.linspace(1.0, 50.0, 16),
+                                      [[3], np.arange(16), np.arange(0, 16, 3)], 9)
+        guess = np.random.default_rng(10).normal(size=b.shape)
+        x, res, its = cg(A, b, _identity, 1e-10, 100, x0=guess)
+        for i in range(len(b)):
+            xi, ri, ti = cg(A, b[i:i + 1], _identity, 1e-10, 100, x0=guess[i:i + 1])
+            assert np.array_equal(x[i], xi[0])
+            assert res[i] == ri[0] <= 1e-10 and its[i] == ti[0]
 
 
 def _identity(v):
