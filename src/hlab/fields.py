@@ -21,6 +21,7 @@ __all__ = [
     "GaussianFieldParams",
     "make_constant",
     "make_laminate",
+    "laminate_problem",
     "sample_checkerboard",
     "sample_gaussian_field",
     "tile_unit_cell",
@@ -133,18 +134,28 @@ def make_constant(grid: GridSpec, matrix: np.ndarray) -> CoefficientField:
     return CoefficientField(grid, a, float(ev.min()), float(ev.max()), prov)
 
 
-def make_laminate(grid: GridSpec, v1: float, v2: float, period: float, axis: int) -> CoefficientField:
-    """Equal-width layers v1*I, v2*I alternating normal to the given axis (1-based)."""
-    if v1 <= 0 or v2 <= 0:
-        raise ValueError("laminate values must be > 0")
+def laminate_problem(grid: GridSpec, v1: float, v2: float, period: float, axis: int):
+    """Why `make_laminate` cannot lay these layers on `grid`, as (argument name, reason),
+    or None when it can."""
+    for name, value in (("v1", v1), ("v2", v2)):
+        if value <= 0:
+            return name, "laminate values must be > 0"
     if not 1 <= axis <= grid.d:
-        raise ValueError(f"axis {axis} out of range 1..{grid.d}")
+        return "axis", f"axis {axis} out of range 1..{grid.d}"
     half_cells = period * grid.k / 2.0
     if abs(half_cells - round(half_cells)) > 1e-12 or round(half_cells) < 1:
-        raise ValueError(f"period {period} not aligned to the grid (h = {grid.h})")
-    half_cells = int(round(half_cells))
-    if grid.side % (2 * half_cells) != 0:
-        raise ValueError(f"period {period} does not divide the cube side {grid.length}")
+        return "period", f"period {period} not aligned to the grid (h = {grid.h})"
+    if grid.side % (2 * round(half_cells)) != 0:
+        return "period", f"period {period} does not divide the cube side {grid.length}"
+    return None
+
+
+def make_laminate(grid: GridSpec, v1: float, v2: float, period: float, axis: int) -> CoefficientField:
+    """Equal-width layers v1*I, v2*I alternating normal to the given axis (1-based)."""
+    problem = laminate_problem(grid, v1, v2, period, axis)
+    if problem:
+        raise ValueError(problem[1])
+    half_cells = int(round(period * grid.k / 2.0))
     idx = np.arange(grid.side) // half_cells % 2
     vals = np.where(idx == 0, v1, v2).astype(float)
     shape = [1] * grid.d

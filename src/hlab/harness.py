@@ -666,9 +666,21 @@ def _positive(extra: dict, key: str) -> float:
     return float(value)
 
 
+def _check_field(rc, levels):
+    """rc, once its generator fits the grid of each level that its runner builds a field on."""
+    name, kw = rc.generator
+    if name == "laminate":
+        for m in sorted(set(levels)):
+            problem = fields.laminate_problem(replace(rc.grid, m=m), **kw)
+            if problem:
+                raise ValueError(f"'generator.{problem[0]}': {problem[1]} "
+                                 f"on the level-{m} grid")
+    return rc
+
+
 def _check_coarsen(rc):
     _check_levels(rc.scales, "'scales'", top=rc.grid.m)
-    return rc
+    return _check_field(rc, [rc.grid.m])
 
 
 def _check_corrector(rc):
@@ -683,7 +695,8 @@ def _check_corrector(rc):
         if 3**n * rc.grid.k < 2:
             raise ValueError(f"'scales' level {n} gives a cube of {3**n * rc.grid.k} cell per "
                              f"side; a finite-volume corrector needs at least 2")
-    return rc
+        return _check_field(rc, rc.scales)
+    return _check_field(rc, [rc.grid.m])
 
 
 def _check_twoscale(rc):
@@ -691,7 +704,8 @@ def _check_twoscale(rc):
     d, slope = rc.grid.d, rc.extra["slope"]
     if slope is not None and len(_numbers(slope, "'extra.slope'", d)) != d:
         raise ValueError(f"'extra.slope' must be {d} numbers, got {slope!r}")
-    return replace(rc, scales=scales, extra={"slope": slope or [1.0] + [0.0] * (d - 1)})
+    rc = replace(rc, scales=scales, extra={"slope": slope or [1.0] + [0.0] * (d - 1)})
+    return _check_field(rc, [0])        # the runner builds the unit cell and tiles it
 
 
 def _check_cascade(rc):
@@ -700,9 +714,11 @@ def _check_cascade(rc):
                          f"got {rc.ensemble_size}")
     radii = _numbers(rc.scales, "'scales'", MIN_FIT_POINTS,
                      partial(renorm.heat_kernel_1d, h=rc.grid.h))
-    if rc.extra["cube_levels"]:
-        _check_levels(rc.extra["cube_levels"], "'extra.cube_levels'", count=MIN_FIT_POINTS)
-    return replace(rc, scales=radii)
+    cube_levels = rc.extra["cube_levels"] or []
+    if cube_levels:
+        _check_levels(cube_levels, "'extra.cube_levels'", count=MIN_FIT_POINTS)
+    return _check_field(replace(rc, scales=radii),
+                        [_torus_level_for(r) for r in radii] + list(cube_levels))
 
 
 def _check_walk(rc):
@@ -715,7 +731,7 @@ def _check_walk(rc):
             _is_real(s) and 0 <= s <= horizon for s in times)):
         raise ValueError(f"'extra.sample_times' must be a non-empty list of times in "
                          f"[0, horizon = {horizon}], got {times!r}")
-    return replace(rc, extra=dict(rc.extra, horizon=horizon))
+    return _check_field(replace(rc, extra=dict(rc.extra, horizon=horizon)), [rc.grid.m])
 
 
 def _check_green(rc):
@@ -725,8 +741,9 @@ def _check_green(rc):
     source = rc.extra["source"]
     if source is not None:
         lattice.cell_index(source, rc.grid.cell_shape, name="'extra.source'")
-    return replace(rc, extra={"t": t, "dt": dt,
-                              "source": source or [rc.grid.side // 2] * rc.grid.d})
+    rc = replace(rc, extra={"t": t, "dt": dt,
+                            "source": source or [rc.grid.side // 2] * rc.grid.d})
+    return _check_field(rc, [rc.grid.m])
 
 
 @dataclass(frozen=True)
@@ -734,7 +751,8 @@ class ExperimentKind:
     """One experiment kind: its runner, its check and its defaults."""
 
     run: Callable                       # run(resolved, jobs) -> summary
-    check: Callable = lambda rc: rc     # check(resolved) -> resolved, derived values filled in
+    # check(resolved) -> resolved, derived values filled in; by default the field's grid level
+    check: Callable = lambda rc: _check_field(rc, [rc.grid.m])
     extra: dict = field(default_factory=dict)   # the `extra` keys it reads, with defaults
     grid: dict = field(default_factory=dict)    # its grid defaults over GRID_DEFAULTS
     scales: Callable = lambda grid: ()  # scales(grid) -> the default scales

@@ -1,12 +1,14 @@
 """Discrete variational solves of -div(a grad u) = div f on triadic cubes.
 
 All problems are symmetric positive (semi)definite and solved by
-preconditioned conjugate gradients on the node grid, with grad^T a grad
-assembled once per solve call as a sparse matrix straight from its node
-stencil.  The preconditioner inverts the constant-coefficient operator
-exactly in a fast transform basis, which caps the condition number by the
-ellipticity ratio.  Every Dirichlet problem shares one interior solve and
-every periodic problem one torus solve.
+preconditioned conjugate gradients on the node grid.  One function writes the
+node stencil of grad^T a grad, on the free grid or on the torus, and each
+solve call assembles it once as a sparse matrix.  The Dirichlet solves take
+the interior block of the free-grid stencil as their operator and the
+stencil's rows at interior nodes for the load of the lifted boundary data.
+The preconditioner inverts the constant-coefficient operator exactly in a
+fast transform basis, which caps the condition number by the ellipticity
+ratio.
 
 The CG is column-batched, with step sizes, residuals and iteration counts
 kept per column.  The affine solves take a stack of slopes or fluxes, so the
@@ -49,7 +51,6 @@ __all__ = [
     "solve_dirichlet_data",
     "solve_neumann_affine",
     "solve_periodic_cell",
-    "solve_forced",
 ]
 
 
@@ -116,25 +117,21 @@ def _amul(a, g):
     return out
 
 
-def _apply(a, u, h):
-    """grad^T a grad u on the full node grid, matrix-free: the load of lifted boundary data."""
-    return gradient_adjoint(_amul(a, discrete_gradient(u, h, False, d=a.shape[-1])), h, False)
-
-
-def _assemble(a, h, bc):
-    """grad^T a grad on the node grid of `bc`, block-diagonal over the cubes of a (B, *cells, d, d).
+def _stencil(a, h, periodic):
+    """grad^T a grad on the free node grid or the torus, as a node stencil: offsets
+    delta in {-1, 0, 1}^d mapped to (B, *nodes) arrays, one block per cube of a (B, *cells, d, d).
 
     Entry (x, x + delta) sums, over the cells c = x - sigma holding both
     nodes, eps . a(c) eta / (h^2 4^(d-1)) with the gradient's corner signs
     eps = 2 sigma - 1 and eta = 2 (sigma + delta) - 1.  Summing cell by cell
-    makes isotropic cells cancel exactly, so those entries drop out.
+    makes isotropic cells cancel exactly, so those entries are zero.  The
+    interior-Dirichlet operator is the interior block of the free-grid stencil.
     """
     d = a.shape[-1]
-    nodes = tuple(n + {"dirichlet": -1, "neumann": 1, "periodic": 0}[bc] for n in a.shape[1:1 + d])
+    nodes = tuple(n + (not periodic) for n in a.shape[1:1 + d])
     # pad the cells so that node x's cell x - sigma sits at x + 1 - sigma
-    pad = [(0, 0)] + [(1, 1) if bc == "neumann" else (1, 0)] * d
-    comps = {(k, l): (np.ascontiguousarray(c) if bc == "dirichlet" else
-                      np.pad(c, pad, mode="wrap" if bc == "periodic" else "constant"))
+    pad = [(0, 0)] + [(1, 0) if periodic else (1, 1)] * d
+    comps = {(k, l): np.pad(c, pad, mode="wrap" if periodic else "constant")
              for k, l in itertools.product(range(d), repeat=2) if (c := a[..., k, l]).any()}
     stencil = {}
     for delta in itertools.product((-1, 0, 1), repeat=d):
@@ -148,7 +145,7 @@ def _assemble(a, h, bc):
                 (np.add if (2 * sigma[k] - 1) * (2 * tau[l] - 1) > 0 else np.subtract)(
                     coef, comp[view], out=coef)
         stencil[delta] = coef / (h * h * 4 ** (d - 1))
-    return stencil_matrix(stencil, periodic=bc == "periodic")
+    return stencil
 
 
 def _make_projector(shape, periodic):
@@ -265,17 +262,18 @@ def cg(A, b, precondition, tol, maxiter, project=None, labels=None, x0=None):
          i, maxiter)
 
 
-def _solve(a, b, h, bc, opts, labels=None):
-    """x with grad^T a grad x = b per (column, cube) of b (k, B, *nodes), and (k, B) counts.
+def _solve(A, b, h, bc, opts, labels=None):
+    """x with A x = b per (column, cube) of b (k, B, *nodes), and (k, B) counts.
 
-    The nodes are those of `bc` in {'dirichlet' (interior), 'neumann', 'periodic'}; the
-    operator lives only for this call, and the free solves project out its kernel.
+    A is grad^T a grad, block-diagonal over the cubes, on the nodes of `bc` in
+    {'dirichlet' (interior), 'neumann', 'periodic'}; `bc` picks the spectral
+    preconditioner, and the free solves project out the operator's kernel.
     """
     lead, shape = b.shape[:2], b.shape[2:]
     kind = "torus" if bc == "periodic" else bc
     inverse = spectral.pseudo_inverse(getattr(spectral, f"{kind}_symbol")(shape, h))
     solve = getattr(spectral, f"{kind}_solve_nodespace")
-    x, res, its = cg(_assemble(a, h, bc), b.reshape((-1,) + shape),
+    x, res, its = cg(A, b.reshape((-1,) + shape),
                      lambda r: solve(r, h, inverse=inverse),
                      opts.tol, opts.maxiter,
                      None if bc == "dirichlet" else _make_projector(shape, bc == "periodic"),
@@ -287,12 +285,6 @@ def _vol_energy(grad, flux):
     """Volume-normalized energy of each column: the cell mean of 1/2 grad . flux, flux = a grad."""
     e = np.einsum("...i,...i->...", grad, flux)
     return 0.5 * e.reshape(e.shape[:-grad.shape[-1]] + (-1,)).mean(axis=-1)
-
-
-def _solution(a, u, h, periodic, res, its):
-    grad = discrete_gradient(u, h, periodic, d=a.shape[-1])
-    flux = _amul(a, grad)
-    return _batch_solution(u, grad, flux, res, its, _vol_energy(grad, flux))
 
 
 def _plane(p, grid):
@@ -334,24 +326,34 @@ def _result(sol: Solution, stack, cube) -> Solution:
 
 
 # ---------------------------------------------------------------------------
-# the shared interior-Dirichlet and torus solves
+# the shared interior-Dirichlet solve
 # ---------------------------------------------------------------------------
 
 
-def _dirichlet_solve(a, u, b, h, opts, cubes):
-    """Add to each column of u the zero-boundary v with grad^T a grad v = b on interior nodes."""
-    inner = (slice(None),) * 2 + tuple(slice(1, -1) for _ in range(u.ndim - 2))
+def _dirichlet_solve(a, u, h, opts, cubes):
+    """Extend the boundary values of each column of u (k, B, *nodes) to the extremal, in place.
+
+    The interior of u is the initial lift; the correction solves the interior block of
+    the free-grid stencil against the stencil's load -grad^T a grad u on interior nodes.
+    """
+    d = a.shape[-1]
+    inner = (...,) + (slice(1, -1),) * d
+    inside = u[inner]       # a view: the correction lands in u
     res, its = np.zeros(u.shape[:2]), np.zeros(u.shape[:2], dtype=int)
-    if u[inner].size:
-        corr, res, its = _solve(a, b[inner], h, "dirichlet", opts, cubes)
-        u[inner] += corr
-    return _solution(a, u, h, False, res, its)
-
-
-def _torus_solve(a, b, h, opts):
-    """Mean-zero periodic u with grad^T a grad u = b per column, up to the operator kernel."""
-    u, res, its = _solve(a, b, h, "periodic", opts)
-    return u - u.mean(axis=tuple(range(2, b.ndim)), keepdims=True), res, its
+    if inside.size:
+        stencil = _stencil(a, h, False)
+        load = np.zeros(inside.shape)
+        for delta, c in stencil.items():
+            load -= c[inner] * u[(...,) + tuple(slice(1 + t, n - 1 + t)
+                                                for t, n in zip(delta, u.shape[2:]))]
+        A = stencil_matrix({delta: c[inner] for delta, c in stencil.items()})
+        del stencil         # only the interior matrix lives through the CG
+        corr, res, its = _solve(A, load, h, "dirichlet", opts, cubes)
+        del A, load
+        inside += corr
+    grad = discrete_gradient(u, h, False, d=d)
+    flux = _amul(a, grad)
+    return _batch_solution(u, grad, flux, res, its, _vol_energy(grad, flux))
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +371,7 @@ def solve_dirichlet_affine(a_field: CoefficientField, cube, p,
     cubes, grid, a = _blocks(a_field, cube)
     p, stack = _stack(p, grid.d)
     u = np.repeat(_plane(p, grid)[:, None], len(cubes), axis=1)
-    sol = _dirichlet_solve(a, u, -_apply(a, u, grid.h), grid.h, opts or SolveOptions(), cubes)
+    sol = _dirichlet_solve(a, u, grid.h, opts or SolveOptions(), cubes)
     return _result(sol, stack, cube)
 
 
@@ -384,7 +386,7 @@ def solve_dirichlet_data(a_field: CoefficientField, cube: TriadicCube, boundary:
     if boundary.shape != grid.node_shape:
         raise ValueError(f"boundary array shape {boundary.shape} != {grid.node_shape}")
     u = boundary.astype(float, copy=True)[None, None]
-    sol = _dirichlet_solve(a, u, -_apply(a, u, grid.h), grid.h, opts or SolveOptions(), cubes)
+    sol = _dirichlet_solve(a, u, grid.h, opts or SolveOptions(), cubes)
     return _result(sol, (), cube)
 
 
@@ -403,7 +405,8 @@ def solve_neumann_affine(a_field: CoefficientField, cube, q, opts: SolveOptions 
     q, stack = _stack(q, d)
     qcol = q.reshape((len(q), 1) + (1,) * d + (d,))     # broadcasts over (k, B, *cells, d)
     b = gradient_adjoint(np.broadcast_to(qcol, (len(q), 1) + grid.cell_shape + (d,)), h)
-    w, res, its = _solve(a, np.broadcast_to(b, (len(q), len(cubes)) + grid.node_shape), h,
+    w, res, its = _solve(stencil_matrix(_stencil(a, h, False)),
+                         np.broadcast_to(b, (len(q), len(cubes)) + grid.node_shape), h,
                          "neumann", opts, cubes)
 
     grad = discrete_gradient(w, h, periodic=False, d=d)
@@ -434,29 +437,11 @@ def solve_periodic_cell(a_field: CoefficientField, e, opts: SolveOptions = None)
     e, stack = _stack(e, d)
     ecol = e.reshape((len(e), 1) + (1,) * d + (d,))
     b = -gradient_adjoint(_amul(a, ecol), h, periodic=True)
-    phi, res, its = _torus_solve(a, b, h, opts or SolveOptions())
+    phi, res, its = _solve(stencil_matrix(_stencil(a, h, True), periodic=True), b, h,
+                           "periodic", opts or SolveOptions())
+    phi -= phi.mean(axis=tuple(range(2, d + 2)), keepdims=True)
     grad = discrete_gradient(phi, h, periodic=True, d=d)
     corrected = grad + ecol
     flux = _amul(a, corrected)
     sol = _batch_solution(phi, grad, flux, res, its, _vol_energy(corrected, flux))
     return _result(sol, stack, grid.macro_cube())
-
-
-def solve_forced(a_field: CoefficientField, cube: TriadicCube, f, bc: str = "dirichlet-zero",
-                 opts: SolveOptions = None) -> Solution:
-    """Solve -div a grad psi = div f weakly: (grad v, a grad psi) = -(grad v, f)."""
-    opts = opts or SolveOptions()
-    cubes, grid, a = _blocks(a_field, cube)
-    h, d = grid.h, grid.d
-    f = np.asarray(f, dtype=float)
-    if f.shape != grid.cell_shape + (d,):
-        raise ValueError(f"forcing shape {f.shape} incompatible with the cube grid")
-
-    if bc == "dirichlet-zero":
-        b = -gradient_adjoint(f, h, periodic=False)[None, None]
-        return _result(_dirichlet_solve(a, np.zeros(b.shape), b, h, opts, cubes), (), cube)
-    if bc != "periodic":
-        raise ValueError(f"unknown boundary condition {bc!r}")
-    b = -gradient_adjoint(f, h, periodic=True)[None, None]
-    psi, res, its = _torus_solve(a, b, h, opts)
-    return _result(_solution(a, psi, h, True, res, its), (), cube)

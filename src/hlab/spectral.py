@@ -13,8 +13,9 @@ leading batch axes (one column per subcube of a partition) share one symbol.
 A caller that applies one symbol many times, as a preconditioner does, builds
 its `pseudo_inverse` once and passes it to each solve, so that a solve divides
 by the symbol with one multiply.
-The torus solve also accepts the symbol of the cell network's nearest-neighbour
-Laplacian, which preconditions the random-conductance solves.
+The torus solve also takes the pseudo-inverse of any other rfftn half-spectrum
+symbol, such as that of the cell network's nearest-neighbour Laplacian, which
+preconditions the random-conductance solves.
 """
 
 from __future__ import annotations
@@ -93,15 +94,14 @@ def _columns(b, inverse):
     return b, (None if b.ndim == d else tuple(range(-d, 0)))
 
 
-def torus_solve_nodespace(b: np.ndarray, h: float, symbol=None, *,
-                         inverse=None) -> np.ndarray:
-    """Pseudoinverse of the periodic constant operator (or of `symbol`'s) applied to b.
+def torus_solve_nodespace(b: np.ndarray, h: float, *, inverse=None) -> np.ndarray:
+    """Pseudoinverse of the periodic constant operator applied to b.
 
-    `symbol` is an rfftn half-spectrum, as returned by `torus_symbol`; `inverse`,
-    its `pseudo_inverse`, replaces it when given.
+    `inverse`, the `pseudo_inverse` of an rfftn half-spectrum symbol (as returned
+    by `torus_symbol` or `network_symbol`), replaces the constant operator's when given.
     """
     if inverse is None:
-        inverse = pseudo_inverse(torus_symbol(b.shape, h) if symbol is None else symbol)
+        inverse = pseudo_inverse(torus_symbol(b.shape, h))
     x, axes = _columns(b, inverse)
     xh = fft.rfftn(x, axes=axes)
     xh *= inverse
@@ -113,14 +113,13 @@ def dirichlet_symbol(shape, h):
     return _symbol([np.pi * np.arange(1, n + 1) / (n + 1) for n in shape], h)
 
 
-def dirichlet_solve_nodespace(b: np.ndarray, h: float, symbol=None, *,
-                             inverse=None) -> np.ndarray:
+def dirichlet_solve_nodespace(b: np.ndarray, h: float, *, inverse=None) -> np.ndarray:
     """Inverse of the constant operator on the zero-boundary interior grid.
 
-    `inverse`, the `pseudo_inverse` of `symbol`, replaces it when given.
+    `inverse`, the `pseudo_inverse` of its `dirichlet_symbol`, saves rebuilding it.
     """
     if inverse is None:
-        inverse = pseudo_inverse(dirichlet_symbol(b.shape, h) if symbol is None else symbol)
+        inverse = pseudo_inverse(dirichlet_symbol(b.shape, h))
     x, axes = _columns(b, inverse)
     xh = fft.dstn(x, type=1, axes=axes)
     xh *= inverse
@@ -132,18 +131,17 @@ def neumann_symbol(shape, h):
     return _symbol([np.pi * np.arange(n) / (n - 1) for n in shape], h)
 
 
-def neumann_solve_nodespace(b: np.ndarray, h: float, symbol=None, *,
-                           inverse=None) -> np.ndarray:
+def neumann_solve_nodespace(b: np.ndarray, h: float, *, inverse=None) -> np.ndarray:
     """Pseudoinverse of the constant operator on the free node grid.
 
     Boundary-plane loads carry weight 2 per extreme coordinate; the DCT-I of
     the weighted load is the Fourier transform of its even reflection onto
     the double-size torus, so the cosine solve matches the boxed quadratic
-    form exactly.  `inverse`, the `pseudo_inverse` of `symbol`, replaces it
-    when given.
+    form exactly.  `inverse`, the `pseudo_inverse` of its `neumann_symbol`,
+    saves rebuilding it.
     """
     if inverse is None:
-        inverse = pseudo_inverse(neumann_symbol(b.shape, h) if symbol is None else symbol)
+        inverse = pseudo_inverse(neumann_symbol(b.shape, h))
     x, axes = _columns(b, inverse)
     w = x.astype(float, copy=True)
     for axis in range(-inverse.ndim, 0):

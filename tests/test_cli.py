@@ -83,7 +83,10 @@ def test_jobs_below_one_rejected_before_any_solve(runner, tmp_path, monkeypatch,
     ("cascade", {"extra": {"cube_level": [1, 2]}}, "'extra.cube_level'"),
     ("walk", {"extra": {"horizon": -5}}, "'extra.horizon'"),
     ("twoscale", {"scales": [0.5, 1 / 9, 1 / 27]}, "'scales'"),
-], ids=["size-float", "size-bool", "size-str", "extra-key", "walk-horizon", "twoscale-eps"])
+    ("coarsen", {"generator": {"name": "laminate", "period": 7.0}}, "'generator.period'"),
+    ("twoscale", {"generator": {"name": "laminate", "period": 3.0}}, "'generator.period'"),
+], ids=["size-float", "size-bool", "size-str", "extra-key", "walk-horizon", "twoscale-eps",
+        "coarsen-period", "twoscale-period"])
 def test_bad_config_rejected_before_any_solve(runner, tmp_path, monkeypatch, kind, override, key):
     import hlab.harness
 
@@ -110,10 +113,8 @@ def test_kind_mismatch_rejected(runner, tmp_path):
 
 
 def test_failure_exits_nonzero(runner, tmp_path):
-    cfg = ExperimentConfig(kind="coarsen",
-                           generator={"name": "laminate", "period": 7.0},
-                           grid={"d": 2, "m": 1, "k": 1},
-                           output_dir=str(tmp_path))
+    cfg = ExperimentConfig(kind="coarsen", grid={"d": 2, "m": 1, "k": 1},
+                           solver={"maxiter": 1}, output_dir=str(tmp_path))
     path = tmp_path / "cfg.json"
     cfg.save(path)
     result = runner.invoke(main, ["coarsen", "--config", str(path)])

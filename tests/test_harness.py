@@ -19,6 +19,7 @@ from hlab.harness import (
     rate_fit,
     run_experiment,
 )
+from hlab.solver import SolverError
 
 
 def _member_value(seed):
@@ -126,6 +127,26 @@ class TestConfig:
                 ("coarsen", dict(scales=3), "'scales'")):
             with pytest.raises(ValueError, match=key):
                 ExperimentConfig(kind=kind, **bad).validate()
+        # a laminate is checked on every level the kind builds a field on
+        lam = {"name": "laminate"}
+        for kind, bad, key in (
+                ("coarsen", dict(generator={**lam, "period": 7.0}, grid={"d": 2, "m": 1, "k": 1}),
+                 "'generator.period'"),
+                ("twoscale", dict(generator={**lam, "period": 3.0}, grid={"d": 2, "m": 1, "k": 10}),
+                 "'generator.period'"),
+                ("corrector", dict(generator={**lam, "period": 2.0}, grid={"k": 2},
+                                   scales=[0, 1, 2], extra=fv), "'generator.period'"),
+                ("cascade", dict(generator={**lam, "period": 2.0}), "'generator.period'"),
+                ("walk", dict(generator={**lam, "axis": 3}), "'generator.axis'"),
+                ("green", dict(generator={**lam, "v2": 0.0}), "'generator.v2'")):
+            with pytest.raises(ValueError, match=key):
+                ExperimentConfig(kind=kind, **bad).validate()
+        # periods that fit every level the kind builds
+        ExperimentConfig(kind="twoscale", generator={**lam, "period": 0.2}).validate()
+        ExperimentConfig(kind="corrector", generator={**lam, "period": 1.0}, grid={"k": 2},
+                         scales=[0, 1, 2], extra=fv).validate()
+        ExperimentConfig(kind="cascade", generator={**lam, "period": 1.0}, grid={"k": 2},
+                         extra={"cube_levels": [1, 2, 3]}).validate()
 
     def test_validate_resolves_defaults(self):
         rc = ExperimentConfig(kind="twoscale", grid={"d": 3}).validate()
@@ -372,11 +393,9 @@ class TestRunExperiment:
             run_experiment(cfg)
 
     def test_error_recorded(self, tmp_path):
-        cfg = ExperimentConfig(kind="coarsen",
-                               generator={"name": "laminate", "period": 7.0},
-                               grid={"d": 2, "m": 1, "k": 1},
-                               output_dir=str(tmp_path))
-        with pytest.raises(ValueError):
+        cfg = ExperimentConfig(kind="coarsen", grid={"d": 2, "m": 1, "k": 1},
+                               solver={"maxiter": 1}, output_dir=str(tmp_path))
+        with pytest.raises(SolverError):
             run_experiment(cfg)
         err = json.loads((tmp_path / "error.json").read_text())
         assert "error" in err

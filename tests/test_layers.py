@@ -1,6 +1,7 @@
 """The import graph of the package: numerics at the bottom, experiments on top."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -85,3 +86,11 @@ def test_no_private_names_from_other_modules(name):
 
 def _is_private(name):
     return name.startswith("_") and not name.startswith("__")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_exports_exist(name):
+    # every name in a module's __all__ is defined in that module
+    module = importlib.import_module("hlab" if name == "__init__" else f"hlab.{name}")
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == [], f"hlab.{name} exports undefined names {missing}"

@@ -9,6 +9,7 @@ import scipy.sparse
 from hypothesis import assume, example, given, settings, strategies as st
 
 from hlab.fields import (
+    CoefficientField,
     GaussianFieldParams,
     make_constant,
     make_laminate,
@@ -21,18 +22,18 @@ from hlab.lattice import (
     cell_to_node_adjoint,
     discrete_gradient,
     gradient_adjoint,
+    stencil_matrix,
     triadic_partition,
 )
 from hlab import spectral
 from hlab.solver import (
-    _assemble,
     _make_projector,
+    _stencil,
     SolveOptions,
     SolverError,
     cg,
     solve_dirichlet_affine,
     solve_dirichlet_data,
-    solve_forced,
     solve_neumann_affine,
     solve_periodic_cell,
 )
@@ -48,6 +49,14 @@ STEPS = st.floats(1.0 / 81.0, 2.0)
 
 def laminate(m=1, k=10):
     return make_laminate(GridSpec(2, m, k), 1.0, 4.0, 1.0, axis=1)
+
+
+def anisotropic(grid, seed):
+    """A field of general SPD cells with off-diagonal entries."""
+    m = np.random.default_rng(seed).normal(size=grid.cell_shape + (grid.d, grid.d))
+    a = m @ np.swapaxes(m, -1, -2) + 0.5 * np.eye(grid.d)
+    ev = np.linalg.eigvalsh(a)
+    return CoefficientField(grid, a, float(ev.min()), float(ev.max()))
 
 
 class TestOptions:
@@ -125,27 +134,39 @@ class TestDirichletAffine:
 
     def test_matches_dense_direct_solve(self):
         # interior operator assembled column by column from the grid calculus,
-        # then solved directly: the CG minimizer must agree
-        f = sample_checkerboard(GridSpec(2, 1, 2), 7)
-        h = f.grid.h
-        p = np.array([1.0, -1.0])
-        x, y = np.meshgrid(*[np.arange(n) * h for n in f.grid.node_shape], indexing="ij")
-        lp = p[0] * x + p[1] * y
+        # then solved directly: the CG minimizer must agree, on an isotropic and an
+        # anisotropic field, in 3d, and for non-affine boundary data
+        cases = {"checkerboard": (sample_checkerboard(GridSpec(2, 1, 2), 7), True),
+                 "anisotropic": (anisotropic(GridSpec(2, 1, 2), 7), True),
+                 "3d": (sample_checkerboard(GridSpec(3, 1, 2), 7), True),
+                 "data": (anisotropic(GridSpec(2, 1, 2), 8), False)}
+        for case, (f, affine) in cases.items():
+            g = f.grid
+            h, d = g.h, g.d
+            cube = TriadicCube(1, (0,) * d)
+            x = np.meshgrid(*[np.arange(n) * h for n in g.node_shape], indexing="ij")
+            if affine:
+                p = np.array([1.0, -1.0, 0.5][:d])
+                lift = sum(pi * xi for pi, xi in zip(p, x))
+                sol = solve_dirichlet_affine(f, cube, p)
+            else:
+                lift = np.sin(3.0 * x[0]) * np.cos(2.0 * x[1]) + x[0] * x[1] ** 2
+                sol = solve_dirichlet_data(f, cube, lift)
 
-        def apply(u):
-            g = discrete_gradient(u, h)
-            return gradient_adjoint(np.einsum("...ij,...j->...i", f.a, g), h)
+            def apply(u):
+                grad = discrete_gradient(u, h)
+                return gradient_adjoint(np.einsum("...ij,...j->...i", f.a, grad), h)
 
-        inner = (slice(1, -1), slice(1, -1))
-        n_inner = lp[inner].size
-        A = np.empty((n_inner, n_inner))
-        for k in range(n_inner):
-            unit = np.zeros(f.grid.node_shape)
-            unit[inner].flat[k] = 1.0
-            A[:, k] = apply(unit)[inner].ravel()
-        direct = np.linalg.solve(A, -apply(lp)[inner].ravel())
-        sol = solve_dirichlet_affine(f, CUBE1, p)
-        assert np.abs(sol.u[inner].ravel() - (lp[inner].ravel() + direct)).max() < 1e-7
+            inner = (slice(1, -1),) * d
+            n_inner = lift[inner].size
+            A = np.empty((n_inner, n_inner))
+            for k in range(n_inner):
+                unit = np.zeros(g.node_shape)
+                unit[inner].flat[k] = 1.0
+                A[:, k] = apply(unit)[inner].ravel()
+            direct = np.linalg.solve(A, -apply(lift)[inner].ravel())
+            err = np.abs(sol.u[inner].ravel() - (lift[inner].ravel() + direct)).max()
+            assert err < 1e-7, case
 
     def test_nonconvergence_raises(self):
         f = sample_checkerboard(GridSpec(2, 1, 2), 1)
@@ -217,47 +238,6 @@ class TestPeriodicCell:
         f = sample_checkerboard(GridSpec(2, 1, 2), 21)
         sol = solve_periodic_cell(f, [1.0, 0.0])
         assert abs(sol.u.mean()) < 1e-12
-
-
-class TestForced:
-    def test_zero_forcing(self):
-        f = sample_checkerboard(GridSpec(2, 1, 1), 2)
-        g = np.zeros(f.grid.cell_shape + (2,))
-        sol = solve_forced(f, CUBE1, g)
-        assert np.abs(sol.u).max() == 0.0
-
-    def test_constant_forcing_divergence_free(self):
-        f = make_constant(GridSpec(2, 1, 2), np.eye(2))
-        g = np.broadcast_to([1.0, 2.0], f.grid.cell_shape + (2,)).copy()
-        sol = solve_forced(f, CUBE1, g)
-        assert np.abs(sol.u).max() < 1e-10
-
-    def test_substitution_oracle_dirichlet(self):
-        # with forcing f = -a e the weak form  (grad v, a grad psi) = -(grad v, f)
-        # is solved by the plane minus the affine-data minimizer
-        fld = sample_checkerboard(GridSpec(2, 1, 2), 6)
-        sub = fld.restrict(CUBE1)
-        e = np.array([1.0, 0.0])
-        forcing = -np.einsum("...ij,j->...i", sub.a, e)
-        psi = solve_forced(fld, CUBE1, forcing).u
-        sol = solve_dirichlet_affine(fld, CUBE1, e)
-        g = sub.grid
-        x = np.meshgrid(*[np.arange(n) * g.h for n in g.node_shape], indexing="ij")[0]
-        assert np.abs(psi - (x - sol.u)).max() < 1e-6
-
-    def test_substitution_oracle_periodic(self):
-        # periodic mode with the same forcing gives minus the cell corrector
-        fld = sample_checkerboard(GridSpec(2, 1, 2), 6)
-        e = np.array([0.0, 1.0])
-        forcing = -np.einsum("...ij,j->...i", fld.a, e)
-        psi = solve_forced(fld, fld.grid.macro_cube(), forcing, bc="periodic").u
-        phi = solve_periodic_cell(fld, e).u
-        assert np.abs(psi + phi).max() < 1e-7
-
-    def test_bad_bc_rejected(self):
-        f = sample_checkerboard(GridSpec(2, 1, 1), 0)
-        with pytest.raises(ValueError):
-            solve_forced(f, CUBE1, np.zeros(f.grid.cell_shape + (2,)), bc="robin")
 
 
 class TestPoissonPeriodic:
@@ -371,29 +351,27 @@ class TestSpectralPlumbing:
         np.testing.assert_allclose(network_symbol(shape, h), full_network[half], rtol=1e-14)
         cases = [
             (None, full_element),
-            (network_symbol(shape, h), full_network),
-            (1.0 + dt * network_symbol(shape, h), 1.0 + dt * full_network),
+            (spectral.pseudo_inverse(network_symbol(shape, h)), full_network),
+            (spectral.pseudo_inverse(1.0 + dt * network_symbol(shape, h)), 1.0 + dt * full_network),
         ]
-        for symbol, full in cases:
+        for inverse, full in cases:
             ref = _fft_solve_reference(b, full)
-            got = torus_solve_nodespace(b, h, symbol)
+            got = torus_solve_nodespace(b, h, inverse=inverse)
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
     @settings(max_examples=30, deadline=None)
     @given(SHAPES, STEPS, st.integers(1, 4), st.integers(0, 2**32 - 1))
     def test_leading_batch_axes_share_the_symbol(self, shape, h, batch, seed):
-        # a stack of right-hand sides solves column by column, exactly, and a
-        # precomputed pseudo-inverse gives the bits of its symbol
+        # a stack of right-hand sides solves column by column, exactly
         b = np.random.default_rng(seed).normal(size=(batch,) + shape)
         for kind in ("torus", "dirichlet", "neumann"):
             solve = getattr(spectral, f"{kind}_solve_nodespace")
-            symbol = getattr(spectral, f"{kind}_symbol")(shape, h)
-            got = solve(b, h, symbol)
+            inverse = spectral.pseudo_inverse(getattr(spectral, f"{kind}_symbol")(shape, h))
+            got = solve(b, h, inverse=inverse)
             assert got.shape == b.shape
-            assert np.array_equal(got, solve(b, h, inverse=spectral.pseudo_inverse(symbol)))
             for i in range(batch):
-                assert np.array_equal(got[i], solve(b[i], h, symbol))
+                assert np.array_equal(got[i], solve(b[i], h, inverse=inverse))
 
 
 def _full_symbol_reference(angles, h, network=False):
@@ -425,7 +403,8 @@ NODES = {"dirichlet": -1, "neumann": 1, "periodic": 0}   # nodes per axis minus 
 
 
 class TestAssembledOperator:
-    """The assembled matrix is grad^T a grad: the matrix-free product is its oracle."""
+    """The assembled stencil is grad^T a grad, and its interior block the zero-boundary
+    operator: the matrix-free product is their oracle."""
 
     @settings(max_examples=80, deadline=None)
     @given(OPERATOR_GRIDS, st.sampled_from(sorted(NODES)), st.booleans(), STEPS,
@@ -453,7 +432,11 @@ class TestAssembledOperator:
                                          discrete_gradient(full, h, periodic, d)), h, periodic)
         if bc == "dirichlet":
             ref = ref[(slice(None),) + (slice(1, -1),) * d]
-        A = _assemble(a, h, bc)
+        stencil = _stencil(a, h, periodic)
+        if bc == "dirichlet":
+            inner = (...,) + (slice(1, -1),) * d
+            stencil = {delta: c[inner] for delta, c in stencil.items()}
+        A = stencil_matrix(stencil, periodic)
         got = (A @ u.ravel()).reshape(ref.shape)
         # relative to the size of the terms: their cancellation can leave ref near zero
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(a).max() * np.abs(u).max() / h**2
@@ -555,7 +538,7 @@ class TestBatchedCG:
         # on the torus the guess is projected like b: a constant offset drops out
         grid = GridSpec(2, 1, 2)
         a = sample_checkerboard(grid, 5).a[None]
-        A = _assemble(a, grid.h, "periodic")
+        A = stencil_matrix(_stencil(a, grid.h, True), periodic=True)
         project = _make_projector(grid.cell_shape, True)
         inverse = spectral.pseudo_inverse(spectral.torus_symbol(grid.cell_shape, grid.h))
 

@@ -14,7 +14,7 @@ from hlab.fields import (
 )
 from hlab.lattice import GridSpec
 from hlab.solver import cg
-from hlab.spectral import network_symbol, torus_solve_nodespace
+from hlab.spectral import network_symbol, pseudo_inverse, torus_solve_nodespace
 from hlab.stochproc import (
     STEP_TOL,
     build_network,
@@ -197,12 +197,13 @@ def _zero_start_green(a_field, t_final, source, dt):
     net = build_network(a_field)
     grid = net.grid
     h = grid.h
-    denom = 1.0 + dt * network_symbol(grid.cell_shape, h)
+    inverse = pseudo_inverse(1.0 + dt * network_symbol(grid.cell_shape, h))
     step = scipy.sparse.identity(grid.side**grid.d, format="csr") + dt * network_operator(net)
     u = np.zeros(grid.cell_shape)
     u[source] = 1.0 / h**grid.d
     for _ in range(int(round(t_final / dt))):
-        u = cg(step, u[None], lambda r: torus_solve_nodespace(r, h, denom), STEP_TOL, 5000)[0][0]
+        u = cg(step, u[None], lambda r: torus_solve_nodespace(r, h, inverse=inverse),
+               STEP_TOL, 5000)[0][0]
     return u
 
 
