@@ -20,10 +20,13 @@ __all__ = [
     "CoefficientField",
     "GaussianFieldParams",
     "make_constant",
+    "constant_problem",
     "make_laminate",
     "laminate_problem",
     "sample_checkerboard",
+    "checkerboard_problem",
     "sample_gaussian_field",
+    "gaussian_problem",
     "tile_unit_cell",
     "mix64",
 ]
@@ -41,6 +44,12 @@ def mix64(seed: int, counter) -> np.ndarray:
         z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
         z = z ^ (z >> np.uint64(31))
     return z
+
+
+def _raise(problem) -> None:
+    """Raise the reason of an (argument name, reason) problem, if there is one."""
+    if problem:
+        raise ValueError(problem[1])
 
 
 def _uniform01(seed, counter):
@@ -102,14 +111,18 @@ class GaussianFieldParams:
     Lam: float = 4.0
 
     def __post_init__(self):
-        if self.amplitude < 0:
-            raise ValueError("kernel amplitude must be >= 0")
-        if self.decay <= 0:
-            raise ValueError("decay exponent must be > 0")
-        if self.truncation < 1:
-            raise ValueError("truncation radius must be >= 1")
-        if self.Lam < 1:
-            raise ValueError("upper ellipticity bound must be >= 1")
+        _raise(gaussian_problem(self.amplitude, self.decay, self.truncation, self.Lam))
+
+
+def gaussian_problem(amplitude: float, decay: float, truncation: int, Lam: float):
+    """Why `GaussianFieldParams` rejects these values, as (argument name, reason), or None."""
+    for name, ok, reason in (("amplitude", amplitude >= 0, "kernel amplitude must be >= 0"),
+                             ("decay", decay > 0, "decay exponent must be > 0"),
+                             ("truncation", truncation >= 1, "truncation radius must be >= 1"),
+                             ("Lam", Lam >= 1, "upper ellipticity bound must be >= 1")):
+        if not ok:
+            return name, reason
+    return None
 
 
 def _iso(values: np.ndarray, d: int) -> np.ndarray:
@@ -120,15 +133,26 @@ def _iso(values: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
+def constant_problem(d: int, matrix):
+    """Why `make_constant` cannot use `matrix` in dimension d, as (argument name, reason),
+    or None when it can."""
+    try:
+        matrix = np.asarray(matrix, dtype=float)
+    except (TypeError, ValueError):
+        return "matrix", f"matrix {matrix!r} is not an array of numbers"
+    if matrix.shape != (d, d):
+        return "matrix", f"matrix shape {matrix.shape} != ({d}, {d})"
+    if not (np.all(np.isfinite(matrix)) and np.allclose(matrix, matrix.T, atol=1e-12)):
+        return "matrix", "matrix must be finite and symmetric"
+    if np.linalg.eigvalsh(matrix).min() <= 0:
+        return "matrix", "matrix must be positive definite"
+    return None
+
+
 def make_constant(grid: GridSpec, matrix: np.ndarray) -> CoefficientField:
+    _raise(constant_problem(grid.d, matrix))
     matrix = np.asarray(matrix, dtype=float)
-    if matrix.shape != (grid.d, grid.d):
-        raise ValueError(f"matrix shape {matrix.shape} != ({grid.d}, {grid.d})")
-    if not np.allclose(matrix, matrix.T, atol=1e-12):
-        raise ValueError("matrix must be symmetric")
     ev = np.linalg.eigvalsh(matrix)
-    if ev.min() <= 0:
-        raise ValueError("matrix must be positive definite")
     a = np.broadcast_to(matrix, grid.cell_shape + (grid.d, grid.d)).copy()
     prov = {"generator": "constant", "matrix": matrix.tolist()}
     return CoefficientField(grid, a, float(ev.min()), float(ev.max()), prov)
@@ -152,9 +176,7 @@ def laminate_problem(grid: GridSpec, v1: float, v2: float, period: float, axis: 
 
 def make_laminate(grid: GridSpec, v1: float, v2: float, period: float, axis: int) -> CoefficientField:
     """Equal-width layers v1*I, v2*I alternating normal to the given axis (1-based)."""
-    problem = laminate_problem(grid, v1, v2, period, axis)
-    if problem:
-        raise ValueError(problem[1])
+    _raise(laminate_problem(grid, v1, v2, period, axis))
     half_cells = int(round(period * grid.k / 2.0))
     idx = np.arange(grid.side) // half_cells % 2
     vals = np.where(idx == 0, v1, v2).astype(float)
@@ -190,13 +212,20 @@ def _refine(vals: np.ndarray, grid: GridSpec) -> np.ndarray:
     return vals
 
 
+def checkerboard_problem(v_white: float, v_black: float, p_black: float):
+    """Why `sample_checkerboard` rejects these values, as (argument name, reason), or None."""
+    for name, value in (("v_white", v_white), ("v_black", v_black)):
+        if value <= 0:
+            return name, "checkerboard values must be > 0"
+    if not 0.0 <= p_black <= 1.0:
+        return "p_black", "p_black must be a probability"
+    return None
+
+
 def sample_checkerboard(grid: GridSpec, seed: int, v_white: float = 1.0, v_black: float = 4.0,
                         p_black: float = 0.5) -> CoefficientField:
     """iid per-unit-cell field: v_black*I with probability p_black, else v_white*I."""
-    if v_white <= 0 or v_black <= 0:
-        raise ValueError("checkerboard values must be > 0")
-    if not 0.0 <= p_black <= 1.0:
-        raise ValueError("p_black must be a probability")
+    _raise(checkerboard_problem(v_white, v_black, p_black))
     u = _uniform01(seed, _unit_cells(grid))
     vals = _refine(np.where(u < p_black, v_black, v_white), grid)
     prov = {

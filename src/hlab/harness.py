@@ -83,7 +83,7 @@ class ExperimentConfig:
 
     def validate(self) -> "ResolvedConfig":
         """The checked config with its defaults filled in; each ValueError names its key."""
-        if self.kind not in KINDS:
+        if not isinstance(self.kind, str) or self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}; "
                              f"expected one of {tuple(KINDS)}")
         kind = KINDS[self.kind]
@@ -94,8 +94,8 @@ class ExperimentConfig:
         if not _is_integer(seed) or not 0 <= seed < 2**64:
             raise ValueError(f"master_seed must be an integer in [0, 2**64), got {seed!r}")
         grid = lattice.GridSpec(**_filled(self.grid, {**GRID_DEFAULTS, **kind.grid}, "grid."))
-        name = self.generator.get("name", "checkerboard")
-        if name not in GENERATORS:
+        name = _mapping(self.generator, "generator").get("name", "checkerboard")
+        if not isinstance(name, str) or name not in GENERATORS:
             raise ValueError(f"unknown generator {name!r} in 'generator.name'; "
                              f"expected one of {sorted(GENERATORS)}")
         gen_args = {k: v for k, v in self.generator.items() if k != "name"}
@@ -158,9 +158,26 @@ def _reject_unknown_keys(data: dict, known, prefix: str = "") -> None:
                          f"expected one of {sorted(known)}")
 
 
+# what a config value must be, by the type of its default; a None default leaves it to the kind
+_VALUE_RULES = {int: (_is_integer, "an integer"),
+                float: (lambda v: _is_real(v) and math.isfinite(v), "a finite number"),
+                str: (lambda v: isinstance(v, str), "a string")}
+
+
+def _mapping(block, key: str) -> dict:
+    if not isinstance(block, dict):
+        raise ValueError(f"'{key}' must be a mapping, got {block!r}")
+    return block
+
+
 def _filled(block: dict, defaults: dict, prefix: str) -> dict:
-    """A config block with its defaults filled in, after its unknown keys are rejected."""
-    _reject_unknown_keys(block, defaults, prefix)
+    """A config block with its defaults filled in, after its unknown keys and any value
+    of another type than its default are rejected."""
+    _reject_unknown_keys(_mapping(block, prefix.rstrip(".")), defaults, prefix)
+    for k, v in block.items():
+        rule = _VALUE_RULES.get(type(defaults[k]))
+        if rule and not rule[0](v):
+            raise ValueError(f"{prefix + k!r} must be {rule[1]}, got {v!r}")
     return {k: block.get(k, v) for k, v in defaults.items()}
 
 
@@ -171,8 +188,6 @@ class EnsembleStats:
         self.count = 0
         self.mean = None
         self.M2 = None
-        self.min = None
-        self.max = None
         self.seeds = []
 
     def update(self, value, seed=None):
@@ -181,15 +196,11 @@ class EnsembleStats:
             self.count = 1
             self.mean = value.copy()
             self.M2 = np.zeros_like(value)
-            self.min = value.copy()
-            self.max = value.copy()
         else:
             self.count += 1
             delta = value - self.mean
             self.mean = self.mean + delta / self.count
             self.M2 = self.M2 + delta * (value - self.mean)
-            self.min = np.minimum(self.min, value)
-            self.max = np.maximum(self.max, value)
         if seed is not None:
             self.seeds.append(int(seed))
         return self
@@ -206,8 +217,6 @@ class EnsembleStats:
         out.count = n
         out.mean = self.mean + delta * (other.count / n)
         out.M2 = self.M2 + other.M2 + delta**2 * (self.count * other.count / n)
-        out.min = np.minimum(self.min, other.min)
-        out.max = np.maximum(self.max, other.max)
         out.seeds = list(self.seeds) + list(other.seeds)
         return out
 
@@ -217,16 +226,6 @@ class EnsembleStats:
         if self.count < 2:
             return np.zeros_like(self.mean) if self.mean is not None else None
         return self.M2 / (self.count - 1)
-
-    def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "mean": None if self.mean is None else np.asarray(self.mean).tolist(),
-            "variance": None if self.mean is None else np.asarray(self.variance).tolist(),
-            "min": None if self.min is None else np.asarray(self.min).tolist(),
-            "max": None if self.max is None else np.asarray(self.max).tolist(),
-            "seeds": self.seeds,
-        }
 
     @classmethod
     def from_values(cls, values, seeds=None) -> "EnsembleStats":
@@ -299,34 +298,17 @@ def ensemble(run, N: int, master_seed: int, jobs: int = 1) -> EnsembleStats:
 
 @dataclass
 class FitTarget:
-    """A fitted power-law exponent against a declared expectation."""
+    """A fitted power-law exponent with its intercept and bootstrap confidence interval."""
 
     fitted: float
     intercept: float
     ci_low: float
     ci_high: float
-    expected: float = None
-    band: tuple = None          # acceptable (lo, hi) for the exponent
-
-    @property
-    def within_band(self):
-        if self.band is None:
-            return None
-        return self.band[0] <= self.fitted <= self.band[1]
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out["within_band"] = self.within_band
-        return out
 
 
-def rate_fit(scales, values, variances=None, expected: float = None,
-             band: tuple = None) -> FitTarget:
-    """Least-squares slope of log(value) against log(scale), with bootstrap CI.
-
-    With per-point ensemble variances the bootstrap perturbs each value by its
-    standard error; otherwise it resamples the points.
-    """
+def rate_fit(scales, values) -> FitTarget:
+    """Least-squares slope of log(value) against log(scale), with a bootstrap CI
+    from resampling the points."""
     scales = np.asarray(scales, dtype=float)
     values = np.asarray(values, dtype=float)
     if scales.size < MIN_FIT_POINTS:
@@ -339,24 +321,16 @@ def rate_fit(scales, values, variances=None, expected: float = None,
     rng = np.random.default_rng(_BOOT_SEED)
     boots = []
     for _ in range(_N_BOOT):
-        if variances is not None:
-            se = np.sqrt(np.asarray(variances, dtype=float))
-            v = values + rng.standard_normal(values.shape) * se
-            if np.any(v <= 0):
-                continue
-            boots.append(np.polyfit(ls, np.log(v), 1)[0])
-        else:
-            idx = rng.integers(0, scales.size, size=scales.size)
-            if np.unique(ls[idx]).size < 2:
-                continue
-            boots.append(np.polyfit(ls[idx], lv[idx], 1)[0])
+        idx = rng.integers(0, scales.size, size=scales.size)
+        if np.unique(ls[idx]).size < 2:
+            continue
+        boots.append(np.polyfit(ls[idx], lv[idx], 1)[0])
     if boots:
         lo, hi = np.percentile(boots, [2.5, 97.5])
         lo, hi = min(lo, slope), max(hi, slope)
     else:
         lo = hi = slope
-    return FitTarget(float(slope), float(intercept), float(lo), float(hi),
-                     expected=expected, band=band)
+    return FitTarget(float(slope), float(intercept), float(lo), float(hi))
 
 
 # ---------------------------------------------------------------------------
@@ -430,20 +404,19 @@ def _torus_level_for(r: float) -> int:
     return m
 
 
-def _variance_fit(runs, n_seeds: int, master_seed: int, band: tuple, jobs: int):
+def _variance_fit(runs, n_seeds: int, master_seed: int, jobs: int):
     """One ensemble per (length, member) pair of `runs`, in increasing length, and
     the log-log fit of each ensemble's summed variance against its length."""
     if n_seeds < MIN_SEEDS:
         raise ValueError(f"variance estimation needs at least {MIN_SEEDS} seeds")
     stats = [ensemble(run, n_seeds, master_seed, jobs) for _, run in runs]
     fit = rate_fit([length for length, _ in runs],
-                   [max(float(np.sum(st.variance)), 1e-300) for st in stats], band=band)
+                   [max(float(np.sum(st.variance)), 1e-300) for st in stats])
     return stats, fit
 
 
 def fluctuation_cascade(make_field, r_list, n_seeds: int, master_seed: int = 0,
-                        band: tuple = None, opts: solver.SolveOptions = None,
-                        jobs: int = 1) -> dict:
+                        opts: solver.SolveOptions = None, jobs: int = 1) -> dict:
     """Ensemble variance of b_r(0) across radii, with a log-log slope fit.
 
     `make_field(seed, m)` must return a periodic coefficient field on the
@@ -453,7 +426,7 @@ def fluctuation_cascade(make_field, r_list, n_seeds: int, master_seed: int = 0,
     """
     radii = [float(r) for r in sorted(r_list)]
     stats, fit = _variance_fit([(r, partial(_b_r_at_origin, make_field, r, opts)) for r in radii],
-                               n_seeds, master_seed, band, jobs)
+                               n_seeds, master_seed, jobs)
     per_r = [{"r": r, "torus_level": _torus_level_for(r), "mean": np.asarray(st.mean),
               "variance": np.asarray(st.variance),
               "total_variance": float(np.asarray(st.variance).sum())}
@@ -461,8 +434,7 @@ def fluctuation_cascade(make_field, r_list, n_seeds: int, master_seed: int = 0,
     return {"per_r": per_r, "fit": fit, "n_seeds": n_seeds, "master_seed": master_seed}
 
 
-def cube_average_fluctuations(make_field, n_list, n_seeds: int,
-                              master_seed: int = 0, band: tuple = None,
+def cube_average_fluctuations(make_field, n_list, n_seeds: int, master_seed: int = 0,
                               opts: solver.SolveOptions = None, jobs: int = 1) -> dict:
     """Ensemble variance of e1 . a(level-n cube) e1 across levels, slope-fitted.
 
@@ -471,7 +443,7 @@ def cube_average_fluctuations(make_field, n_list, n_seeds: int,
     levels = sorted(n_list)
     stats, fit = _variance_fit(
         [(float(3**n), partial(_e1_upper_entry, make_field, n, opts)) for n in levels],
-        n_seeds, master_seed, band, jobs)
+        n_seeds, master_seed, jobs)
     per_n = [{"n": int(n), "scale": float(3**n), "mean": float(st.mean),
               "variance": float(st.variance)} for n, st in zip(levels, stats)]
     return {"per_n": per_n, "fit": fit, "n_seeds": n_seeds, "master_seed": master_seed}
@@ -574,7 +546,7 @@ def _exp_corrector(rc, jobs):
     _write_csv(os.path.join(rc.output_dir, "sublinearity.csv"),
                ["m", "R_mean", "R_variance"], table)
     fit = rate_fit([3.0**m for m, _, _ in table], [r for _, r, _ in table])
-    return {"kind": "corrector", "mode": mode, "R_table": table, "fit": fit.to_dict()}
+    return {"kind": "corrector", "mode": mode, "R_table": table, "fit": asdict(fit)}
 
 
 def _exp_twoscale(rc, jobs):
@@ -587,7 +559,7 @@ def _exp_twoscale(rc, jobs):
     _write_csv(os.path.join(rc.output_dir, "twoscale.csv"),
                list(rows[0].keys()), [list(r.values()) for r in rows])
     fit = rate_fit([r.eps for r in reports], [r.grad_error for r in reports])
-    return {"kind": "twoscale", "rows": rows, "grad_rate": fit.to_dict(),
+    return {"kind": "twoscale", "rows": rows, "grad_rate": asdict(fit),
             "abar": cset.abar}
 
 
@@ -599,12 +571,12 @@ def _exp_cascade(rc, jobs):
             for row in out["per_r"]]
     _write_csv(os.path.join(rc.output_dir, "cascade_variance.csv"),
                ["r", "torus_level", "total_variance"], rows)
-    summary = {"kind": "cascade", "per_r": rows, "fit": out["fit"].to_dict()}
+    summary = {"kind": "cascade", "per_r": rows, "fit": asdict(out["fit"])}
     if rc.extra["cube_levels"]:
         out2 = cube_average_fluctuations(make_field, rc.extra["cube_levels"],
                                          rc.ensemble_size, rc.master_seed,
                                          opts=rc.opts, jobs=jobs)
-        summary["cube_fit"] = out2["fit"].to_dict()
+        summary["cube_fit"] = asdict(out2["fit"])
         summary["cube_per_n"] = [(r["n"], r["variance"]) for r in out2["per_n"]]
     return summary
 
@@ -660,21 +632,31 @@ def _numbers(values, key: str, count: int, check=float) -> tuple:
 
 
 def _positive(extra: dict, key: str) -> float:
-    value = extra[key]
-    if not _is_real(value) or not 0 < value < math.inf:
-        raise ValueError(f"'extra.{key}' must be a finite number > 0, got {value!r}")
-    return float(value)
+    """extra[key], a finite number once `_filled` has checked it, if it is > 0."""
+    if not extra[key] > 0:
+        raise ValueError(f"'extra.{key}' must be > 0, got {extra[key]!r}")
+    return float(extra[key])
+
+
+def _field_problem(generator: tuple, grid):
+    """Why a resolved generator cannot build a field on `grid`, as (argument name, reason),
+    or None when it can: the check its builder raises."""
+    name, kw = generator
+    if name == "constant":
+        return None if kw["matrix"] is None else fields.constant_problem(grid.d, kw["matrix"])
+    if name == "laminate":
+        return fields.laminate_problem(grid, **kw)
+    if name == "checkerboard":
+        return fields.checkerboard_problem(**kw)
+    return fields.gaussian_problem(**kw)
 
 
 def _check_field(rc, levels):
     """rc, once its generator fits the grid of each level that its runner builds a field on."""
-    name, kw = rc.generator
-    if name == "laminate":
-        for m in sorted(set(levels)):
-            problem = fields.laminate_problem(replace(rc.grid, m=m), **kw)
-            if problem:
-                raise ValueError(f"'generator.{problem[0]}': {problem[1]} "
-                                 f"on the level-{m} grid")
+    for m in sorted(set(levels)):
+        problem = _field_problem(rc.generator, replace(rc.grid, m=m))
+        if problem:
+            raise ValueError(f"'generator.{problem[0]}': {problem[1]} on the level-{m} grid")
     return rc
 
 
@@ -723,9 +705,8 @@ def _check_cascade(rc):
 
 def _check_walk(rc):
     horizon = _positive(rc.extra, "horizon")
-    n_paths = rc.extra["n_paths"]
-    if not _is_integer(n_paths) or n_paths < 2:
-        raise ValueError(f"'extra.n_paths' must be an integer >= 2, got {n_paths!r}")
+    if rc.extra["n_paths"] < 2:         # an integer, once `_filled` has checked it
+        raise ValueError(f"'extra.n_paths' must be >= 2, got {rc.extra['n_paths']!r}")
     times = rc.extra["sample_times"]
     if times is not None and not (isinstance(times, (list, tuple)) and times and all(
             _is_real(s) and 0 <= s <= horizon for s in times)):

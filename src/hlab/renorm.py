@@ -17,7 +17,7 @@ from math import erfc
 import numpy as np
 import scipy.ndimage
 
-from .coarse import coarse_matrices, partition_matrices
+from .coarse import coarse_matrices, duality_defect, partition_matrices
 from .correctors import CorrectorSet
 from .fields import CoefficientField
 from .lattice import GridSpec, TriadicCube, cell_index, discrete_gradient
@@ -56,30 +56,19 @@ def heat_kernel_1d(r: float, h: float):
     return w / total, float(tail)
 
 
-def heat_convolve(f: np.ndarray, r: float, h: float, periodic: bool = True,
-                  spatial_dims: int = None, info: dict = None) -> np.ndarray:
-    """Separable Gaussian smoothing over the leading spatial axes.
+def heat_convolve(f: np.ndarray, r: float, h: float, spatial_dims: int = None) -> np.ndarray:
+    """Separable Gaussian smoothing of a periodic field over its leading spatial axes.
 
-    Periodic fields wrap; otherwise the field is extended by zero and the
-    worst-case boundary mass loss is recorded in `info`.
+    The whole-field reference that `heat_point_value` is checked against.
     """
     f = np.asarray(f, dtype=float)
     nd = f.ndim if spatial_dims is None else spatial_dims
-    w, tail = heat_kernel_1d(r, h)
-    mode = "wrap" if periodic else "constant"
+    w, _ = heat_kernel_1d(r, h)
     out = f
     for ax in range(nd):
-        if w.size > f.shape[ax] and periodic:
+        if w.size > f.shape[ax]:
             raise ValueError("kernel support exceeds the torus period")
-        out = scipy.ndimage.convolve1d(out, w, axis=ax, mode=mode, cval=0.0)
-    if info is not None:
-        info["kernel_tail_mass"] = tail
-        if not periodic:
-            ones = np.ones(f.shape[:nd])
-            cov = ones
-            for ax in range(nd):
-                cov = scipy.ndimage.convolve1d(cov, w, axis=ax, mode="constant", cval=0.0)
-            info["boundary_mass_loss_max"] = float(1.0 - cov.min())
+        out = scipy.ndimage.convolve1d(out, w, axis=ax, mode="wrap")
     return out
 
 
@@ -137,8 +126,7 @@ def _local_min_scale(a_field: CoefficientField, point, delta: float,
         if 3**n * grid.k < 2:
             continue
         cube = _containing_cube(point, grid, n)
-        res = coarse_matrices(a_field, cube, opts)
-        if np.linalg.norm(res.a_upper - res.a_lower, ord=2) <= thresh:
+        if duality_defect(coarse_matrices(a_field, cube, opts))["gap"] <= thresh:
             return float(3**n)
     return float(2 * 3 ** (cap + 1))  # sentinel: beyond the searched range
 
@@ -197,7 +185,7 @@ def minimal_scale_proxy(a_field: CoefficientField, delta: float,
         if 3**n * grid.k < 2:
             continue
         region = TriadicCube(min(grid.m, n + 1), (0,) * grid.d)
-        if all(np.linalg.norm(res.a_upper - res.a_lower, ord=2) <= thresh
+        if all(duality_defect(res)["gap"] <= thresh
                for res in partition_matrices(a_field, region, n, opts)):
             return float(3**n)
     return float("inf")

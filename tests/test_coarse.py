@@ -221,15 +221,13 @@ class TestJAndDuality:
         g = GridSpec(2, 2, 1)
         cube = TriadicCube(2, (0, 0))
         for seed in range(30):
-            dd = duality_defect(coarse_matrices(sample_checkerboard(g, seed), cube))
+            r = coarse_matrices(sample_checkerboard(g, seed), cube)
+            dd = duality_defect(r)
             assert dd["bound"] >= -TOL10
             assert dd["gap"] <= 10.0 * dd["bound"] + TOL10
-
-    def test_duality_defect_rejects_asymmetric_comparison(self):
-        f = sample_checkerboard(GridSpec(2, 1, 1), 0)
-        r = coarse_matrices(f, TriadicCube(1, (0, 0)))
-        with pytest.raises(ValueError):
-            duality_defect(r, np.array([[1.0, 0.5], [0.0, 1.0]]))
+            # the closed form tr(a - a*) / 2 is the basis J sum at q = a* p
+            J_sum = sum(J_value(r, e, r.a_lower @ e) for e in np.eye(2))
+            assert dd["bound"] == pytest.approx(J_sum, rel=1e-12)
 
 
 class TestSubadditivity:
@@ -300,6 +298,12 @@ class TestCascadeCsv:
         assert [r.level for r in recs] == [0, 1, 2]
         assert recs[0].gap_mean == pytest.approx(0.0, abs=1e-12)  # single cells
         assert recs[2].gap_mean > 0
+        # the stacked level statistics equal the means of the per-cube defects
+        per_cube = [duality_defect(r) for r in partition_matrices(f, TriadicCube(2, (0, 0)), 1)]
+        assert recs[1].gap_mean == pytest.approx(np.mean([dd["gap"] for dd in per_cube]),
+                                                 rel=1e-12)
+        assert recs[1].defect_bound_mean == pytest.approx(
+            np.mean([dd["bound"] for dd in per_cube]), rel=1e-12)
         path = tmp_path / "cascade.csv"
         write_cascade_csv(path, recs)
         back = read_cascade_csv(path)

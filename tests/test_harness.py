@@ -41,9 +41,10 @@ class TestConfig:
         assert ExperimentConfig.load(path) == cfg
         json.loads(path.read_text())  # well-formed file
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(kind="unknown").validate()
+    def test_validation(self, tmp_path):
+        for kind in ("unknown", ["walk"]):
+            with pytest.raises(ValueError, match="experiment kind"):
+                ExperimentConfig(kind=kind).validate()
         with pytest.raises(ValueError):
             ExperimentConfig(kind="walk", ensemble_size=0).validate()
         with pytest.raises(ValueError):
@@ -147,6 +148,32 @@ class TestConfig:
                          scales=[0, 1, 2], extra=fv).validate()
         ExperimentConfig(kind="cascade", generator={**lam, "period": 1.0}, grid={"k": 2},
                          extra={"cube_levels": [1, 2, 3]}).validate()
+        # every block is a mapping, every value has its default's type, and every
+        # generator's values are checked, all before the output directory exists
+        gauss, const = {"name": "gaussian"}, {"name": "constant"}
+        for bad, key in ((dict(generator="checkerboard"), "'generator'"),
+                         (dict(generator={"name": ["laminate"]}), "'generator.name'"),
+                         (dict(grid=[2, 1, 1]), "'grid'"),
+                         (dict(extra=[1]), "'extra'"),
+                         (dict(grid={"m": "1"}), "'grid.m'"),
+                         (dict(grid={"d": 2.0}), "'grid.d'"),
+                         (dict(solver={"tol": "1e-8"}), "'solver.tol'"),
+                         (dict(solver={"maxiter": 2.5}), "'solver.maxiter'"),
+                         (dict(generator={**lam, "period": "1"}), "'generator.period'"),
+                         (dict(generator={**gauss, "truncation": 2.5}), "'generator.truncation'"),
+                         (dict(generator={**gauss, "decay": 0.0}), "'generator.decay'"),
+                         (dict(generator={"p_black": 1.5}), "'generator.p_black'"),
+                         (dict(generator={"v_white": float("nan")}), "'generator.v_white'"),
+                         (dict(generator={**lam, "period": float("inf")}), "'generator.period'"),
+                         (dict(generator={**const, "matrix": [[1, 2], [2, 1]]}),
+                          "'generator.matrix'"),
+                         (dict(generator={**const, "matrix": [[1, 0, 0]]}), "'generator.matrix'")):
+            out = tmp_path / "out"
+            with pytest.raises(ValueError, match=key):
+                run_experiment(ExperimentConfig(kind="coarsen", output_dir=str(out), **bad))
+            assert not out.exists()
+        with pytest.raises(ValueError, match="'grid'"):
+            ExperimentConfig.from_json(json.dumps({"kind": "coarsen", "grid": None})).validate()
 
     def test_validate_resolves_defaults(self):
         rc = ExperimentConfig(kind="twoscale", grid={"d": 3}).validate()
@@ -166,7 +193,6 @@ class TestEnsembleStats:
         assert st_.count == 37
         assert st_.mean == pytest.approx(vals.mean(), rel=1e-12)
         assert st_.variance == pytest.approx(vals.var(ddof=1), rel=1e-12)
-        assert st_.min == vals.min() and st_.max == vals.max()
 
     def test_merge_equals_concatenation(self):
         rng = np.random.default_rng(1)
@@ -193,7 +219,6 @@ class TestEnsembleStats:
     def test_seeds_tracked(self):
         s = EnsembleStats.from_values([1.0, 2.0], seeds=[10, 20])
         assert s.seeds == [10, 20]
-        assert s.to_dict()["seeds"] == [10, 20]
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=40),
@@ -252,22 +277,10 @@ class TestRateFit:
     def test_recovers_exact_power_law(self):
         scales = [2.0, 4.0, 8.0, 16.0]
         values = [3.0 * s**(-1.7) for s in scales]
-        fit = rate_fit(scales, values, expected=-1.7, band=(-2.0, -1.5))
+        fit = rate_fit(scales, values)
         assert fit.fitted == pytest.approx(-1.7, abs=1e-12)
         assert fit.intercept == pytest.approx(np.log(3.0), abs=1e-10)
         assert fit.ci_low <= -1.7 <= fit.ci_high
-        assert fit.within_band is True
-
-    def test_band_miss(self):
-        fit = rate_fit([1.0, 2.0, 4.0], [1.0, 2.0, 4.0], band=(-1.0, 0.5))
-        assert fit.fitted == pytest.approx(1.0)
-        assert fit.within_band is False
-
-    def test_parametric_bootstrap_with_variances(self):
-        scales = [2.0, 4.0, 8.0, 16.0]
-        values = [s**(-2.0) for s in scales]
-        fit = rate_fit(scales, values, variances=[1e-12] * 4)
-        assert fit.ci_high - fit.ci_low < 0.5
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
