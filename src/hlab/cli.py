@@ -47,9 +47,10 @@ def _load_config(kind, config_path, seed, out_dir):
 
 
 def _execute(kind, config_path, seed, out_dir, jobs):
-    cfg = _load_config(kind, config_path, seed, out_dir)
     try:
-        summary = run_experiment(cfg, jobs=jobs)
+        summary = run_experiment(_load_config(kind, config_path, seed, out_dir), jobs=jobs)
+    except click.UsageError:
+        raise
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
         sys.exit(1)

@@ -14,7 +14,6 @@ fast the two pinch together under coarsening.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +35,6 @@ __all__ = [
     "spatial_average_identities",
     "cascade_record",
     "cascade",
-    "write_cascade_csv",
-    "read_cascade_csv",
 ]
 
 
@@ -160,7 +157,7 @@ def duality_defect(r: CoarseGrainResult) -> dict:
 
 
 def subadditivity_slacks(parent: CoarseGrainResult, children) -> dict:
-    """Child means of the coarse pair against the parent's, with the smallest slack eigenvalues.
+    """Smallest eigenvalues of the slacks of the parent's coarse pair against its children's.
 
     Subadditivity: a(parent) <= arithmetic mean of a(child) and
     a*(parent) >= harmonic mean of a*(child), in the matrix order.  The
@@ -168,33 +165,26 @@ def subadditivity_slacks(parent: CoarseGrainResult, children) -> dict:
     """
     up_mean = np.mean([c.a_upper for c in children], axis=0)
     lo_harm = np.linalg.inv(np.mean([np.linalg.inv(c.a_lower) for c in children], axis=0))
-    up_slack = np.linalg.eigvalsh(up_mean - parent.a_upper).min()
-    lo_slack = np.linalg.eigvalsh(parent.a_lower - lo_harm).min()
-    return {
-        "a_upper_child_mean": up_mean,
-        "a_lower_child_harmonic": lo_harm,
-        "upper_slack_min_eig": float(up_slack),
-        "lower_slack_min_eig": float(lo_slack),
-    }
+    return {"upper_slack_min_eig": float(np.linalg.eigvalsh(up_mean - parent.a_upper).min()),
+            "lower_slack_min_eig": float(np.linalg.eigvalsh(parent.a_lower - lo_harm).min())}
 
 
 def subadditivity_ledger(a_field: CoefficientField, m: int, n: int,
                          opts: SolveOptions = None) -> dict:
     """Coarse matrices on the origin level-m cube vs. its level-n children.
 
-    Returns the parent and children results with their `subadditivity_slacks`.
+    Returns their `subadditivity_slacks`.
     """
     if not 0 <= n < m:
         raise ValueError(f"need 0 <= n < m, got n={n}, m={m}")
     cube = TriadicCube(m, (0,) * a_field.grid.d)
-    parent = coarse_matrices(a_field, cube, opts)
-    children = partition_matrices(a_field, cube, n, opts)
-    return {"parent": parent, "children": children, **subadditivity_slacks(parent, children)}
+    return subadditivity_slacks(coarse_matrices(a_field, cube, opts),
+                                partition_matrices(a_field, cube, n, opts))
 
 
 def multiscale_E(a_field: CoefficientField, m: int, a_ref: np.ndarray,
-                 opts: SolveOptions = None) -> dict:
-    """Scale-weighted pinching functional against a reference matrix.
+                 opts: SolveOptions = None) -> float:
+    """Scale-weighted pinching functional E(m) against a reference matrix, as a float.
 
         E(m) = sum_{n=0}^{m} 3^(n-m) sum_i mean_{level-n cubes in the level-m
                cube at the origin} J(U, e_i, a_ref e_i)
@@ -210,13 +200,12 @@ def multiscale_E(a_field: CoefficientField, m: int, a_ref: np.ndarray,
         raise ValueError(f"level {m} out of range [0, {a_field.grid.m}]")
     cube = TriadicCube(m, (0,) * d)
     es = np.eye(d)
-    per_level = []
+    E = 0.0
     for n in range(m + 1):
         vals = [sum(J_value(r, e, a_ref @ e) for e in es)
                 for r in partition_matrices(a_field, cube, n, opts)]
-        per_level.append(float(np.mean(vals)))
-    E = float(sum(3.0 ** (n - m) * per_level[n] for n in range(m + 1)))
-    return {"E": E, "per_level_J_mean": per_level, "m": m}
+        E += 3.0 ** (n - m) * float(np.mean(vals))
+    return E
 
 
 def spatial_average_identities(r: CoarseGrainResult) -> dict:
@@ -266,47 +255,3 @@ def cascade(a_field: CoefficientField, cube: TriadicCube, levels,
             opts: SolveOptions = None) -> list:
     """CascadeRecord per level: partition statistics of the coarse pair."""
     return [cascade_record(n, partition_matrices(a_field, cube, n, opts)) for n in sorted(levels)]
-
-
-# ---------------------------------------------------------------------------
-# flat CSV serialization of cascade records
-# ---------------------------------------------------------------------------
-
-
-def write_cascade_csv(path, records) -> None:
-    if not records:
-        raise ValueError("no records to write")
-    d = records[0].a_upper_mean.shape[0]
-    cols = ["level", "gap_mean", "defect_bound_mean"]
-    cols += [f"a_upper_mean_{i}{j}" for i in range(d) for j in range(d)]
-    cols += [f"a_upper_var_{i}{j}" for i in range(d) for j in range(d)]
-    cols += [f"a_lower_harm_{i}{j}" for i in range(d) for j in range(d)]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(cols)
-        for r in records:
-            row = [r.level, repr(r.gap_mean), repr(r.defect_bound_mean)]
-            for arr in (r.a_upper_mean, r.a_upper_var, r.a_lower_harmonic):
-                row += [repr(float(x)) for x in arr.ravel()]
-            w.writerow(row)
-
-
-def read_cascade_csv(path) -> list:
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    out = []
-    for row in rows:
-        def block(prefix):
-            keys = sorted(k for k in row if k.startswith(prefix))
-            d = int(round(len(keys) ** 0.5))
-            return np.array([float(row[k]) for k in keys]).reshape(d, d)
-
-        out.append(CascadeRecord(
-            level=int(row["level"]),
-            a_upper_mean=block("a_upper_mean_"),
-            a_upper_var=block("a_upper_var_"),
-            a_lower_harmonic=block("a_lower_harm_"),
-            gap_mean=float(row["gap_mean"]),
-            defect_bound_mean=float(row["defect_bound_mean"]),
-        ))
-    return out

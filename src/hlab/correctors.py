@@ -17,7 +17,7 @@ reported in the weak norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,15 +56,14 @@ class CorrectorSet:
     s: list                    # per direction: skew matrix cell field (*cells, d, d)
     abar: np.ndarray           # homogenized / coarse matrix estimate
     div_residuals: list        # per direction: weak-norm of (div s - g)
-    metadata: dict = field(default_factory=dict)
 
 
 def flux_corrector(g: np.ndarray, grid: GridSpec):
     """Skew matrix potential of a mean-zero periodic cell vector field on `grid`.
 
     Entry potentials solve  -lap s_ij = d_i g_j - d_j g_i  on the torus,
-    mean zero.  Returns (s_cell, potentials, div_residual_weak_norm) where
-    the residual compares the discrete row divergence of s against g.
+    mean zero.  Returns (s_cell, div_residual_weak_norm) where the residual
+    compares the discrete row divergence of s against g.
     """
     g = np.asarray(g, dtype=float)
     d, h = grid.d, grid.h
@@ -78,7 +77,6 @@ def flux_corrector(g: np.ndarray, grid: GridSpec):
     inverse = spectral.pseudo_inverse(spectral.torus_symbol(grid.cell_shape, h))
     s = np.zeros(grid.cell_shape + (d, d))
     div_s = np.zeros_like(g)
-    potentials = {}
     for i in range(d):
         for j in range(i + 1, d):
             rotated = np.zeros_like(g)
@@ -86,13 +84,12 @@ def flux_corrector(g: np.ndarray, grid: GridSpec):
             pot = spectral.torus_solve_nodespace(gradient_adjoint(rotated, h, periodic=True),
                                                  h, inverse=inverse)
             pot = pot - pot.mean()
-            potentials[(i, j)] = pot
             s[..., i, j] = node_to_cell(pot, periodic=True)
             s[..., j, i] = -s[..., i, j]
             grad = discrete_gradient(pot, h, periodic=True)
             div_s[..., i] += grad[..., j]
             div_s[..., j] -= grad[..., i]
-    return s, potentials, weak_norm_estimate(div_s - g, grid)
+    return s, weak_norm_estimate(div_s - g, grid)
 
 
 def _corrector_set(mode, grid, level, phis, fluxes, with_flux_correctors=True):
@@ -104,9 +101,8 @@ def _corrector_set(mode, grid, level, phis, fluxes, with_flux_correctors=True):
     built = [flux_corrector(g, grid) for g in gs] if with_flux_correctors else []
     return CorrectorSet(
         mode=mode, grid=grid, level=level, phi=phis, g=gs,
-        s=[s for s, _, _ in built], abar=0.5 * (abar + abar.T),
-        div_residuals=[res for _, _, res in built],
-        metadata={"symmetry_drift": float(np.abs(abar - abar.T).max())},
+        s=[s for s, _ in built], abar=0.5 * (abar + abar.T),
+        div_residuals=[res for _, res in built],
     )
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import GridSpec
+from .lattice import GridSpec, raise_problem
 
 __all__ = [
     "CoefficientField",
@@ -44,12 +44,6 @@ def mix64(seed: int, counter) -> np.ndarray:
         z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
         z = z ^ (z >> np.uint64(31))
     return z
-
-
-def _raise(problem) -> None:
-    """Raise the reason of an (argument name, reason) problem, if there is one."""
-    if problem:
-        raise ValueError(problem[1])
 
 
 def _uniform01(seed, counter):
@@ -111,7 +105,7 @@ class GaussianFieldParams:
     Lam: float = 4.0
 
     def __post_init__(self):
-        _raise(gaussian_problem(self.amplitude, self.decay, self.truncation, self.Lam))
+        raise_problem(gaussian_problem(self.amplitude, self.decay, self.truncation, self.Lam))
 
 
 def gaussian_problem(amplitude: float, decay: float, truncation: int, Lam: float):
@@ -150,7 +144,7 @@ def constant_problem(d: int, matrix):
 
 
 def make_constant(grid: GridSpec, matrix: np.ndarray) -> CoefficientField:
-    _raise(constant_problem(grid.d, matrix))
+    raise_problem(constant_problem(grid.d, matrix))
     matrix = np.asarray(matrix, dtype=float)
     ev = np.linalg.eigvalsh(matrix)
     a = np.broadcast_to(matrix, grid.cell_shape + (grid.d, grid.d)).copy()
@@ -176,7 +170,7 @@ def laminate_problem(grid: GridSpec, v1: float, v2: float, period: float, axis: 
 
 def make_laminate(grid: GridSpec, v1: float, v2: float, period: float, axis: int) -> CoefficientField:
     """Equal-width layers v1*I, v2*I alternating normal to the given axis (1-based)."""
-    _raise(laminate_problem(grid, v1, v2, period, axis))
+    raise_problem(laminate_problem(grid, v1, v2, period, axis))
     half_cells = int(round(period * grid.k / 2.0))
     idx = np.arange(grid.side) // half_cells % 2
     vals = np.where(idx == 0, v1, v2).astype(float)
@@ -225,7 +219,7 @@ def checkerboard_problem(v_white: float, v_black: float, p_black: float):
 def sample_checkerboard(grid: GridSpec, seed: int, v_white: float = 1.0, v_black: float = 4.0,
                         p_black: float = 0.5) -> CoefficientField:
     """iid per-unit-cell field: v_black*I with probability p_black, else v_white*I."""
-    _raise(checkerboard_problem(v_white, v_black, p_black))
+    raise_problem(checkerboard_problem(v_white, v_black, p_black))
     u = _uniform01(seed, _unit_cells(grid))
     vals = _refine(np.where(u < p_black, v_black, v_white), grid)
     prov = {

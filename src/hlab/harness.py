@@ -93,7 +93,9 @@ class ExperimentConfig:
         seed = self.master_seed
         if not _is_integer(seed) or not 0 <= seed < 2**64:
             raise ValueError(f"master_seed must be an integer in [0, 2**64), got {seed!r}")
-        grid = lattice.GridSpec(**_filled(self.grid, {**GRID_DEFAULTS, **kind.grid}, "grid."))
+        grid_kw = _filled(self.grid, {**GRID_DEFAULTS, **kind.grid}, "grid.")
+        _raise_named(lattice.grid_problem(**grid_kw), "grid.")
+        grid = lattice.GridSpec(**grid_kw)
         name = _mapping(self.generator, "generator").get("name", "checkerboard")
         if not isinstance(name, str) or name not in GENERATORS:
             raise ValueError(f"unknown generator {name!r} in 'generator.name'; "
@@ -101,9 +103,13 @@ class ExperimentConfig:
         gen_args = {k: v for k, v in self.generator.items() if k != "name"}
         generator = name, _filled(gen_args, GENERATORS[name], "generator.")
         extra = _filled(self.extra, kind.extra, "extra.")
-        opts = solver.SolveOptions(**_filled(self.solver, _defaults(solver.SolveOptions), "solver."))
+        opts_kw = _filled(self.solver, _defaults(solver.SolveOptions), "solver.")
+        _raise_named(solver.options_problem(**opts_kw), "solver.")
+        opts = solver.SolveOptions(**opts_kw)
         if not isinstance(self.scales, (list, tuple)):
             raise ValueError(f"'scales' must be a list, got {self.scales!r}")
+        if not isinstance(self.output_dir, str):
+            raise ValueError(f"'output_dir' must be a string, got {self.output_dir!r}")
         return kind.check(ResolvedConfig(
             kind=self.kind, grid=grid, generator=generator, extra=extra, opts=opts,
             scales=tuple(self.scales or kind.scales(grid)), ensemble_size=size,
@@ -114,7 +120,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"a config must be valid JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise ValueError(f"a config must be a JSON object, got {data!r}")
         _reject_unknown_keys(data, {f.name for f in dataclass_fields(cls)})
         return cls(**data)
 
@@ -179,6 +190,12 @@ def _filled(block: dict, defaults: dict, prefix: str) -> dict:
         if rule and not rule[0](v):
             raise ValueError(f"{prefix + k!r} must be {rule[1]}, got {v!r}")
     return {k: block.get(k, v) for k, v in defaults.items()}
+
+
+def _raise_named(problem, prefix: str, where: str = "") -> None:
+    """Raise an (argument name, reason) problem, if there is one, naming its config key."""
+    if problem:
+        raise ValueError(f"'{prefix}{problem[0]}': {problem[1]}{where}")
 
 
 class EnsembleStats:
@@ -249,7 +266,7 @@ def ensemble_values(run, N: int, master_seed: int, jobs: int = 1):
 
     Returns (values, seeds, errors) where errors maps index -> message; all
     members are attempted even if some fail.  With jobs > 1 the members run
-    in that many worker processes, so `run` must pickle.
+    in min(jobs, N) worker processes, so `run` must pickle.
     """
     if not _is_integer(N) or N < 1:
         raise ValueError(f"ensemble size must be an integer >= 1, got {N!r}")
@@ -264,7 +281,7 @@ def ensemble_values(run, N: int, master_seed: int, jobs: int = 1):
             except Exception as exc:  # noqa: BLE001 - member failures are data
                 errors[i] = f"{type(exc).__name__}: {exc}"
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, N)) as pool:
             futures = {i: pool.submit(run, s) for i, s in enumerate(seeds)}
             for i, fut in futures.items():
                 try:
@@ -427,11 +444,10 @@ def fluctuation_cascade(make_field, r_list, n_seeds: int, master_seed: int = 0,
     radii = [float(r) for r in sorted(r_list)]
     stats, fit = _variance_fit([(r, partial(_b_r_at_origin, make_field, r, opts)) for r in radii],
                                n_seeds, master_seed, jobs)
-    per_r = [{"r": r, "torus_level": _torus_level_for(r), "mean": np.asarray(st.mean),
-              "variance": np.asarray(st.variance),
+    per_r = [{"r": r, "torus_level": _torus_level_for(r),
               "total_variance": float(np.asarray(st.variance).sum())}
              for r, st in zip(radii, stats)]
-    return {"per_r": per_r, "fit": fit, "n_seeds": n_seeds, "master_seed": master_seed}
+    return {"per_r": per_r, "fit": fit}
 
 
 def cube_average_fluctuations(make_field, n_list, n_seeds: int, master_seed: int = 0,
@@ -444,9 +460,8 @@ def cube_average_fluctuations(make_field, n_list, n_seeds: int, master_seed: int
     stats, fit = _variance_fit(
         [(float(3**n), partial(_e1_upper_entry, make_field, n, opts)) for n in levels],
         n_seeds, master_seed, jobs)
-    per_n = [{"n": int(n), "scale": float(3**n), "mean": float(st.mean),
-              "variance": float(st.variance)} for n, st in zip(levels, stats)]
-    return {"per_n": per_n, "fit": fit, "n_seeds": n_seeds, "master_seed": master_seed}
+    per_n = [{"n": int(n), "variance": float(st.variance)} for n, st in zip(levels, stats)]
+    return {"per_n": per_n, "fit": fit}
 
 
 # ---------------------------------------------------------------------------
@@ -455,11 +470,12 @@ def cube_average_fluctuations(make_field, n_list, n_seeds: int, master_seed: int
 
 
 def _write_csv(path, header, rows):
+    """A header line, then the rows; every float, numpy scalars included, as repr(float(x))."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:
-            w.writerow([repr(x) if isinstance(x, float) else x for x in row])
+            w.writerow([repr(float(x)) if isinstance(x, (float, np.floating)) else x for x in row])
 
 
 def _write_json(path, payload):
@@ -518,7 +534,12 @@ def _exp_coarsen(rc, jobs):
     parts = {n: coarse.partition_matrices(fld, rc.grid.macro_cube(), n, rc.opts)
              for n in sorted(set(levels) | ({m} if below else set()))}
     recs = [coarse.cascade_record(n, parts[n]) for n in sorted(levels)]
-    coarse.write_cascade_csv(os.path.join(rc.output_dir, "cascade.csv"), recs)
+    d, blocks = rc.grid.d, ("a_upper_mean", "a_upper_var", "a_lower_harm")
+    _write_csv(os.path.join(rc.output_dir, "cascade.csv"),
+               ["level", "gap_mean", "defect_bound_mean"]
+               + [f"{b}_{i}{j}" for b in blocks for i in range(d) for j in range(d)],
+               [[r.level, r.gap_mean, r.defect_bound_mean, *r.a_upper_mean.ravel(),
+                 *r.a_upper_var.ravel(), *r.a_lower_harmonic.ravel()] for r in recs])
     sub = coarse.subadditivity_slacks(parts[m][0], parts[min(below)]) if below else None
     return {
         "kind": "coarsen",
@@ -585,12 +606,9 @@ def _exp_walk(rc, jobs):
     net = stochproc.build_network(_build_field(rc.generator, rc.grid, rc.master_seed))
     horizon, n_paths, times = rc.extra["horizon"], rc.extra["n_paths"], rc.extra["sample_times"]
     rep = stochproc.simulate_walks(net, horizon, n_paths, rc.master_seed, times)
-    return {
-        "kind": "walk", "times": rep.times, "n_paths": n_paths,
-        "covariances": [c for c in rep.covariances],
-        "target": rep.target,
-        "mean_displacement": [m for m in rep.mean_displacement],
-    }
+    return {"kind": "walk", "times": rep.times, "n_paths": n_paths,
+            "covariances": rep.covariances, "target": rep.target,
+            "mean_displacement": rep.mean_displacement}
 
 
 def _exp_green(rc, jobs):
@@ -654,9 +672,8 @@ def _field_problem(generator: tuple, grid):
 def _check_field(rc, levels):
     """rc, once its generator fits the grid of each level that its runner builds a field on."""
     for m in sorted(set(levels)):
-        problem = _field_problem(rc.generator, replace(rc.grid, m=m))
-        if problem:
-            raise ValueError(f"'generator.{problem[0]}': {problem[1]} on the level-{m} grid")
+        _raise_named(_field_problem(rc.generator, replace(rc.grid, m=m)), "generator.",
+                     f" on the level-{m} grid")
     return rc
 
 

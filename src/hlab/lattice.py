@@ -22,6 +22,8 @@ from . import spectral
 
 __all__ = [
     "GridSpec",
+    "grid_problem",
+    "raise_problem",
     "TriadicCube",
     "triadic_partition",
     "cell_index",
@@ -37,6 +39,23 @@ __all__ = [
 ]
 
 
+def raise_problem(problem) -> None:
+    """Raise the reason of an (argument name, reason) problem, if there is one."""
+    if problem:
+        raise ValueError(problem[1])
+
+
+def grid_problem(d: int, m: int, k: int):
+    """Why `GridSpec` rejects these values, as (argument name, reason), or None."""
+    if d not in (2, 3):
+        return "d", f"dimension must be 2 or 3, got {d}"
+    if m < 0:
+        return "m", f"macro level must be >= 0, got {m}"
+    if k < 1:
+        return "k", f"resolution must be >= 1, got {k}"
+    return None
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform grid on the triadic macro cube [0, 3^m)^d."""
@@ -46,12 +65,7 @@ class GridSpec:
     k: int
 
     def __post_init__(self):
-        if self.d not in (2, 3):
-            raise ValueError(f"dimension must be 2 or 3, got {self.d}")
-        if self.m < 0:
-            raise ValueError(f"macro level must be >= 0, got {self.m}")
-        if self.k < 1:
-            raise ValueError(f"resolution must be >= 1, got {self.k}")
+        raise_problem(grid_problem(self.d, self.m, self.k))
 
     @property
     def side(self) -> int:

@@ -11,8 +11,7 @@ studies of b_r and of cube averages across scales live in `hlab.harness`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import erfc
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.ndimage
@@ -42,18 +41,15 @@ def heat_kernel_1d(r: float, h: float):
     """Truncated discrete Gaussian factor at cell offsets, unit mass.
 
     The kernel at scale r has per-coordinate variance 2 r^2; truncation at
-    |x| = 6r discards ~2e-5 of the raw mass, restored by normalization and
-    recorded as the second return value.
+    |x| = 6r discards erfc(3) ~ 2e-5 of the raw mass, at every r, restored by
+    normalization.
     """
     if r < h:
         raise ValueError(f"smoothing radius {r} below the grid cell {h}")
     n = int(np.floor(KERNEL_SUPPORT * r / h))
     x = np.arange(-n, n + 1) * h
     w = np.exp(-(x**2) / (4.0 * r**2))
-    total = w.sum()
-    # tail of the continuous factor relative to its full mass
-    tail = erfc((KERNEL_SUPPORT * r) / (2.0 * r))
-    return w / total, float(tail)
+    return w / w.sum()
 
 
 def heat_convolve(f: np.ndarray, r: float, h: float, spatial_dims: int = None) -> np.ndarray:
@@ -63,7 +59,7 @@ def heat_convolve(f: np.ndarray, r: float, h: float, spatial_dims: int = None) -
     """
     f = np.asarray(f, dtype=float)
     nd = f.ndim if spatial_dims is None else spatial_dims
-    w, _ = heat_kernel_1d(r, h)
+    w = heat_kernel_1d(r, h)
     out = f
     for ax in range(nd):
         if w.size > f.shape[ax]:
@@ -79,7 +75,7 @@ def heat_point_value(f: np.ndarray, r: float, h: float, point) -> np.ndarray:
     axes of `f`; they wrap periodically.
     """
     f = np.asarray(f, dtype=float)
-    w, _ = heat_kernel_1d(r, h)
+    w = heat_kernel_1d(r, h)
     n = (w.size - 1) // 2
     d = len(point)
     point = cell_index(point, f.shape[:d], periodic=True)
@@ -94,16 +90,11 @@ def heat_point_value(f: np.ndarray, r: float, h: float, point) -> np.ndarray:
 
 @dataclass
 class HeatCoarsening:
-    r: float
     points: list                 # cell-index tuples
-    G: list                      # d x d smoothed-gradient matrices
-    Q: list                      # d x d smoothed-flux matrices
     b_hat: list                  # Q G^-1, or None where the gate rejects G
-    cond: list
+    cond: list                   # condition number of G
     chi: list                    # cutoff values in [0, 1]
     b: list                      # blended chi b_hat + (1 - chi) abar
-    abar: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
 
 def _containing_cube(point_cell, grid: GridSpec, n: int) -> TriadicCube:
@@ -145,8 +136,7 @@ def coarse_grained_b(cset: CorrectorSet, a_field: CoefficientField, r: float,
              for k in range(d)]
     fluxes = [cset.g[k] + cset.abar[:, k] for k in range(d)]
 
-    Gs, Qs, b_hats, conds, chis, bs = [], [], [], [], [], []
-    _, tail = heat_kernel_1d(r, h)
+    b_hats, conds, chis, bs = [], [], [], []
     for pt in points:
         G = np.column_stack([heat_point_value(grads[k], r, h, pt) for k in range(d)])
         Q = np.column_stack([heat_point_value(fluxes[k], r, h, pt) for k in range(d)])
@@ -159,14 +149,8 @@ def coarse_grained_b(cset: CorrectorSet, a_field: CoefficientField, r: float,
         else:
             b_hat = None
             b = cset.abar.copy()
-        Gs.append(G); Qs.append(Q); b_hats.append(b_hat)
-        conds.append(c); chis.append(chi); bs.append(b)
-    return HeatCoarsening(
-        r=r, points=list(points), G=Gs, Q=Qs, b_hat=b_hats,
-        cond=conds, chi=chis, b=bs, abar=cset.abar,
-        metadata={"kernel_tail_mass": tail, "cond_gate": COND_GATE,
-                  "delta": PROXY_DELTA, "proxy_cap": PROXY_CAP},
-    )
+        b_hats.append(b_hat); conds.append(c); chis.append(chi); bs.append(b)
+    return HeatCoarsening(points=list(points), b_hat=b_hats, cond=conds, chi=chis, b=bs)
 
 
 def minimal_scale_proxy(a_field: CoefficientField, delta: float,

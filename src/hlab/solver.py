@@ -39,11 +39,13 @@ from .lattice import (
     TriadicCube,
     discrete_gradient,
     gradient_adjoint,
+    raise_problem,
     stencil_matrix,
 )
 
 __all__ = [
     "SolveOptions",
+    "options_problem",
     "Solution",
     "SolverError",
     "cg",
@@ -67,10 +69,16 @@ class SolveOptions:
     maxiter: int = 10_000
 
     def __post_init__(self):
-        if not 0.0 < self.tol <= 1e-2:
-            raise ValueError("tolerance must lie in (0, 1e-2]")
-        if self.maxiter < 1:
-            raise ValueError("max iterations must be >= 1")
+        raise_problem(options_problem(self.tol, self.maxiter))
+
+
+def options_problem(tol: float, maxiter: int):
+    """Why `SolveOptions` rejects these values, as (argument name, reason), or None."""
+    if not 0.0 < tol <= 1e-2:
+        return "tol", f"tolerance must lie in (0, 1e-2], got {tol}"
+    if maxiter < 1:
+        return "maxiter", f"max iterations must be >= 1, got {maxiter}"
+    return None
 
 
 @dataclass
@@ -422,7 +430,7 @@ def solve_neumann_affine(a_field: CoefficientField, cube, q, opts: SolveOptions 
     qgrad = np.einsum("...i,...i->...", grad, qcol)
     value = qgrad.reshape(qgrad.shape[:2] + (-1,)).sum(axis=-1) / qgrad[0, 0].size
     value -= _vol_energy(grad, flux)
-    sol = _batch_solution(w - w.mean(axis=axes, keepdims=True), grad, flux, res, its, value)
+    sol = _batch_solution(w, grad, flux, res, its, value)
     return _result(sol, stack, cube)
 
 

@@ -52,13 +52,10 @@ class DiffusionReport:
     covariances: list = None        # empirical cov(X_t) per sample time
     mean_displacement: list = None
     target: np.ndarray = None       # 2 abar_net
-    n_paths: int = 0
-    seed: int = None
     green_errors: dict = None       # sup/L1 relative errors vs the Gaussian
     nash_margins: dict = None
     mass_drift: float = None
-    green_field: np.ndarray = None      # P(t, ., source) over the cells
-    gaussian_field: np.ndarray = None   # the homogenized Gaussian it is compared with
+    green_field: np.ndarray = None  # P(t, ., source) over the cells
     metadata: dict = field(default_factory=dict)
 
 
@@ -205,9 +202,6 @@ def simulate_walks(net: ConductanceNetwork, T: float, n_paths: int, seed: int,
     return DiffusionReport(
         times=sample_times, covariances=covs, mean_displacement=means,
         target=2.0 * network_homogenized_matrix(net),
-        n_paths=n_paths, seed=int(seed),
-        metadata={"generator": "variable-speed continuous-time walk",
-                  "rng": "numpy.default_rng"},
     )
 
 
@@ -282,14 +276,13 @@ def parabolic_green(a_field: CoefficientField, t_final: float, source,
     lower_margin = float((u[wide][pos] / gaussian(net.Lam)[wide][pos]).min()) if pos.any() else 0.0
 
     return DiffusionReport(
-        times=[t_final], target=2.0 * abar,
         green_errors={"sup_rel_bulk": sup_rel, "l1_rel": l1_rel,
                       "bulk_radius": 2.0 * np.sqrt(t_final)},
         nash_margins={"upper_C": upper_margin, "lower_c": lower_margin,
                       "window_radius": 3.0 * np.sqrt(t_final)},
         mass_drift=float(mass_drift),
-        green_field=u, gaussian_field=Pbar,
-        metadata={"dt": dt, "steps": n_steps, "cg_iterations": iters},
+        green_field=u,
+        metadata={"steps": n_steps, "cg_iterations": iters},
     )
 
 

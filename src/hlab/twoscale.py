@@ -79,8 +79,6 @@ class TwoScaleReport:
     l2_error: float          # ||u_eps - u||, L2
     weak_grad_defect: float  # weak norm of grad u_eps - grad u
     weak_flux_defect: float  # weak norm of a grad u_eps - abar grad u
-    solver_iterations: int
-    solver_residual: float
 
 
 def _tile_corrector_nodes(phi: np.ndarray, reps: int) -> np.ndarray:
@@ -176,7 +174,6 @@ def dirichlet_error(a_field: CoefficientField, u: MacroFunction, cset: Corrector
         eps=eps, macro_label=u.label,
         grad_error=grad_error, l2_error=l2_error,
         weak_grad_defect=weak_grad, weak_flux_defect=weak_flux,
-        solver_iterations=sol.iterations, solver_residual=sol.residual,
     )
 
 

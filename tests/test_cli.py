@@ -85,8 +85,10 @@ def test_jobs_below_one_rejected_before_any_solve(runner, tmp_path, monkeypatch,
     ("twoscale", {"scales": [0.5, 1 / 9, 1 / 27]}, "'scales'"),
     ("coarsen", {"generator": {"name": "laminate", "period": 7.0}}, "'generator.period'"),
     ("twoscale", {"generator": {"name": "laminate", "period": 3.0}}, "'generator.period'"),
+    ("walk", {"grid": {"d": 5}}, "'grid.d'"),
+    ("coarsen", {"solver": {"tol": 0.5}}, "'solver.tol'"),
 ], ids=["size-float", "size-bool", "size-str", "extra-key", "walk-horizon", "twoscale-eps",
-        "coarsen-period", "twoscale-period"])
+        "coarsen-period", "twoscale-period", "grid-d", "solver-tol"])
 def test_bad_config_rejected_before_any_solve(runner, tmp_path, monkeypatch, kind, override, key):
     import hlab.harness
 
@@ -101,6 +103,29 @@ def test_bad_config_rejected_before_any_solve(runner, tmp_path, monkeypatch, kin
     assert result.exit_code == 1
     assert "ValueError" in result.output and key in result.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text, key", [
+    ("[1, 2]", "JSON object"),
+    ('"coarsen"', "JSON object"),
+    ('{"kind": "coarsen",', "valid JSON"),
+    ('{"kind": "coarsen", "ensemble": 4}', "'ensemble'"),
+    ('{"kind": "coarsen", "output_dir": 5}', "'output_dir'"),
+], ids=["list", "string", "malformed", "unknown-key", "output-dir"])
+def test_bad_config_file_rejected_in_one_line(runner, tmp_path, monkeypatch, text, key):
+    import hlab.harness
+
+    def no_field(*args, **kwargs):
+        raise AssertionError("built a field before the config was checked")
+
+    monkeypatch.setattr(hlab.harness, "_build_field", no_field)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(text)
+    result = runner.invoke(main, ["coarsen", "--config", "cfg.json"])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.output.startswith("error: ValueError: ") and result.output.count("\n") == 1
+    assert key in result.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_kind_mismatch_rejected(runner, tmp_path):

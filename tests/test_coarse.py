@@ -1,5 +1,7 @@
 """Coarse-grained matrix pair: ordering, subadditivity, duality bookkeeping."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,10 +15,8 @@ from hlab.coarse import (
     duality_defect,
     multiscale_E,
     partition_matrices,
-    read_cascade_csv,
     spatial_average_identities,
     subadditivity_ledger,
-    write_cascade_csv,
 )
 from hlab.fields import (
     GaussianFieldParams,
@@ -25,6 +25,7 @@ from hlab.fields import (
     sample_checkerboard,
     sample_gaussian_field,
 )
+from hlab.harness import ExperimentConfig, run_experiment
 from hlab.lattice import GridSpec, TriadicCube, triadic_partition
 from hlab.solver import SolveOptions, SolverError, solve_dirichlet_affine, solve_neumann_affine
 
@@ -251,18 +252,16 @@ class TestMultiscaleE:
     def test_constant_field_vanishes(self):
         A = np.diag([2.0, 3.0])
         f = make_constant(GridSpec(2, 2, 1), A)
-        out = multiscale_E(f, 2, A)
-        assert out["E"] < 1e-7
+        assert multiscale_E(f, 2, A) < 1e-7
 
     def test_wrong_reference_bounded_below(self):
         # against a_ref = 10 I every J term is at least 1/2 + 50/4 - 10 = 3
         f = sample_checkerboard(GridSpec(2, 1, 1), 4)
-        out = multiscale_E(f, 1, 10.0 * np.eye(2))
-        assert out["E"] > 1.0
+        assert multiscale_E(f, 1, 10.0 * np.eye(2)) > 1.0
 
     def test_decreasing_in_m(self):
         f = sample_checkerboard(GridSpec(2, 3, 1), 11)
-        vals = [multiscale_E(f, m, np.diag([2.0, 2.0]))["E"] for m in (1, 2, 3)]
+        vals = [multiscale_E(f, m, np.diag([2.0, 2.0])) for m in (1, 2, 3)]
         assert vals[0] > vals[1] > vals[2]
 
     def test_reference_symmetry_required(self):
@@ -304,15 +303,21 @@ class TestCascadeCsv:
                                                  rel=1e-12)
         assert recs[1].defect_bound_mean == pytest.approx(
             np.mean([dd["bound"] for dd in per_cube]), rel=1e-12)
-        path = tmp_path / "cascade.csv"
-        write_cascade_csv(path, recs)
-        back = read_cascade_csv(path)
-        for a, b in zip(recs, back):
-            assert a.level == b.level
-            assert a.gap_mean == b.gap_mean  # repr round-trip is lossless
-            assert np.array_equal(a.a_upper_mean, b.a_upper_mean)
-            assert np.array_equal(a.a_lower_harmonic, b.a_lower_harmonic)
-
-    def test_empty_write_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_cascade_csv(tmp_path / "x.csv", [])
+        # the coarsen experiment writes the same records to cascade.csv, losslessly
+        run_experiment(ExperimentConfig(kind="coarsen", grid={"d": 2, "m": 2, "k": 1},
+                                        scales=[0, 1, 2], master_seed=6,
+                                        output_dir=str(tmp_path)))
+        with open(tmp_path / "cascade.csv", newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        ij = ["00", "01", "10", "11"]
+        blocks = ("a_upper_mean", "a_upper_var", "a_lower_harm")
+        assert reader.fieldnames == (["level", "gap_mean", "defect_bound_mean"]
+                                     + [f"{name}_{k}" for name in blocks for k in ij])
+        for rec, row in zip(recs, rows, strict=True):
+            assert int(row["level"]) == rec.level
+            assert float(row["gap_mean"]) == rec.gap_mean
+            assert float(row["defect_bound_mean"]) == rec.defect_bound_mean
+            for name, matrix in zip(blocks, (rec.a_upper_mean, rec.a_upper_var,
+                                             rec.a_lower_harmonic)):
+                assert [float(row[f"{name}_{k}"]) for k in ij] == matrix.ravel().tolist()

@@ -2,12 +2,14 @@
 
 import csv
 import json
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import hlab.coarse
+import hlab.harness
 from hlab.lattice import triadic_partition
 from hlab.harness import (
     EnsembleStats,
@@ -167,13 +169,24 @@ class TestConfig:
                          (dict(generator={**lam, "period": float("inf")}), "'generator.period'"),
                          (dict(generator={**const, "matrix": [[1, 2], [2, 1]]}),
                           "'generator.matrix'"),
-                         (dict(generator={**const, "matrix": [[1, 0, 0]]}), "'generator.matrix'")):
+                         (dict(generator={**const, "matrix": [[1, 0, 0]]}), "'generator.matrix'"),
+                         (dict(grid={"d": 5}), "'grid.d'"),
+                         (dict(grid={"m": -1}), "'grid.m'"),
+                         (dict(grid={"k": 0}), "'grid.k'"),
+                         (dict(solver={"tol": 0.5}), "'solver.tol'"),
+                         (dict(solver={"maxiter": 0}), "'solver.maxiter'")):
             out = tmp_path / "out"
             with pytest.raises(ValueError, match=key):
                 run_experiment(ExperimentConfig(kind="coarsen", output_dir=str(out), **bad))
             assert not out.exists()
         with pytest.raises(ValueError, match="'grid'"):
             ExperimentConfig.from_json(json.dumps({"kind": "coarsen", "grid": None})).validate()
+        with pytest.raises(ValueError, match="'output_dir'"):
+            run_experiment(ExperimentConfig(kind="coarsen", output_dir=5))
+        # a config file must hold one JSON object
+        for text in ("[1, 2]", '"walk"', '{"kind": "walk",'):
+            with pytest.raises(ValueError, match="JSON"):
+                ExperimentConfig.from_json(text)
 
     def test_validate_resolves_defaults(self):
         rc = ExperimentConfig(kind="twoscale", grid={"d": 3}).validate()
@@ -261,6 +274,31 @@ class TestEnsembleExecution:
         # each failed member is named with its seed, so it can be rerun alone
         for i in errors:
             assert f"member {i} (seed {seeds[i]}): RuntimeError: boom" in str(info.value)
+
+    def test_pool_capped_at_ensemble_size(self, monkeypatch):
+        workers = []
+
+        class InlinePool:
+            """Records its worker count and runs each member at submit, in this process."""
+
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(hlab.harness, "ProcessPoolExecutor", InlinePool)
+        values, _, errors = ensemble_values(_member_value, 2, master_seed=0, jobs=64)
+        assert workers == [2] and errors == {}
+        assert values == ensemble_values(_member_value, 2, master_seed=0)[0]
 
     @pytest.mark.parametrize("jobs", [0, -3, None, 1.5])
     def test_jobs_must_be_a_positive_integer(self, jobs):
