@@ -127,6 +127,8 @@ class ExperimentConfig:
         if not isinstance(data, dict):
             raise ValueError(f"a config must be a JSON object, got {data!r}")
         _reject_unknown_keys(data, {f.name for f in dataclass_fields(cls)})
+        if "kind" not in data:
+            raise ValueError(f"a config must name its 'kind', one of {tuple(KINDS)}")
         return cls(**data)
 
     def save(self, path) -> None:

@@ -8,7 +8,10 @@ the interior block of the free-grid stencil as their operator and the
 stencil's rows at interior nodes for the load of the lifted boundary data.
 The preconditioner inverts the constant-coefficient operator exactly in a
 fast transform basis, which caps the condition number by the ellipticity
-ratio.
+ratio.  It need not be exact to do so: a solve with tolerance tol >= 1e-12
+applies it in float32, at about half the transform cost, and a smaller tol in
+float64 (see `SolveOptions`).  The CG itself (iterate, residual, dot
+products, projector and stopping rule) is float64 either way.
 
 The CG is column-batched, with step sizes, residuals and iteration counts
 kept per column.  The affine solves take a stack of slopes or fluxes, so the
@@ -63,8 +66,21 @@ class SolverError(RuntimeError):
         self.iterations = iterations
 
 
+# the smallest tolerance whose solves precondition in float32
+_SINGLE_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class SolveOptions:
+    """CG stopping rule: ||r|| <= tol ||b|| per column, within maxiter iterations.
+
+    A solve with tol >= 1e-12 applies its spectral preconditioner in float32,
+    at about half the transform cost; below 1e-12 it stays in float64, since an
+    inexact preconditioner can stall the CG there (a 2d level-5 checkerboard
+    pair at tol 1e-14).  Either way the iterate, the residual, its norm and the
+    stopping rule are float64, so tol bounds the residual the same way.
+    """
+
     tol: float = 1e-8
     maxiter: int = 10_000
 
@@ -279,10 +295,12 @@ def _solve(A, b, h, bc, opts, labels=None):
     """
     lead, shape = b.shape[:2], b.shape[2:]
     kind = "torus" if bc == "periodic" else bc
-    inverse = spectral.pseudo_inverse(getattr(spectral, f"{kind}_symbol")(shape, h))
+    dtype = np.float32 if opts.tol >= _SINGLE_TOL else np.float64
+    inverse = spectral.pseudo_inverse(getattr(spectral, f"{kind}_symbol")(shape, h)).astype(dtype)
     solve = getattr(spectral, f"{kind}_solve_nodespace")
     x, res, its = cg(A, b.reshape((-1,) + shape),
-                     lambda r: solve(r, h, inverse=inverse),
+                     lambda r: solve(r.astype(dtype, copy=False), h,
+                                     inverse=inverse).astype(float, copy=False),
                      opts.tol, opts.maxiter,
                      None if bc == "dirichlet" else _make_projector(shape, bc == "periodic"),
                      None if labels is None else labels * lead[0])

@@ -87,8 +87,9 @@ def test_jobs_below_one_rejected_before_any_solve(runner, tmp_path, monkeypatch,
     ("twoscale", {"generator": {"name": "laminate", "period": 3.0}}, "'generator.period'"),
     ("walk", {"grid": {"d": 5}}, "'grid.d'"),
     ("coarsen", {"solver": {"tol": 0.5}}, "'solver.tol'"),
+    ("coarsen", {"kind": None}, "'kind'"),
 ], ids=["size-float", "size-bool", "size-str", "extra-key", "walk-horizon", "twoscale-eps",
-        "coarsen-period", "twoscale-period", "grid-d", "solver-tol"])
+        "coarsen-period", "twoscale-period", "grid-d", "solver-tol", "no-kind"])
 def test_bad_config_rejected_before_any_solve(runner, tmp_path, monkeypatch, kind, override, key):
     import hlab.harness
 
@@ -97,11 +98,14 @@ def test_bad_config_rejected_before_any_solve(runner, tmp_path, monkeypatch, kin
 
     monkeypatch.setattr(hlab.harness, "_build_field", no_field)
     path = tmp_path / "cfg.json"
-    ExperimentConfig(kind=kind, **override).save(path)
+    # the file holds the kind and the override; a None value leaves its key out
+    path.write_text(json.dumps({k: v for k, v in {"kind": kind, **override}.items()
+                                if v is not None}))
     out = tmp_path / "out"
     result = runner.invoke(main, [kind, "--config", str(path), "--out", str(out)])
     assert result.exit_code == 1
-    assert "ValueError" in result.output and key in result.output
+    assert result.output.startswith("error: ValueError: ") and result.output.count("\n") == 1
+    assert key in result.output
     assert not out.exists()
 
 

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hlab.coarse
+import hlab.solver
+from hlab import spectral
 from hlab.coarse import (
     CascadeRecord,
     J_value,
@@ -27,7 +29,13 @@ from hlab.fields import (
 )
 from hlab.harness import ExperimentConfig, run_experiment
 from hlab.lattice import GridSpec, TriadicCube, triadic_partition
-from hlab.solver import SolveOptions, SolverError, solve_dirichlet_affine, solve_neumann_affine
+from hlab.solver import (
+    SolveOptions,
+    SolverError,
+    cg,
+    solve_dirichlet_affine,
+    solve_neumann_affine,
+)
 
 TOL10 = 1e-7  # ten solver tolerances
 
@@ -123,6 +131,43 @@ class TestCoarseMatrices:
         assert np.abs(r.a_lower - target).max() < 0.2
         assert np.abs(r.a_upper - target).max() < 0.5
         assert min_eig(r.a_upper - r.a_lower) >= -TOL10
+
+
+class TestSinglePrecisionPreconditioner:
+    """Float32 preconditioner transforms leave the pair and its CG counts where the
+    float64 preconditioner puts them; below tol 1e-12 the solves stay float64."""
+
+    @pytest.mark.parametrize("d, m", [(2, 3), (3, 2)])
+    def test_pair_matches_float64_preconditioned_reference(self, monkeypatch, d, m):
+        f = sample_checkerboard(GridSpec(d, m, 1), 2)
+        cube, h = TriadicCube(m, (0,) * d), f.grid.h
+        got = coarse_matrices(f, cube)
+
+        # the reference: the same solves, each CG preconditioned by the float64 spectral solve
+        kinds = {(3**m - 1,) * d: "dirichlet", (3**m + 1,) * d: "neumann"}
+        used = []
+
+        def cg64(A, b, precondition, *args, **kwargs):
+            kind = kinds[b.shape[1:]]
+            used.append(kind)
+            inverse = spectral.pseudo_inverse(getattr(spectral, f"{kind}_symbol")(b.shape[1:], h))
+            solve = getattr(spectral, f"{kind}_solve_nodespace")
+            return cg(A, b, lambda r: solve(r, h, inverse=inverse), *args, **kwargs)
+
+        monkeypatch.setattr(hlab.solver, "cg", cg64)
+        ref = coarse_matrices(f, cube)
+        assert used == ["dirichlet", "neumann"]
+        assert got.iterations == ref.iterations
+        for name in ("a_upper", "a_lower"):
+            want = getattr(ref, name)
+            assert np.abs(getattr(got, name) - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_tol_below_cutoff_converges_in_float64(self):
+        # with float32 transforms this pair stalls at a residual near 2.5e-14 and runs out
+        # its 2,000 iterations; the float64 preconditioner converges in 126
+        f = sample_checkerboard(GridSpec(2, 5, 1), 5)
+        r = coarse_matrices(f, TriadicCube(5, (0, 0)), SolveOptions(tol=1e-14, maxiter=2000))
+        assert r.iterations == 126 and r.residual <= 1e-14
 
 
 class TestPartitionMatrices:

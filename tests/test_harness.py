@@ -55,6 +55,9 @@ class TestConfig:
             ExperimentConfig(kind="walk", solver={"preconditioner": "none"}).validate()
         with pytest.raises(ValueError, match="'ensemble'"):
             ExperimentConfig.from_json(json.dumps({"kind": "walk", "ensemble": 4}))
+        for data in ({}, {"ensemble_size": 3}):
+            with pytest.raises(ValueError, match="'kind'"):
+                ExperimentConfig.from_json(json.dumps(data))
         for seed in (-1, 2**64, 1.5, "3", True):
             with pytest.raises(ValueError, match="master_seed"):
                 ExperimentConfig(kind="walk", master_seed=seed).validate()

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse
+from scipy import fft
 from hypothesis import assume, example, given, settings, strategies as st
 
 from hlab.fields import (
@@ -25,7 +26,7 @@ from hlab.lattice import (
     stencil_matrix,
     triadic_partition,
 )
-from hlab import spectral
+from hlab import solver, spectral
 from hlab.solver import (
     _make_projector,
     _stencil,
@@ -373,6 +374,38 @@ class TestSpectralPlumbing:
             for i in range(batch):
                 assert np.array_equal(got[i], solve(b[i], h, inverse=inverse))
 
+    @settings(max_examples=40, deadline=None)
+    @given(SHAPES, STEPS, st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_float32_on_request(self, shape, h, batch, seed):
+        # a float32 load and inverse solve in float32, near the float64 solve; a float64
+        # load keeps the exact real-transform arithmetic, bit for bit
+        b = np.random.default_rng(seed).normal(size=(batch,) + shape)
+        for kind in ("torus", "dirichlet", "neumann"):
+            solve = getattr(spectral, f"{kind}_solve_nodespace")
+            inverse = spectral.pseudo_inverse(getattr(spectral, f"{kind}_symbol")(shape, h))
+            exact = solve(b, h, inverse=inverse)
+            assert exact.dtype == np.float64
+            assert np.array_equal(exact, _real_transform_reference(kind, b, inverse))
+            single = solve(b.astype(np.float32), h, inverse=inverse.astype(np.float32))
+            assert single.dtype == np.float32 and single.shape == b.shape
+            assert np.abs(single - exact).max() <= 1e-5 * np.abs(exact).max()
+
+
+def _real_transform_reference(kind, b, inverse):
+    """The float64 spectral solve written out: the weight-2 boundary planes of the
+    Neumann reflection, the forward transform, one multiply, the inverse transform."""
+    axes = tuple(range(-inverse.ndim, 0))
+    if kind == "torus":
+        return fft.irfftn(fft.rfftn(b, axes=axes) * inverse, s=b.shape[-inverse.ndim:], axes=axes)
+    if kind == "dirichlet":
+        return fft.idstn(fft.dstn(b, type=1, axes=axes) * inverse, type=1, axes=axes)
+    w = b.copy()
+    for axis in axes:
+        ends = [slice(None)] * w.ndim
+        ends[axis] = [0, -1]
+        w[tuple(ends)] *= 2.0
+    return fft.idctn(fft.dctn(w, type=1, axes=axes) * inverse, type=1, axes=axes)
+
 
 def _full_symbol_reference(angles, h, network=False):
     """Full-spectrum symbol sum_k 4 sin^2(t_k/2)/h^2 prod_{j!=k} cos^2(t_j/2) on a mode mesh."""
@@ -582,6 +615,45 @@ class TestBatchedCG:
 
 def _identity(v):
     return v
+
+
+class TestPreconditionerPrecision:
+    """tol >= 1e-12 preconditions in float32, a smaller tol in float64; the CG's
+    residual, preconditioned residual and iterate are float64 either way."""
+
+    @pytest.mark.parametrize("tol, dtype", [(1e-12, np.float32), (1e-13, np.float64)])
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann", "torus"])
+    def test_spectral_solve_dtype_follows_tol(self, monkeypatch, tol, dtype, bc):
+        seen = {"spectral": set(), "cg": set()}
+        for kind in ("torus", "dirichlet", "neumann"):
+            real = getattr(spectral, f"{kind}_solve_nodespace")
+
+            def spy(b, h, *, inverse=None, kind=kind, real=real):
+                seen["spectral"].add((kind, b.dtype, inverse.dtype))
+                return real(b, h, inverse=inverse)
+
+            monkeypatch.setattr(spectral, f"{kind}_solve_nodespace", spy)
+
+        def cg_spy(A, b, precondition, *args, **kwargs):
+            def traced(r):
+                z = precondition(r)
+                seen["cg"].add(("r", r.dtype))
+                seen["cg"].add(("z", z.dtype))
+                return z
+
+            x, res, its = cg(A, b, traced, *args, **kwargs)
+            seen["cg"].add(("x", x.dtype))
+            return x, res, its
+
+        monkeypatch.setattr(solver, "cg", cg_spy)
+        f = sample_checkerboard(GridSpec(2, 2, 1), 3)
+        opts = SolveOptions(tol=tol)
+        sol = {"dirichlet": lambda: solve_dirichlet_affine(f, f.grid.macro_cube(), np.eye(2), opts),
+               "neumann": lambda: solve_neumann_affine(f, f.grid.macro_cube(), np.eye(2), opts),
+               "torus": lambda: solve_periodic_cell(f, np.eye(2), opts)}[bc]()
+        assert sol.iterations > 0 and sol.residual <= tol
+        assert seen["spectral"] == {(bc, np.dtype(dtype), np.dtype(dtype))}
+        assert seen["cg"] == {(name, np.dtype(np.float64)) for name in ("r", "z", "x")}
 
 
 class TestBatchedSolves:
