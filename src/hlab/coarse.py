@@ -7,7 +7,8 @@ each kind determine each matrix through the bilinear form.  All same-level
 subcubes of a triadic partition are solved together: each kind of basis
 problem is one column-batched solve over every direction and subcube of the
 partition (`partition_matrices`), and a single cube is the partition of
-itself (`coarse_matrices`).  The gap
+itself (`coarse_matrices`).  The Neumann solve starts from the Dirichlet
+extremals combined through a(U)^-1.  The gap
 functional J(U, p, q) and the subadditivity/duality ledgers quantify how
 fast the two pinch together under coarsening.
 """
@@ -91,8 +92,10 @@ def partition_matrices(a_field: CoefficientField, cube: TriadicCube, n: int,
 
     The subcubes share one grid and the basis directions one operator, so
     the partition takes one Dirichlet and one Neumann solve call, each with a
-    column per (direction, subcube).  Each result's basis Solutions are views
-    into those batches.
+    column per (direction, subcube).  The Neumann CG starts from the Dirichlet
+    extremals combined through a(U)^-1, w_i ~ sum_j (a(U)^-1)_ij v_j, which
+    saves iterations but not accuracy: the stopping rule is unchanged.  Each
+    result's basis Solutions are views into those batches.
     """
     opts = opts or SolveOptions()
     grid = a_field.grid
@@ -110,10 +113,12 @@ def partition_matrices(a_field: CoefficientField, cube: TriadicCube, n: int,
 
     es = np.eye(d)
     dirs = solve_dirichlet_affine(a_field, cubes, es, opts)
-    neus = solve_neumann_affine(a_field, cubes, es, opts)
+    a_up = _symmetric(_bilinear_form(dirs.gradient, dirs.flux))
+    # warm start: w_i ~ sum_j (a(U)^-1)_ij v_j, as both extremals are near affine + corrector
+    neus = solve_neumann_affine(a_field, cubes, es, opts,
+                                x0=np.einsum("bij,jb...->ib...", np.linalg.inv(a_up), dirs.u))
     cells = tuple(range(2, d + 2))
 
-    a_up = _symmetric(_bilinear_form(dirs.gradient, dirs.flux))
     G = np.moveaxis(neus.gradient.mean(axis=cells), 0, -1)
     a_lo = _symmetric(np.linalg.inv(G + np.swapaxes(G, 1, 2)
                                     - _bilinear_form(neus.gradient, neus.flux)))

@@ -317,9 +317,10 @@ def weak_norm_estimate(f: np.ndarray, grid: GridSpec) -> float:
     if block.ndim > d:
         sq = sq.sum(axis=tuple(range(d, block.ndim)))
     total = float(np.sqrt(sq.mean()))
+    av = block
     for n in range(grid.m):
-        bs = 3**n * grid.k
-        av = _block_averages(block, bs, d)
+        # level-n block averages from the level-(n-1) ones, 3^d children each
+        av = _block_averages(av, 3 if n else grid.k, d)
         av_sq = av**2
         if av.ndim > d:
             av_sq = av_sq.sum(axis=tuple(range(d, av.ndim)))

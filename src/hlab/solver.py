@@ -19,7 +19,8 @@ d basis directions of a coarse matrix or corrector set share one assembly;
 the affine Dirichlet and Neumann solves also take a list of same-level cubes
 (coefficient blocks stacked as (B, *cells, d, d), a block-diagonal operator,
 one spectral symbol for all), which removes the per-call overhead that
-dominates tiny cubes.
+dominates tiny cubes.  The affine Neumann solve takes an initial guess `x0`,
+which `coarse.partition_matrices` builds from the Dirichlet extremals.
 
 The cell-centered element has zero-energy node modes beyond constants: the
 parity fields (-1)^(i_r + i_s) over two or more axes.  They are projected
@@ -286,12 +287,13 @@ def cg(A, b, precondition, tol, maxiter, project=None, labels=None, x0=None):
          i, maxiter)
 
 
-def _solve(A, b, h, bc, opts, labels=None):
+def _solve(A, b, h, bc, opts, labels=None, x0=None):
     """x with A x = b per (column, cube) of b (k, B, *nodes), and (k, B) counts.
 
     A is grad^T a grad, block-diagonal over the cubes, on the nodes of `bc` in
     {'dirichlet' (interior), 'neumann', 'periodic'}; `bc` picks the spectral
     preconditioner, and the free solves project out the operator's kernel.
+    The CG starts from x0 (b-shaped) when given.
     """
     lead, shape = b.shape[:2], b.shape[2:]
     kind = "torus" if bc == "periodic" else bc
@@ -303,7 +305,8 @@ def _solve(A, b, h, bc, opts, labels=None):
                                      inverse=inverse).astype(float, copy=False),
                      opts.tol, opts.maxiter,
                      None if bc == "dirichlet" else _make_projector(shape, bc == "periodic"),
-                     None if labels is None else labels * lead[0])
+                     None if labels is None else labels * lead[0],
+                     None if x0 is None else np.reshape(x0, (-1,) + shape))
     return x.reshape(b.shape), res.reshape(lead), its.reshape(lead)
 
 
@@ -416,13 +419,16 @@ def solve_dirichlet_data(a_field: CoefficientField, cube: TriadicCube, boundary:
     return _result(sol, (), cube)
 
 
-def solve_neumann_affine(a_field: CoefficientField, cube, q, opts: SolveOptions = None) -> Solution:
+def solve_neumann_affine(a_field: CoefficientField, cube, q, opts: SolveOptions = None,
+                         x0=None) -> Solution:
     """Maximize the concave dual functional over mean-zero node fields.
 
     The reported flux average is pinned to q exactly by an affine
     post-correction (the first-variation identity of the continuum problem).
     `q` may be a stack of fluxes (..., d), and `cube` a list of same-level
     cubes; every (flux, cube) pair is one column of one batched solve.
+    The CG starts from the node fields x0, shaped like the returned `u`, when
+    given (a warm start: it changes the work, not the stopping rule).
     """
     opts = opts or SolveOptions()
     cubes, grid, a = _blocks(a_field, cube)
@@ -433,7 +439,7 @@ def solve_neumann_affine(a_field: CoefficientField, cube, q, opts: SolveOptions 
     b = gradient_adjoint(np.broadcast_to(qcol, (len(q), 1) + grid.cell_shape + (d,)), h)
     w, res, its = _solve(stencil_matrix(_stencil(a, h, False)),
                          np.broadcast_to(b, (len(q), len(cubes)) + grid.node_shape), h,
-                         "neumann", opts, cubes)
+                         "neumann", opts, cubes, x0)
 
     grad = discrete_gradient(w, h, periodic=False, d=d)
     mean_flux = _amul(a, grad).mean(axis=axes)

@@ -164,10 +164,42 @@ class TestSinglePrecisionPreconditioner:
 
     def test_tol_below_cutoff_converges_in_float64(self):
         # with float32 transforms this pair stalls at a residual near 2.5e-14 and runs out
-        # its 2,000 iterations; the float64 preconditioner converges in 126
+        # its 2,000 iterations; the float64 preconditioner converges in 120 (126 when the
+        # Neumann half starts from zero)
         f = sample_checkerboard(GridSpec(2, 5, 1), 5)
         r = coarse_matrices(f, TriadicCube(5, (0, 0)), SolveOptions(tol=1e-14, maxiter=2000))
-        assert r.iterations == 126 and r.residual <= 1e-14
+        assert r.iterations == 120 and r.residual <= 1e-14
+
+
+class TestNeumannWarmStart:
+    """The Neumann half starts from the Dirichlet extremals combined through a(U)^-1:
+    fewer CG steps, a(U) untouched and a*(U) within the CG tolerance of the cold start."""
+
+    @pytest.mark.parametrize("d, m, seed", [(2, 5, 7), (3, 3, 7)])
+    def test_matches_the_cold_start(self, monkeypatch, d, m, seed):
+        f = sample_checkerboard(GridSpec(d, m, 1), seed)
+        cube = TriadicCube(m, (0,) * d)
+        warm = coarse_matrices(f, cube)
+        guesses = []
+
+        def cold_solve(a_field, cube, q, opts=None, x0=None):
+            guesses.append(x0)
+            return solve_neumann_affine(a_field, cube, q, opts)
+
+        monkeypatch.setattr(hlab.coarse, "solve_neumann_affine", cold_solve)
+        cold = coarse_matrices(f, cube)
+        # the guess has the extremals' shape: a column per basis flux
+        assert len(guesses) == 1 and guesses[0].shape == (d, 1) + (3**m + 1,) * d
+        assert np.array_equal(warm.a_upper, cold.a_upper)
+        assert np.abs(warm.a_lower - cold.a_lower).max() <= 1e-12 * np.abs(cold.a_lower).max()
+        neumann = [sum(s.iterations for s in r.neumann_basis) for r in (warm, cold)]
+        assert neumann[0] < neumann[1]
+        assert warm.iterations - neumann[0] == cold.iterations - neumann[1]
+
+    def test_level5_pair_saves_neumann_steps(self):
+        r = coarse_matrices(sample_checkerboard(GridSpec(2, 5, 1), 7), TriadicCube(5, (0, 0)))
+        # 20 per column from a zero start
+        assert [s.iterations for s in r.neumann_basis] == [17, 17]
 
 
 class TestPartitionMatrices:

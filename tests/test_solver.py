@@ -213,6 +213,27 @@ class TestNeumannAffine:
             mustar = solve_neumann_affine(f, CUBE1, q).energy
             assert mu + mustar >= p @ q - 1e-7
 
+    @pytest.mark.parametrize("d, m", [(2, 2), (3, 1)])
+    def test_zero_guess_is_the_cold_start(self, d, m):
+        f = sample_checkerboard(GridSpec(d, m, 1), 4)
+        cubes = triadic_partition(TriadicCube(m, (0,) * d), m - 1)
+        q = np.eye(d)
+        cold = solve_neumann_affine(f, cubes, q)
+        warm = solve_neumann_affine(f, cubes, q, x0=np.zeros_like(cold.u))
+        assert np.array_equal(warm.column_iterations, cold.column_iterations)
+        for name in ("u", "gradient", "flux", "energy", "column_residuals"):
+            assert np.array_equal(getattr(warm, name), getattr(cold, name))
+
+    def test_guess_changes_the_work_not_the_answer(self):
+        # a guess at the cold solution takes no step and reports the same extremal
+        f = sample_checkerboard(GridSpec(2, 2, 1), 9)
+        cube = TriadicCube(2, (0, 0))
+        cold = solve_neumann_affine(f, cube, [1.0, -0.5], SolveOptions(tol=1e-12))
+        warm = solve_neumann_affine(f, cube, [1.0, -0.5], x0=cold.u)
+        assert cold.iterations > 0 and warm.iterations == 0
+        assert warm.energy == pytest.approx(cold.energy, rel=1e-12)
+        assert np.abs(warm.flux.mean(axis=(0, 1)) - [1.0, -0.5]).max() < 1e-12
+
 
 class TestPeriodicCell:
     def test_constant_field_zero_corrector(self):
