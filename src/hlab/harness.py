@@ -16,7 +16,6 @@ from __future__ import annotations
 import copy
 import csv
 import inspect
-import itertools
 import json
 import math
 import numbers
@@ -401,19 +400,12 @@ def _sublinearity_member(generator, grid, m, opts, seed):
     return correctors.sublinearity_R(correctors.finite_volume_correctors(fld, m, opts))
 
 
-def _b_r_at_origin(make_field, radii, opts, seed):
-    """Ensemble member of `fluctuation_cascade`: b_r at the origin cell for each radius
-    of one torus level, flattened and concatenated in the order of `radii`.
-
-    The field, its correctors and the origin's local minimal scale are computed once
-    and serve every radius.
-    """
-    fld = make_field(seed, _torus_level_for(radii[0]))
+def _b_r_at_origin(make_field, r, opts, seed):
+    """Ensemble member of `fluctuation_cascade`: b_r at the origin cell, flattened."""
+    fld = make_field(seed, _torus_level_for(r))
     cset = correctors.periodic_homogenized_matrix(fld, opts, with_flux_correctors=False)
-    origin = (0,) * fld.grid.d
-    scales = [renorm.local_min_scale(fld, origin, opts)]
-    return np.concatenate([renorm.coarse_grained_b(cset, fld, r, [origin], opts, scales).b[0]
-                           for r in radii], axis=None)
+    hc = renorm.coarse_grained_b(cset, fld, r, [(0,) * fld.grid.d], opts=opts)
+    return hc.b[0].ravel()
 
 
 def _e1_upper_entry(make_field, n, opts, seed):
@@ -431,22 +423,15 @@ def _torus_level_for(r: float) -> int:
     return m
 
 
-def _variance_fit(groups, n_seeds: int, master_seed: int, jobs: int):
-    """One ensemble per (lengths, member) pair of `groups`, in increasing length: the
-    summed variance at each length, and their log-log fit against the lengths.
-
-    A member returns the values of its lengths concatenated, in equal parts.  The
-    statistics are elementwise, so each part's variance is, bit for bit, that of an
-    ensemble of its own.
-    """
+def _variance_fit(runs, n_seeds: int, master_seed: int, jobs: int):
+    """One ensemble per (length, member) pair of `runs`, in increasing length, and
+    the log-log fit of each ensemble's summed variance against its length."""
     if n_seeds < MIN_SEEDS:
         raise ValueError(f"variance estimation needs at least {MIN_SEEDS} seeds")
-    lengths, totals = [], []
-    for group, run in groups:
-        variance = np.ravel(ensemble(run, n_seeds, master_seed, jobs).variance)
-        lengths += group
-        totals += [float(part.sum()) for part in np.split(variance, len(group))]
-    return totals, rate_fit(lengths, [max(t, 1e-300) for t in totals])
+    stats = [ensemble(run, n_seeds, master_seed, jobs) for _, run in runs]
+    fit = rate_fit([length for length, _ in runs],
+                   [max(float(np.sum(st.variance)), 1e-300) for st in stats])
+    return stats, fit
 
 
 def fluctuation_cascade(make_field, r_list, n_seeds: int, master_seed: int = 0,
@@ -456,15 +441,14 @@ def fluctuation_cascade(make_field, r_list, n_seeds: int, master_seed: int = 0,
     `make_field(seed, m)` must return a periodic coefficient field on the
     level-m torus; with jobs > 1 it must pickle (a module-level function or
     a functools.partial of one).  Every sampled point enters the statistics:
-    degenerate points contribute their blended value.  Radii that share a torus
-    level share one ensemble, whose members solve their field once for all of them.
+    degenerate points contribute their blended value.
     """
     radii = [float(r) for r in sorted(r_list)]
-    levels = [list(rs) for _, rs in itertools.groupby(radii, _torus_level_for)]
-    totals, fit = _variance_fit([(rs, partial(_b_r_at_origin, make_field, rs, opts))
-                                 for rs in levels], n_seeds, master_seed, jobs)
-    per_r = [{"r": r, "torus_level": _torus_level_for(r), "total_variance": total}
-             for r, total in zip(radii, totals)]
+    stats, fit = _variance_fit([(r, partial(_b_r_at_origin, make_field, r, opts)) for r in radii],
+                               n_seeds, master_seed, jobs)
+    per_r = [{"r": r, "torus_level": _torus_level_for(r),
+              "total_variance": float(np.asarray(st.variance).sum())}
+             for r, st in zip(radii, stats)]
     return {"per_r": per_r, "fit": fit}
 
 
@@ -475,10 +459,10 @@ def cube_average_fluctuations(make_field, n_list, n_seeds: int, master_seed: int
     `make_field` is as in `fluctuation_cascade`.
     """
     levels = sorted(n_list)
-    totals, fit = _variance_fit(
-        [([float(3**n)], partial(_e1_upper_entry, make_field, n, opts)) for n in levels],
+    stats, fit = _variance_fit(
+        [(float(3**n), partial(_e1_upper_entry, make_field, n, opts)) for n in levels],
         n_seeds, master_seed, jobs)
-    per_n = [{"n": int(n), "variance": total} for n, total in zip(levels, totals)]
+    per_n = [{"n": int(n), "variance": float(st.variance)} for n, st in zip(levels, stats)]
     return {"per_n": per_n, "fit": fit}
 
 

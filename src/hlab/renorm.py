@@ -28,7 +28,6 @@ __all__ = [
     "heat_convolve",
     "heat_point_value",
     "coarse_grained_b",
-    "local_min_scale",
     "minimal_scale_proxy",
 ]
 
@@ -104,18 +103,16 @@ def _containing_cube(point_cell, grid: GridSpec, n: int) -> TriadicCube:
     return TriadicCube(n, off)
 
 
-def local_min_scale(a_field: CoefficientField, point, opts: SolveOptions = None) -> float:
-    """Smallest 3^n, n <= PROXY_CAP, whose cube containing the cell `point` has
-    duality gap <= PROXY_DELTA (Lam - lam); 2 3^(n_max + 1) when none has, with
-    n_max = min(PROXY_CAP, m).
+def _local_min_scale(a_field: CoefficientField, point, delta: float,
+                     cap: int, opts: SolveOptions = None) -> float:
+    """Smallest 3^n whose containing cube has duality gap <= delta (Lam - lam).
 
     Levels whose cubes hold a single grid cell are skipped (their gap is
-    identically zero by construction, not by convergence).  The value sets the
-    cutoff chi_r = clip(2 - X / r, 0, 1) of `coarse_grained_b` at every radius r.
+    identically zero by construction, not by convergence).
     """
     grid = a_field.grid
-    thresh = PROXY_DELTA * (a_field.Lam - a_field.lam)
-    cap = min(PROXY_CAP, grid.m)
+    thresh = delta * (a_field.Lam - a_field.lam)
+    cap = min(cap, grid.m)
     for n in range(cap + 1):
         if 3**n * grid.k < 2:
             continue
@@ -126,12 +123,8 @@ def local_min_scale(a_field: CoefficientField, point, opts: SolveOptions = None)
 
 
 def coarse_grained_b(cset: CorrectorSet, a_field: CoefficientField, r: float,
-                     points, opts: SolveOptions = None, min_scales=None) -> HeatCoarsening:
-    """b_r at the given cell centers from a periodic corrector set.
-
-    `min_scales` holds the `local_min_scale` of each point when the caller has
-    them already: they do not depend on r, so one list serves every radius.
-    """
+                     points, opts: SolveOptions = None) -> HeatCoarsening:
+    """b_r at the given cell centers from a periodic corrector set."""
     if cset.mode != "periodic":
         raise ValueError("heat coarsening needs a periodic corrector set")
     grid = cset.grid
@@ -144,11 +137,11 @@ def coarse_grained_b(cset: CorrectorSet, a_field: CoefficientField, r: float,
     fluxes = [cset.g[k] + cset.abar[:, k] for k in range(d)]
 
     b_hats, conds, chis, bs = [], [], [], []
-    for i, pt in enumerate(points):
+    for pt in points:
         G = np.column_stack([heat_point_value(grads[k], r, h, pt) for k in range(d)])
         Q = np.column_stack([heat_point_value(fluxes[k], r, h, pt) for k in range(d)])
         c = float(np.linalg.cond(G))
-        X = local_min_scale(a_field, pt, opts) if min_scales is None else min_scales[i]
+        X = _local_min_scale(a_field, pt, PROXY_DELTA, PROXY_CAP, opts)
         chi = float(np.clip(2.0 - X / r, 0.0, 1.0))
         if c <= COND_GATE:
             b_hat = Q @ np.linalg.inv(G)

@@ -202,7 +202,8 @@ def _make_projector(shape, periodic):
     return project
 
 
-def cg(A, b, precondition, tol, maxiter, project=None, labels=None, x0=None):
+def cg(A, b, precondition, tol, maxiter, project=None, labels=None, x0=None,
+       overwrite_x0=False):
     """Column-batched preconditioned CG for the symmetric sparse operator A.
 
     b carries a leading column axis; A acts on the rows of b.reshape(-1, A.shape[1]), a
@@ -212,7 +213,8 @@ def cg(A, b, precondition, tol, maxiter, project=None, labels=None, x0=None):
     when given, so the residual starts as b - A x0, and at zero otherwise; a zero column of
     b keeps x = 0 whatever its guess.  Each column stops once ||r|| <= tol ||b||, with b
     projected, so a guess changes the work but not the accuracy, and a guess that already
-    meets the tolerance takes no iteration.  Returns (x, relative residuals, iterations),
+    meets the tolerance takes no iteration.  The guess is copied unless `overwrite_x0`, which
+    lets a float64 x0 become the iterate in place.  Returns (x, relative residuals, iterations),
     the last two per column.  A SolverError names the first failing column (by `labels[i]`
     when given) and carries its residual and iteration count.
     """
@@ -242,7 +244,8 @@ def cg(A, b, precondition, tol, maxiter, project=None, labels=None, x0=None):
         x = np.zeros_like(r)
         relres = nonzero.astype(float)
     else:
-        x = project(np.array(x0, dtype=float).reshape(r.shape))
+        x = project(np.array(x0, dtype=float, copy=None if overwrite_x0 else True)
+                    .reshape(r.shape))
         x[~nonzero] = 0.0
         r -= apply_op(x)
         relres = np.sqrt(dot(r, r)) / bnorm
@@ -293,7 +296,7 @@ def _solve(A, b, h, bc, opts, labels=None, x0=None):
     A is grad^T a grad, block-diagonal over the cubes, on the nodes of `bc` in
     {'dirichlet' (interior), 'neumann', 'periodic'}; `bc` picks the spectral
     preconditioner, and the free solves project out the operator's kernel.
-    The CG starts from x0 (b-shaped) when given.
+    The CG starts from x0 (b-shaped) when given, and overwrites it.
     """
     lead, shape = b.shape[:2], b.shape[2:]
     kind = "torus" if bc == "periodic" else bc
@@ -306,7 +309,7 @@ def _solve(A, b, h, bc, opts, labels=None, x0=None):
                      opts.tol, opts.maxiter,
                      None if bc == "dirichlet" else _make_projector(shape, bc == "periodic"),
                      None if labels is None else labels * lead[0],
-                     None if x0 is None else np.reshape(x0, (-1,) + shape))
+                     None if x0 is None else np.reshape(x0, (-1,) + shape), overwrite_x0=True)
     return x.reshape(b.shape), res.reshape(lead), its.reshape(lead)
 
 
@@ -428,7 +431,8 @@ def solve_neumann_affine(a_field: CoefficientField, cube, q, opts: SolveOptions 
     `q` may be a stack of fluxes (..., d), and `cube` a list of same-level
     cubes; every (flux, cube) pair is one column of one batched solve.
     The CG starts from the node fields x0, shaped like the returned `u`, when
-    given (a warm start: it changes the work, not the stopping rule).
+    given (a warm start: it changes the work, not the stopping rule); a contiguous
+    float64 x0 is overwritten, as its buffer becomes the CG iterate.
     """
     opts = opts or SolveOptions()
     cubes, grid, a = _blocks(a_field, cube)

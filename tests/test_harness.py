@@ -3,24 +3,20 @@
 import csv
 import json
 from concurrent.futures import Future
-from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import hlab.coarse
-import hlab.correctors
 import hlab.harness
-from hlab.fields import sample_checkerboard
-from hlab.lattice import GridSpec, triadic_partition
+from hlab.lattice import triadic_partition
 from hlab.harness import (
     EnsembleStats,
     ExperimentConfig,
     ensemble,
     ensemble_values,
     field_from_config,
-    fluctuation_cascade,
     member_seed,
     rate_fit,
     run_experiment,
@@ -31,10 +27,6 @@ from hlab.solver import SolverError
 def _member_value(seed):
     # module-level so it pickles for worker processes
     return float(np.random.default_rng(seed).normal())
-
-
-def _checkerboard_torus(seed, m):
-    return sample_checkerboard(GridSpec(2, m, 1), seed)
 
 
 class TestConfig:
@@ -485,62 +477,3 @@ class TestRunExperiment:
                                output_dir=str(tmp_path))
         summary = run_experiment(cfg)
         assert np.asarray(summary["target"]).shape == (2, 2)
-
-
-class TestGroupedCascade:
-    """`fluctuation_cascade` runs one ensemble per torus level; radii 1, 1.5 and 2
-    share the level-3 torus and radius 4 has level 4."""
-
-    RADII = [1.0, 1.5, 2.0, 4.0]
-
-    def _run(self, out, jobs=1):
-        cfg = ExperimentConfig(kind="cascade", generator={"name": "checkerboard"},
-                               grid={"d": 2, "k": 1}, scales=self.RADII, ensemble_size=3,
-                               master_seed=5, output_dir=str(out))
-        run_experiment(cfg, jobs=jobs)
-        return [(out / name).read_bytes() for name in ("summary.json", "cascade_variance.csv")]
-
-    def test_outputs_equal_the_per_radius_path(self, tmp_path, monkeypatch):
-        grouped = self._run(tmp_path / "grouped")
-        fit = hlab.harness._variance_fit
-
-        def per_radius(groups, *args):
-            # one ensemble per radius, each member with its own field and correctors
-            return fit([([r], partial(run.func, run.args[0], [r], *run.args[2:]))
-                        for rs, run in groups for r in rs], *args)
-
-        monkeypatch.setattr(hlab.harness, "_variance_fit", per_radius)
-        assert self._run(tmp_path / "single") == grouped
-
-    def test_jobs_2_equals_jobs_1(self, tmp_path):
-        assert self._run(tmp_path / "j2", jobs=2) == self._run(tmp_path / "j1")
-
-    def test_one_field_and_corrector_solve_per_member_and_level(self, monkeypatch):
-        built, solved = [], []
-        periodic = hlab.correctors.periodic_homogenized_matrix
-
-        def make_field(seed, m):
-            built.append((seed, m))
-            return _checkerboard_torus(seed, m)
-
-        def counted(fld, *args, **kwargs):
-            solved.append(fld.grid.m)
-            return periodic(fld, *args, **kwargs)
-
-        monkeypatch.setattr(hlab.correctors, "periodic_homogenized_matrix", counted)
-        out = fluctuation_cascade(make_field, self.RADII, n_seeds=3, master_seed=5)
-        seeds = [member_seed(5, i) for i in range(3)]
-        assert built == [(s, m) for m in (3, 4) for s in seeds]
-        assert solved == [3, 3, 3, 4, 4, 4]
-        assert [row["torus_level"] for row in out["per_r"]] == [3, 3, 3, 4]
-
-    def test_failing_member_is_named(self):
-        bad = member_seed(5, 1)
-
-        def make_field(seed, m):
-            if seed == bad:
-                raise ValueError("no field")
-            return _checkerboard_torus(seed, m)
-
-        with pytest.raises(RuntimeError, match=rf"member 1 \(seed {bad}\): ValueError: no field"):
-            fluctuation_cascade(make_field, self.RADII, n_seeds=3, master_seed=5)

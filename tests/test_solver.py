@@ -229,7 +229,7 @@ class TestNeumannAffine:
         f = sample_checkerboard(GridSpec(2, 2, 1), 9)
         cube = TriadicCube(2, (0, 0))
         cold = solve_neumann_affine(f, cube, [1.0, -0.5], SolveOptions(tol=1e-12))
-        warm = solve_neumann_affine(f, cube, [1.0, -0.5], x0=cold.u)
+        warm = solve_neumann_affine(f, cube, [1.0, -0.5], x0=cold.u.copy())
         assert cold.iterations > 0 and warm.iterations == 0
         assert warm.energy == pytest.approx(cold.energy, rel=1e-12)
         assert np.abs(warm.flux.mean(axis=(0, 1)) - [1.0, -0.5]).max() < 1e-12
@@ -632,6 +632,17 @@ class TestBatchedCG:
             xi, ri, ti = cg(A, b[i:i + 1], _identity, 1e-10, 100, x0=guess[i:i + 1])
             assert np.array_equal(x[i], xi[0])
             assert res[i] == ri[0] <= 1e-10 and its[i] == ti[0]
+
+    def test_overwritten_guess_becomes_the_iterate(self):
+        # the copying run keeps its guess; the overwriting run returns the guess's buffer
+        A, b = self._diagonal_problem(np.linspace(1.0, 50.0, 16), [np.arange(16)] * 2, 11)
+        guess = np.random.default_rng(12).normal(size=b.shape)
+        kept = guess.copy()
+        x, res, its = cg(A, b, _identity, 1e-10, 100, x0=guess)
+        assert np.array_equal(guess, kept)
+        x2, res2, its2 = cg(A, b, _identity, 1e-10, 100, x0=guess, overwrite_x0=True)
+        assert np.shares_memory(x2, guess) and np.array_equal(x2, x)
+        assert np.array_equal(res2, res) and np.array_equal(its2, its)
 
 
 def _identity(v):
