@@ -32,22 +32,22 @@ __all__ = [
     "duality_defect",
     "subadditivity_slacks",
     "subadditivity_ledger",
-    "multiscale_E",
     "spatial_average_identities",
     "cascade_record",
-    "cascade",
 ]
 
 
 @dataclass
 class CoarseGrainResult:
-    """Coarse pair on one cube, with the basis extremals kept for audits."""
+    """Coarse pair on one cube, with the cell means of its basis extremals kept for audits."""
 
     cube: TriadicCube
     a_upper: np.ndarray          # a(U): Dirichlet coarse-grained matrix
     a_lower: np.ndarray          # a*(U): dual (Neumann) coarse-grained matrix
-    dirichlet_basis: list        # Solution per basis slope e_i (None for 1-cell cubes)
-    neumann_basis: list          # Solution per basis flux e_i
+    dirichlet_means: np.ndarray  # (2, d, d): cell-mean gradient and flux, row i for the
+                                 # slope-e_i minimizer (None for 1-cell cubes)
+    neumann_means: np.ndarray    # (2, d, d): the same, row i for the flux-e_i maximizer
+    basis_iterations: np.ndarray  # (2, d): CG iterations per basis solve, Dirichlet then Neumann
     iterations: int
     residual: float
 
@@ -95,7 +95,8 @@ def partition_matrices(a_field: CoefficientField, cube: TriadicCube, n: int,
     column per (direction, subcube).  The Neumann CG starts from the Dirichlet
     extremals combined through a(U)^-1, w_i ~ sum_j (a(U)^-1)_ij v_j, which
     saves iterations but not accuracy: the stopping rule is unchanged.  Each
-    result's basis Solutions are views into those batches.
+    result keeps the cell means and CG counts of its basis solves, not the
+    extremals, and the Dirichlet batch is freed before the Neumann CG starts.
     """
     opts = opts or SolveOptions()
     grid = a_field.grid
@@ -107,27 +108,35 @@ def partition_matrices(a_field: CoefficientField, cube: TriadicCube, n: int,
         out = []
         for c in cubes:
             acell = np.asarray(a_field.a[c.cell_slices(grid)]).reshape(d, d)
-            out.append(CoarseGrainResult(c, acell.copy(), acell.copy(), [None] * d, [None] * d,
-                                         0, 0.0))
+            out.append(CoarseGrainResult(c, acell.copy(), acell.copy(), None, None,
+                                         np.zeros((2, d), dtype=int), 0, 0.0))
         return out
 
     es = np.eye(d)
+    cells = tuple(range(2, d + 2))
     dirs = solve_dirichlet_affine(a_field, cubes, es, opts)
     a_up = _symmetric(_bilinear_form(dirs.gradient, dirs.flux))
-    # warm start: w_i ~ sum_j (a(U)^-1)_ij v_j, as both extremals are near affine + corrector
-    neus = solve_neumann_affine(a_field, cubes, es, opts,
-                                x0=np.einsum("bij,jb...->ib...", np.linalg.inv(a_up), dirs.u))
-    cells = tuple(range(2, d + 2))
+    d_means = np.stack([dirs.gradient.mean(axis=cells), dirs.flux.mean(axis=cells)])
+    # warm start: w_i ~ sum_j (a(U)^-1)_ij v_j, as both extremals are near affine + corrector;
+    # C order lets the Neumann CG take the guess over as its iterate
+    x0 = np.einsum("bij,jb...->ib...", np.linalg.inv(a_up), dirs.u, order="C")
+    d_its, d_res = dirs.column_iterations, dirs.column_residuals
+    del dirs            # the Neumann CG runs without the Dirichlet batch
+    neus = solve_neumann_affine(a_field, cubes, es, opts, x0=x0)
 
-    G = np.moveaxis(neus.gradient.mean(axis=cells), 0, -1)
+    n_grad = neus.gradient.mean(axis=cells)
+    G = np.moveaxis(n_grad, 0, -1)
     a_lo = _symmetric(np.linalg.inv(G + np.swapaxes(G, 1, 2)
                                     - _bilinear_form(neus.gradient, neus.flux)))
+    n_means = np.stack([n_grad, neus.flux.mean(axis=cells)])
 
-    iterations = dirs.column_iterations.sum(axis=0) + neus.column_iterations.sum(axis=0)
-    residual = np.maximum(dirs.column_residuals.max(axis=0), neus.column_residuals.max(axis=0))
-    return [CoarseGrainResult(c, a_up[k], a_lo[k], [dirs[i, k] for i in range(d)],
-                              [neus[i, k] for i in range(d)], int(iterations[k]),
-                              float(residual[k]))
+    # per cube k: means[k] is (2, d, d) and its[k] is (2, d)
+    d_means, n_means = (np.moveaxis(m, 2, 0) for m in (d_means, n_means))
+    its = np.moveaxis(np.stack([d_its, neus.column_iterations]), -1, 0)
+    iterations = its.sum(axis=(1, 2))
+    residual = np.maximum(d_res.max(axis=0), neus.column_residuals.max(axis=0))
+    return [CoarseGrainResult(c, a_up[k], a_lo[k], d_means[k], n_means[k], its[k],
+                              int(iterations[k]), float(residual[k]))
             for k, c in enumerate(cubes)]
 
 
@@ -187,56 +196,24 @@ def subadditivity_ledger(a_field: CoefficientField, m: int, n: int,
                                 partition_matrices(a_field, cube, n, opts))
 
 
-def multiscale_E(a_field: CoefficientField, m: int, a_ref: np.ndarray,
-                 opts: SolveOptions = None) -> float:
-    """Scale-weighted pinching functional E(m) against a reference matrix, as a float.
-
-        E(m) = sum_{n=0}^{m} 3^(n-m) sum_i mean_{level-n cubes in the level-m
-               cube at the origin} J(U, e_i, a_ref e_i)
-
-    Vanishes iff every subcube's pair of energies is saturated by the affine
-    data (e_i, a_ref e_i); decreasing in m signals coarse-graining progress.
-    """
-    a_ref = np.asarray(a_ref, dtype=float)
-    if not np.allclose(a_ref, a_ref.T, atol=1e-12):
-        raise ValueError("reference matrix must be symmetric")
-    d = a_field.grid.d
-    if not 0 <= m <= a_field.grid.m:
-        raise ValueError(f"level {m} out of range [0, {a_field.grid.m}]")
-    cube = TriadicCube(m, (0,) * d)
-    es = np.eye(d)
-    E = 0.0
-    for n in range(m + 1):
-        vals = [sum(J_value(r, e, a_ref @ e) for e in es)
-                for r in partition_matrices(a_field, cube, n, opts)]
-        E += 3.0 ** (n - m) * float(np.mean(vals))
-    return E
-
-
 def spatial_average_identities(r: CoarseGrainResult) -> dict:
-    """First-variation averages of the cached basis extremals.
+    """First-variation averages of the basis extremals, from their stored cell means.
 
     The Dirichlet slope-e_i minimizer has cell-average gradient exactly e_i
     and cell-average flux a(U) e_i; the Neumann flux-e_i maximizer has
     cell-average flux exactly e_i and cell-average gradient a*(U)^-1 e_i.
-    Returns the four sup-norm drifts and their max.
+    Returns the four sup-norm drifts and their max (all zero on a 1-cell cube).
     """
-    if any(s is None for s in r.dirichlet_basis):
+    if r.dirichlet_means is None:
         return {"grad_exact": 0.0, "flux_vs_matrix": 0.0,
                 "flux_exact": 0.0, "grad_vs_matrix": 0.0, "max": 0.0}
-    d = r.a_upper.shape[0]
-    ax = tuple(range(d))
-    astar_inv = np.linalg.inv(r.a_lower)
-    ge = fe = fm = gm = 0.0
-    for i, e in enumerate(np.eye(d)):
-        sd = r.dirichlet_basis[i]
-        sn = r.neumann_basis[i]
-        ge = max(ge, np.abs(sd.gradient.mean(axis=ax) - e).max())
-        fm = max(fm, np.abs(sd.flux.mean(axis=ax) - r.a_upper @ e).max())
-        fe = max(fe, np.abs(sn.flux.mean(axis=ax) - e).max())
-        gm = max(gm, np.abs(sn.gradient.mean(axis=ax) - astar_inv @ e).max())
-    out = {"grad_exact": float(ge), "flux_vs_matrix": float(fm),
-           "flux_exact": float(fe), "grad_vs_matrix": float(gm)}
+    (d_grad, d_flux), (n_grad, n_flux) = r.dirichlet_means, r.neumann_means
+    eye = np.eye(len(d_grad))
+    # row i of each mean belongs to basis e_i, so it is compared with column i of a matrix
+    out = {"grad_exact": float(np.abs(d_grad - eye).max()),
+           "flux_vs_matrix": float(np.abs(d_flux - r.a_upper.T).max()),
+           "flux_exact": float(np.abs(n_flux - eye).max()),
+           "grad_vs_matrix": float(np.abs(n_grad - np.linalg.inv(r.a_lower).T).max())}
     out["max"] = max(out.values())
     return out
 
@@ -255,8 +232,3 @@ def cascade_record(level: int, results) -> CascadeRecord:
         defect_bound_mean=float(bounds.mean()),
     )
 
-
-def cascade(a_field: CoefficientField, cube: TriadicCube, levels,
-            opts: SolveOptions = None) -> list:
-    """CascadeRecord per level: partition statistics of the coarse pair."""
-    return [cascade_record(n, partition_matrices(a_field, cube, n, opts)) for n in sorted(levels)]

@@ -424,14 +424,21 @@ def _torus_level_for(r: float) -> int:
 
 
 def _variance_fit(runs, n_seeds: int, master_seed: int, jobs: int):
-    """One ensemble per (length, member) pair of `runs`, in increasing length, and
-    the log-log fit of each ensemble's summed variance against its length."""
+    """One ensemble per (length, label, member) triple of `runs`, in increasing length,
+    and the log-log fit of each ensemble's summed variance against its length.
+
+    A summed variance of zero (a constant field) has no logarithm: it raises a
+    ValueError naming its label, the radius or level.
+    """
     if n_seeds < MIN_SEEDS:
         raise ValueError(f"variance estimation needs at least {MIN_SEEDS} seeds")
-    stats = [ensemble(run, n_seeds, master_seed, jobs) for _, run in runs]
-    fit = rate_fit([length for length, _ in runs],
-                   [max(float(np.sum(st.variance)), 1e-300) for st in stats])
-    return stats, fit
+    stats = [ensemble(run, n_seeds, master_seed, jobs) for _, _, run in runs]
+    totals = [float(np.sum(st.variance)) for st in stats]
+    for (_, label, _), total in zip(runs, totals):
+        if not total > 0.0:
+            raise ValueError(f"ensemble variance {total} at {label}: the log-log rate fit "
+                             f"needs a positive variance (is the field constant?)")
+    return stats, rate_fit([length for length, _, _ in runs], totals)
 
 
 def fluctuation_cascade(make_field, r_list, n_seeds: int, master_seed: int = 0,
@@ -444,8 +451,9 @@ def fluctuation_cascade(make_field, r_list, n_seeds: int, master_seed: int = 0,
     degenerate points contribute their blended value.
     """
     radii = [float(r) for r in sorted(r_list)]
-    stats, fit = _variance_fit([(r, partial(_b_r_at_origin, make_field, r, opts)) for r in radii],
-                               n_seeds, master_seed, jobs)
+    stats, fit = _variance_fit(
+        [(r, f"radius {r:g}", partial(_b_r_at_origin, make_field, r, opts)) for r in radii],
+        n_seeds, master_seed, jobs)
     per_r = [{"r": r, "torus_level": _torus_level_for(r),
               "total_variance": float(np.asarray(st.variance).sum())}
              for r, st in zip(radii, stats)]
@@ -460,7 +468,8 @@ def cube_average_fluctuations(make_field, n_list, n_seeds: int, master_seed: int
     """
     levels = sorted(n_list)
     stats, fit = _variance_fit(
-        [(float(3**n), partial(_e1_upper_entry, make_field, n, opts)) for n in levels],
+        [(float(3**n), f"level {n}", partial(_e1_upper_entry, make_field, n, opts))
+         for n in levels],
         n_seeds, master_seed, jobs)
     per_n = [{"n": int(n), "variance": float(st.variance)} for n, st in zip(levels, stats)]
     return {"per_n": per_n, "fit": fit}

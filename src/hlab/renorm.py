@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.ndimage
 
-from .coarse import coarse_matrices, duality_defect, partition_matrices
+from .coarse import coarse_matrices, duality_defect
 from .correctors import CorrectorSet
 from .fields import CoefficientField
 from .lattice import GridSpec, TriadicCube, cell_index, discrete_gradient
@@ -28,7 +28,6 @@ __all__ = [
     "heat_convolve",
     "heat_point_value",
     "coarse_grained_b",
-    "minimal_scale_proxy",
 ]
 
 COND_GATE = 1e3
@@ -152,24 +151,3 @@ def coarse_grained_b(cset: CorrectorSet, a_field: CoefficientField, r: float,
         b_hats.append(b_hat); conds.append(c); chis.append(chi); bs.append(b)
     return HeatCoarsening(points=list(points), b_hat=b_hats, cond=conds, chi=chis, b=bs)
 
-
-def minimal_scale_proxy(a_field: CoefficientField, delta: float,
-                        opts: SolveOptions = None) -> float:
-    """Smallest triadic scale 3^n with all windowed duality gaps below threshold.
-
-    Windows at level n are the level-n subcubes of the level-min(m, n+1) cube
-    at the origin; single-cell windows are skipped as trivially converged.
-    Returns inf when no level qualifies.
-    """
-    if not 0.0 < delta <= 0.5:
-        raise ValueError("delta must lie in (0, 1/2]")
-    grid = a_field.grid
-    thresh = delta * (a_field.Lam - a_field.lam)
-    for n in range(grid.m + 1):
-        if 3**n * grid.k < 2:
-            continue
-        region = TriadicCube(min(grid.m, n + 1), (0,) * grid.d)
-        if all(duality_defect(res)["gap"] <= thresh
-               for res in partition_matrices(a_field, region, n, opts)):
-            return float(3**n)
-    return float("inf")

@@ -20,7 +20,9 @@ the affine Dirichlet and Neumann solves also take a list of same-level cubes
 (coefficient blocks stacked as (B, *cells, d, d), a block-diagonal operator,
 one spectral symbol for all), which removes the per-call overhead that
 dominates tiny cubes.  The affine Neumann solve takes an initial guess `x0`,
-which `coarse.partition_matrices` builds from the Dirichlet extremals.
+which `coarse.partition_matrices` builds from the Dirichlet extremals.  A
+solve hands its load and guess over to the CG, which works in their buffers,
+so no full-size copy of either stays alive beside the CG's own arrays.
 
 The cell-centered element has zero-energy node modes beyond constants: the
 parity fields (-1)^(i_r + i_s) over two or more axes.  They are projected
@@ -117,11 +119,6 @@ class Solution:
     column_iterations: np.ndarray = None
     column_residuals: np.ndarray = None
 
-    def __getitem__(self, i) -> "Solution":
-        """The Solution at index i of the leading axes; its arrays are views into this one's."""
-        return _batch_solution(self.u[i], self.gradient[i], self.flux[i],
-                               self.column_residuals[i], self.column_iterations[i], self.energy[i])
-
 
 def _batch_solution(u, grad, flux, res, its, energy):
     if np.ndim(its) == 0:
@@ -149,8 +146,10 @@ def _stencil(a, h, periodic):
     Entry (x, x + delta) sums, over the cells c = x - sigma holding both
     nodes, eps . a(c) eta / (h^2 4^(d-1)) with the gradient's corner signs
     eps = 2 sigma - 1 and eta = 2 (sigma + delta) - 1.  Summing cell by cell
-    makes isotropic cells cancel exactly, so those entries are zero.  The
-    interior-Dirichlet operator is the interior block of the free-grid stencil.
+    makes isotropic cells cancel exactly, so those entries are zero; an offset
+    whose entries all vanish (the 2d axis offsets, on isotropic cells) is left
+    out.  The interior-Dirichlet operator is the interior block of the
+    free-grid stencil.
     """
     d = a.shape[-1]
     nodes = tuple(n + (not periodic) for n in a.shape[1:1 + d])
@@ -169,7 +168,9 @@ def _stencil(a, h, periodic):
             for (k, l), comp in comps.items():
                 (np.add if (2 * sigma[k] - 1) * (2 * tau[l] - 1) > 0 else np.subtract)(
                     coef, comp[view], out=coef)
-        stencil[delta] = coef / (h * h * 4 ** (d - 1))
+        if coef.any():
+            coef /= h * h * 4 ** (d - 1)
+            stencil[delta] = coef
     return stencil
 
 
@@ -203,7 +204,7 @@ def _make_projector(shape, periodic):
 
 
 def cg(A, b, precondition, tol, maxiter, project=None, labels=None, x0=None,
-       overwrite_x0=False):
+       overwrite=False):
     """Column-batched preconditioned CG for the symmetric sparse operator A.
 
     b carries a leading column axis; A acts on the rows of b.reshape(-1, A.shape[1]), a
@@ -213,10 +214,11 @@ def cg(A, b, precondition, tol, maxiter, project=None, labels=None, x0=None,
     when given, so the residual starts as b - A x0, and at zero otherwise; a zero column of
     b keeps x = 0 whatever its guess.  Each column stops once ||r|| <= tol ||b||, with b
     projected, so a guess changes the work but not the accuracy, and a guess that already
-    meets the tolerance takes no iteration.  The guess is copied unless `overwrite_x0`, which
-    lets a float64 x0 become the iterate in place.  Returns (x, relative residuals, iterations),
-    the last two per column.  A SolverError names the first failing column (by `labels[i]`
-    when given) and carries its residual and iteration count.
+    meets the tolerance takes no iteration.  b and x0 are copied unless `overwrite`, which
+    hands them over: a writable C-contiguous float64 b becomes the residual and such an x0
+    the iterate, in place, and any other array is copied as before.  Returns (x, relative
+    residuals, iterations), the last two per column.  A SolverError names the first failing
+    column (by `labels[i]` when given) and carries its residual and iteration count.
     """
     ncol = b.shape[0]
     col = (ncol,) + (1,) * (b.ndim - 1)
@@ -225,7 +227,10 @@ def cg(A, b, precondition, tol, maxiter, project=None, labels=None, x0=None,
     def apply_op(v):
         if v.size == A.shape[1]:
             return (A @ v.ravel()).reshape(v.shape)
-        return np.stack([A @ row for row in v.reshape(-1, A.shape[1])]).reshape(v.shape)
+        out = np.empty_like(v)
+        for row, product in zip(v.reshape(-1, A.shape[1]), out.reshape(-1, A.shape[1])):
+            product[...] = A @ row
+        return out
 
     def dot(u, v):
         return np.vecdot(u.reshape(ncol, -1), v.reshape(ncol, -1))
@@ -234,8 +239,12 @@ def cg(A, b, precondition, tol, maxiter, project=None, labels=None, x0=None,
         where = "" if labels is None else f" on {labels[i]}"
         raise SolverError(message + where, float(relres[i]), int(its))
 
-    # the residual starts as a private copy of b; no other copy of b stays alive
-    r = project(b.astype(float, copy=True))
+    def own(v):
+        return np.require(v, float, "CW") if overwrite else np.array(v, dtype=float)
+
+    # the residual starts in b's buffer when handed over, else in a private copy of b;
+    # either way this function holds no other copy of b
+    r = project(own(b))
     del b
     bnorm = np.sqrt(dot(r, r))
     nonzero = bnorm > 0.0
@@ -244,8 +253,7 @@ def cg(A, b, precondition, tol, maxiter, project=None, labels=None, x0=None,
         x = np.zeros_like(r)
         relres = nonzero.astype(float)
     else:
-        x = project(np.array(x0, dtype=float, copy=None if overwrite_x0 else True)
-                    .reshape(r.shape))
+        x = project(own(x0).reshape(r.shape))
         x[~nonzero] = 0.0
         r -= apply_op(x)
         relres = np.sqrt(dot(r, r)) / bnorm
@@ -296,7 +304,7 @@ def _solve(A, b, h, bc, opts, labels=None, x0=None):
     A is grad^T a grad, block-diagonal over the cubes, on the nodes of `bc` in
     {'dirichlet' (interior), 'neumann', 'periodic'}; `bc` picks the spectral
     preconditioner, and the free solves project out the operator's kernel.
-    The CG starts from x0 (b-shaped) when given, and overwrites it.
+    The CG takes over b and, when given, the guess x0 (b-shaped): it overwrites both.
     """
     lead, shape = b.shape[:2], b.shape[2:]
     kind = "torus" if bc == "periodic" else bc
@@ -309,7 +317,7 @@ def _solve(A, b, h, bc, opts, labels=None, x0=None):
                      opts.tol, opts.maxiter,
                      None if bc == "dirichlet" else _make_projector(shape, bc == "periodic"),
                      None if labels is None else labels * lead[0],
-                     None if x0 is None else np.reshape(x0, (-1,) + shape), overwrite_x0=True)
+                     None if x0 is None else np.reshape(x0, (-1,) + shape), overwrite=True)
     return x.reshape(b.shape), res.reshape(lead), its.reshape(lead)
 
 
@@ -431,8 +439,9 @@ def solve_neumann_affine(a_field: CoefficientField, cube, q, opts: SolveOptions 
     `q` may be a stack of fluxes (..., d), and `cube` a list of same-level
     cubes; every (flux, cube) pair is one column of one batched solve.
     The CG starts from the node fields x0, shaped like the returned `u`, when
-    given (a warm start: it changes the work, not the stopping rule); a contiguous
-    float64 x0 is overwritten, as its buffer becomes the CG iterate.
+    given (a warm start: it changes the work, not the stopping rule); a writable
+    C-contiguous float64 x0 is overwritten, as its buffer becomes the CG iterate
+    and then the returned `u`.
     """
     opts = opts or SolveOptions()
     cubes, grid, a = _blocks(a_field, cube)
@@ -440,16 +449,16 @@ def solve_neumann_affine(a_field: CoefficientField, cube, q, opts: SolveOptions 
     axes = tuple(range(2, d + 2))
     q, stack = _stack(q, d)
     qcol = q.reshape((len(q), 1) + (1,) * d + (d,))     # broadcasts over (k, B, *cells, d)
-    b = gradient_adjoint(np.broadcast_to(qcol, (len(q), 1) + grid.cell_shape + (d,)), h)
-    w, res, its = _solve(stencil_matrix(_stencil(a, h, False)),
-                         np.broadcast_to(b, (len(q), len(cubes)) + grid.node_shape), h,
-                         "neumann", opts, cubes, x0)
+    # a load column per (flux, cube), in a buffer the CG takes over as its residual
+    b = gradient_adjoint(np.broadcast_to(qcol, (len(q), len(cubes)) + grid.cell_shape + (d,)), h)
+    w, res, its = _solve(stencil_matrix(_stencil(a, h, False)), b, h, "neumann", opts, cubes, x0)
+    del b
 
     grad = discrete_gradient(w, h, periodic=False, d=d)
     mean_flux = _amul(a, grad).mean(axis=axes)
     abar_cell = a.mean(axis=tuple(range(1, d + 1)))
     c = np.linalg.solve(abar_cell, (q[:, None] - mean_flux)[..., None])[..., 0]
-    w = w + _plane(c, grid)
+    w += _plane(c, grid)
     w -= w.mean(axis=axes, keepdims=True)
     grad = discrete_gradient(w, h, periodic=False, d=d)
     flux = _amul(a, grad)

@@ -151,6 +151,18 @@ def test_failure_exits_nonzero(runner, tmp_path):
     assert "error" in result.output
 
 
+def test_cascade_on_a_constant_field_fails(runner, tmp_path):
+    # every member's b_r is the one cell matrix: a zero variance has no log-log fit
+    cfg = ExperimentConfig(kind="cascade", generator={"name": "checkerboard", "p_black": 0.0},
+                           grid={"d": 2, "k": 1}, scales=[1.0, 2.0, 3.0, 4.0],
+                           ensemble_size=2, output_dir=str(tmp_path / "out"))
+    path = tmp_path / "cfg.json"
+    cfg.save(path)
+    result = runner.invoke(main, ["cascade", "--config", str(path)])
+    assert result.exit_code == 1
+    assert "ValueError" in result.output and "at radius 1:" in result.output
+
+
 def test_help_lists_commands(runner):
     result = runner.invoke(main, ["--help"])
     assert result.exit_code == 0

@@ -1,6 +1,7 @@
 """Coarse-grained matrix pair: ordering, subadditivity, duality bookkeeping."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,10 +13,9 @@ from hlab import spectral
 from hlab.coarse import (
     CascadeRecord,
     J_value,
-    cascade,
+    cascade_record,
     coarse_matrices,
     duality_defect,
-    multiscale_E,
     partition_matrices,
     spatial_average_identities,
     subadditivity_ledger,
@@ -192,14 +192,14 @@ class TestNeumannWarmStart:
         assert len(guesses) == 1 and guesses[0].shape == (d, 1) + (3**m + 1,) * d
         assert np.array_equal(warm.a_upper, cold.a_upper)
         assert np.abs(warm.a_lower - cold.a_lower).max() <= 1e-12 * np.abs(cold.a_lower).max()
-        neumann = [sum(s.iterations for s in r.neumann_basis) for r in (warm, cold)]
+        neumann = [r.basis_iterations[1].sum() for r in (warm, cold)]
         assert neumann[0] < neumann[1]
         assert warm.iterations - neumann[0] == cold.iterations - neumann[1]
 
     def test_level5_pair_saves_neumann_steps(self):
         r = coarse_matrices(sample_checkerboard(GridSpec(2, 5, 1), 7), TriadicCube(5, (0, 0)))
         # 20 per column from a zero start
-        assert [s.iterations for s in r.neumann_basis] == [17, 17]
+        assert r.basis_iterations[1].tolist() == [17, 17]
 
 
 class TestPartitionMatrices:
@@ -234,11 +234,11 @@ class TestPartitionMatrices:
         results = partition_matrices(f, TriadicCube(2, (0, 0)), 1)
         for k, value in ((0, 1.0), (4, 4.0)):
             r = results[k]
-            assert [s.iterations for s in r.dirichlet_basis] == [0, 0]
+            assert r.basis_iterations[0].tolist() == [0, 0]
             assert np.array_equal(r.a_upper, value * np.eye(2))
             assert np.abs(r.a_lower - value * np.eye(2)).max() < 1e-12
         others = [r for k, r in enumerate(results) if k not in (0, 4)]
-        assert all(s.iterations > 0 for r in others for s in r.dirichlet_basis)
+        assert all((r.basis_iterations[0] > 0).all() for r in others)
 
     def test_d_solves_per_kind_for_729_cubes(self, monkeypatch):
         calls = {"dirichlet": [], "neumann": []}
@@ -262,11 +262,11 @@ class TestPartitionMatrices:
         assert calls["dirichlet"][0].column_iterations.shape == (2, 729)
         assert sum(r.iterations for r in results) == sum(
             s.iterations for s in calls["dirichlet"] + calls["neumann"])
-        # the per-cube basis extremals are views into the batched solutions
-        first, last = results[0].neumann_basis[1], results[-1].neumann_basis[1]
-        for name in ("u", "gradient", "flux"):
-            base = getattr(first, name).base
-            assert base is not None and getattr(last, name).base is base
+        # each cube's per-basis counts are its columns of the batched solves
+        for k in (0, 728):
+            assert results[k].basis_iterations.tolist() == [
+                calls[kind][0].column_iterations[:, k].tolist()
+                for kind in ("dirichlet", "neumann")]
 
     def test_nonconvergence_names_a_cube(self):
         f = sample_checkerboard(GridSpec(2, 2, 1), 1)
@@ -274,6 +274,58 @@ class TestPartitionMatrices:
         with pytest.raises(SolverError, match=named) as err:
             partition_matrices(f, TriadicCube(2, (0, 0)), 1, SolveOptions(maxiter=1))
         assert err.value.iterations == 1 and err.value.residual > 1e-8
+
+
+class TestPairMemory:
+    """A coarse pair keeps d x d numbers, not fields, and frees the Dirichlet batch
+    before the Neumann CG."""
+
+    @pytest.mark.parametrize("d, m, n", [(2, 3, 3), (2, 3, 1), (2, 2, 0), (3, 2, 1)])
+    def test_results_hold_no_cell_or_node_array(self, d, m, n):
+        results = partition_matrices(sample_checkerboard(GridSpec(d, m, 1), 2),
+                                     TriadicCube(m, (0,) * d), n)
+        for r in results:
+            assert r.iterations == r.basis_iterations.sum()
+            for name, value in vars(r).items():
+                assert not isinstance(value, (list, tuple, hlab.solver.Solution)), name
+                if isinstance(value, np.ndarray):
+                    root = value
+                    while isinstance(root.base, np.ndarray):
+                        root = root.base
+                    # at most 2 d x d numbers per cube, the size of the means
+                    assert root.size <= 2 * d * d * len(results), name
+
+    def test_stored_means_are_the_extremals_means(self):
+        f = sample_checkerboard(GridSpec(2, 3, 1), 5)
+        cube = TriadicCube(3, (0, 0))
+        r = coarse_matrices(f, cube)
+        dirs = solve_dirichlet_affine(f, cube, np.eye(2))
+        neus = solve_neumann_affine(f, cube, np.eye(2))
+        cells = (1, 2)
+        for stored, sol, tol in ((r.dirichlet_means, dirs, 1e-15), (r.neumann_means, neus, TOL10)):
+            for got, field in zip(stored, (sol.gradient, sol.flux)):
+                assert np.abs(got - field.mean(axis=cells)).max() <= tol
+        assert r.basis_iterations[0].tolist() == dirs.column_iterations.tolist()
+
+    def test_level5_pair_traced_peak(self):
+        # traced peak 10.1 MB (15.7 MB while the Dirichlet batch lived through the
+        # Neumann CG and each CG kept a second copy of its load)
+        f = sample_checkerboard(GridSpec(2, 5, 1), 7)
+        cube = TriadicCube(5, (0, 0))
+        # a small pair first, so that nothing a first call sets up counts
+        coarse_matrices(sample_checkerboard(GridSpec(2, 2, 1), 7), TriadicCube(2, (0, 0)))
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            r = coarse_matrices(f, cube)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert r.iterations == 68
+        assert peak <= 1.1 * 10.11 * 2**20
 
 
 class TestJAndDuality:
@@ -325,28 +377,6 @@ class TestSubadditivity:
             subadditivity_ledger(f, 1, 1)
 
 
-class TestMultiscaleE:
-    def test_constant_field_vanishes(self):
-        A = np.diag([2.0, 3.0])
-        f = make_constant(GridSpec(2, 2, 1), A)
-        assert multiscale_E(f, 2, A) < 1e-7
-
-    def test_wrong_reference_bounded_below(self):
-        # against a_ref = 10 I every J term is at least 1/2 + 50/4 - 10 = 3
-        f = sample_checkerboard(GridSpec(2, 1, 1), 4)
-        assert multiscale_E(f, 1, 10.0 * np.eye(2)) > 1.0
-
-    def test_decreasing_in_m(self):
-        f = sample_checkerboard(GridSpec(2, 3, 1), 11)
-        vals = [multiscale_E(f, m, np.diag([2.0, 2.0])) for m in (1, 2, 3)]
-        assert vals[0] > vals[1] > vals[2]
-
-    def test_reference_symmetry_required(self):
-        f = sample_checkerboard(GridSpec(2, 1, 1), 0)
-        with pytest.raises(ValueError):
-            multiscale_E(f, 1, np.array([[1.0, 0.5], [0.0, 1.0]]))
-
-
 class TestSpatialAverages:
     def test_first_variation_identities(self):
         # mean gradient of the Dirichlet extremal is exactly the slope;
@@ -370,12 +400,13 @@ class TestSpatialAverages:
 class TestCascadeCsv:
     def test_cascade_levels_and_round_trip(self, tmp_path):
         f = sample_checkerboard(GridSpec(2, 2, 1), 6)
-        recs = cascade(f, TriadicCube(2, (0, 0)), [0, 1, 2])
+        cube = TriadicCube(2, (0, 0))
+        recs = [cascade_record(n, partition_matrices(f, cube, n)) for n in (0, 1, 2)]
         assert [r.level for r in recs] == [0, 1, 2]
         assert recs[0].gap_mean == pytest.approx(0.0, abs=1e-12)  # single cells
         assert recs[2].gap_mean > 0
         # the stacked level statistics equal the means of the per-cube defects
-        per_cube = [duality_defect(r) for r in partition_matrices(f, TriadicCube(2, (0, 0)), 1)]
+        per_cube = [duality_defect(r) for r in partition_matrices(f, cube, 1)]
         assert recs[1].gap_mean == pytest.approx(np.mean([dd["gap"] for dd in per_cube]),
                                                  rel=1e-12)
         assert recs[1].defect_bound_mean == pytest.approx(

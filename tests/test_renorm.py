@@ -8,11 +8,13 @@ from hlab.fields import make_constant, make_laminate, sample_checkerboard
 from hlab.harness import cube_average_fluctuations, fluctuation_cascade
 from hlab.lattice import GridSpec
 from hlab.renorm import (
+    PROXY_CAP,
+    PROXY_DELTA,
+    _local_min_scale,
     coarse_grained_b,
     heat_convolve,
     heat_kernel_1d,
     heat_point_value,
-    minimal_scale_proxy,
 )
 
 
@@ -128,23 +130,19 @@ class TestCoarseGrainedB:
 
 
 class TestMinimalScale:
+    """`_local_min_scale`, the minimal scale X that blends b_r toward abar."""
+
     def test_constant_field_converges_at_first_window(self):
         # anisotropic constant field: gaps vanish but Lam - lam > 0, so the
-        # threshold is positive and the first multi-cell window qualifies
+        # threshold is positive and the first multi-cell cube qualifies
         fld = make_constant(GridSpec(2, 2, 1), np.diag([1.0, 2.0]))
-        assert minimal_scale_proxy(fld, 0.25) == 3.0
+        assert _local_min_scale(fld, (4, 4), PROXY_DELTA, PROXY_CAP) == 3.0
 
     def test_checkerboard_finite(self):
         fld = sample_checkerboard(GridSpec(2, 3, 1), 2)
-        x = minimal_scale_proxy(fld, 0.5)
-        assert x in (3.0, 9.0, 27.0)
-
-    def test_delta_validation(self):
-        fld = make_constant(GridSpec(2, 1, 1), np.eye(2))
-        with pytest.raises(ValueError):
-            minimal_scale_proxy(fld, 0.0)
-        with pytest.raises(ValueError):
-            minimal_scale_proxy(fld, 0.7)
+        assert _local_min_scale(fld, (13, 13), PROXY_DELTA, PROXY_CAP) in (3.0, 9.0, 27.0)
+        # no cube up to the cap meets a tiny threshold: the sentinel 2 * 3^(cap + 1)
+        assert _local_min_scale(fld, (13, 13), 1e-6, 2) == 54.0
 
 
 class TestCascades:

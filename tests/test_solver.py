@@ -507,6 +507,52 @@ class TestAssembledOperator:
             assert not ((offsets != 0).sum(axis=0) == 1).any()
 
 
+def _full_stencil(a, h, periodic):
+    """Every offset of grad^T a grad, zero or not: the reference for `_stencil`."""
+    d = a.shape[-1]
+    nodes = tuple(n + (not periodic) for n in a.shape[1:1 + d])
+    pad = [(0, 0)] + [(1, 0) if periodic else (1, 1)] * d
+    comps = {(k, l): np.pad(c, pad, mode="wrap" if periodic else "constant")
+             for k, l in itertools.product(range(d), repeat=2) if (c := a[..., k, l]).any()}
+    stencil = {}
+    for delta in itertools.product((-1, 0, 1), repeat=d):
+        coef = np.zeros(a.shape[:1] + nodes)
+        for sigma in itertools.product((0, 1), repeat=d):
+            tau = [s + t for s, t in zip(sigma, delta)]
+            if all(0 <= t <= 1 for t in tau):
+                view = (slice(None),) + tuple(slice(1 - s, 1 - s + n)
+                                              for s, n in zip(sigma, nodes))
+                for (k, l), comp in comps.items():
+                    sign = (2 * sigma[k] - 1) * (2 * tau[l] - 1)
+                    coef = coef + comp[view] if sign > 0 else coef - comp[view]
+        stencil[delta] = coef / (h * h * 4 ** (d - 1))
+    return stencil
+
+
+class TestStencilOffsets:
+    """`_stencil` leaves out the offsets whose coefficients all vanish; the matrix is the
+    one the full stencil of every offset assembles to."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("periodic", [False, True])
+    @pytest.mark.parametrize("kind", ["checkerboard", "anisotropic"])
+    def test_matrix_equals_full_stencil_matrix(self, d, periodic, kind):
+        grid = GridSpec(d, 2, 1)
+        a = (sample_checkerboard(grid, 4) if kind == "checkerboard" else
+             anisotropic(grid, 4)).a[None]
+        stencil = _stencil(a, grid.h, periodic)
+        full = _full_stencil(a, grid.h, periodic)
+        assert all(full[delta].any() == (delta in stencil) for delta in full)
+        if kind == "checkerboard" and d == 2:
+            # isotropic cells: the four axis offsets cancel
+            assert sorted(stencil) == [(-1, -1), (-1, 1), (0, 0), (1, -1), (1, 1)]
+        if kind == "anisotropic":
+            assert len(stencil) == 3**d
+        got, ref = (stencil_matrix(s, periodic) for s in (stencil, full))
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name))
+
+
 class TestProjector:
     @pytest.mark.parametrize("nodes", [(7, 7), (7, 7, 7), (8, 8), (7, 8), (4, 4, 4)])
     def test_free_grid_projection(self, nodes):
@@ -640,9 +686,31 @@ class TestBatchedCG:
         kept = guess.copy()
         x, res, its = cg(A, b, _identity, 1e-10, 100, x0=guess)
         assert np.array_equal(guess, kept)
-        x2, res2, its2 = cg(A, b, _identity, 1e-10, 100, x0=guess, overwrite_x0=True)
+        x2, res2, its2 = cg(A, b.copy(), _identity, 1e-10, 100, x0=guess, overwrite=True)
         assert np.shares_memory(x2, guess) and np.array_equal(x2, x)
         assert np.array_equal(res2, res) and np.array_equal(its2, its)
+
+    def test_overwritten_load_becomes_the_residual(self):
+        # every residual the overwriting run preconditions lives in b's buffer; the
+        # default run leaves b as it was, and both runs agree bit for bit
+        A, b = self._diagonal_problem(np.linspace(1.0, 50.0, 16), [np.arange(16)] * 2, 13)
+        kept = b.copy()
+        x, res, its = cg(A, b, _identity, 1e-10, 100)
+        assert np.array_equal(b, kept)
+        in_b = []
+
+        def spy(r):
+            in_b.append(np.shares_memory(r, b))
+            return r
+
+        x2, res2, its2 = cg(A, b, spy, 1e-10, 100, overwrite=True)
+        assert len(in_b) == its.max() and all(in_b)
+        assert np.array_equal(x2, x) and np.array_equal(res2, res) and np.array_equal(its2, its)
+        # a load the CG cannot write to is copied, as without the flag
+        locked = kept.copy()
+        locked.flags.writeable = False
+        x3, _, _ = cg(A, locked, _identity, 1e-10, 100, overwrite=True)
+        assert np.array_equal(locked, kept) and np.array_equal(x3, x)
 
 
 def _identity(v):
@@ -706,11 +774,11 @@ class TestBatchedSolves:
             assert batch.residual == batch.column_residuals.max() <= 1e-8
             # the per-column arithmetic is that of the single solve, so columns match exactly
             for j, (i, cube) in itertools.product(range(2), enumerate(cubes)):
-                one, col = solve(f, cube, ps[j]), batch[j, i]
-                assert (col.iterations, col.residual, col.energy) == (
-                    one.iterations, one.residual, one.energy)
+                one = solve(f, cube, ps[j])
+                assert (batch.column_iterations[j, i], batch.column_residuals[j, i],
+                        batch.energy[j, i]) == (one.iterations, one.residual, one.energy)
                 for name in ("u", "gradient", "flux"):
-                    assert np.array_equal(getattr(col, name), getattr(one, name))
+                    assert np.array_equal(getattr(batch, name)[j, i], getattr(one, name))
 
     def test_nonconvergent_column_names_its_cube(self):
         f = sample_checkerboard(GridSpec(2, 2, 1), 1)
