@@ -308,8 +308,7 @@ class TestPairMemory:
         assert r.basis_iterations[0].tolist() == dirs.column_iterations.tolist()
 
     def test_level5_pair_traced_peak(self):
-        # traced peak 10.1 MB (15.7 MB while the Dirichlet batch lived through the
-        # Neumann CG and each CG kept a second copy of its load)
+        # the pair's traced peak reads 10.11 MB; the bound leaves 10% for allocator detail
         f = sample_checkerboard(GridSpec(2, 5, 1), 7)
         cube = TriadicCube(5, (0, 0))
         # a small pair first, so that nothing a first call sets up counts
