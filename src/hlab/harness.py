@@ -39,7 +39,6 @@ __all__ = [
     "rate_fit",
     "fluctuation_cascade",
     "cube_average_fluctuations",
-    "field_from_config",
     "run_experiment",
     "json_default",
 ]
@@ -357,12 +356,6 @@ def rate_fit(scales, values) -> FitTarget:
 # ---------------------------------------------------------------------------
 
 
-def field_from_config(generator: dict, grid_cfg: dict, seed: int):
-    """Build a coefficient field from config generator and grid blocks."""
-    rc = ExperimentConfig("field-gen", generator=generator, grid=grid_cfg).validate()
-    return _build_field(rc.generator, rc.grid, seed)
-
-
 def _build_field(generator: tuple, grid, seed: int):
     """The field of a resolved generator (name, keyword arguments) on a GridSpec."""
     name, kw = generator
@@ -584,9 +577,9 @@ def _exp_corrector(rc, jobs):
 def _exp_twoscale(rc, jobs):
     unit = _level_field(rc.generator, rc.grid, rc.master_seed, 0)
     cset = correctors.periodic_homogenized_matrix(unit, rc.opts)
-    u = twoscale.macro_affine(rc.extra["slope"])
     reports = [twoscale.dirichlet_error(fields.tile_unit_cell(unit, twoscale.scale_level(eps)),
-                                        u, cset, eps, rc.opts) for eps in rc.scales]
+                                        rc.extra["slope"], cset, eps, rc.opts)
+               for eps in rc.scales]
     rows = twoscale.error_table_rows(reports)
     _write_csv(os.path.join(rc.output_dir, "twoscale.csv"),
                list(rows[0].keys()), [list(r.values()) for r in rows])
@@ -712,8 +705,8 @@ def _check_corrector(rc):
 def _check_twoscale(rc):
     scales = _numbers(rc.scales, "'scales'", MIN_FIT_POINTS, twoscale.scale_level)
     d, slope = rc.grid.d, rc.extra["slope"]
-    if slope is not None and len(_numbers(slope, "'extra.slope'", d)) != d:
-        raise ValueError(f"'extra.slope' must be {d} numbers, got {slope!r}")
+    if slope is not None and (len(_numbers(slope, "'extra.slope'", d)) != d or not any(slope)):
+        raise ValueError(f"'extra.slope' must be {d} numbers, not all zero, got {slope!r}")
     rc = replace(rc, scales=scales, extra={"slope": slope or [1.0] + [0.0] * (d - 1)})
     return _check_field(rc, [0])        # the runner builds the unit cell and tiles it
 

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from . import spectral
-
 __all__ = [
     "GridSpec",
     "grid_problem",
@@ -30,10 +28,8 @@ __all__ = [
     "discrete_gradient",
     "gradient_adjoint",
     "node_to_cell",
-    "cell_to_node_adjoint",
     "stencil_matrix",
     "weak_norm_estimate",
-    "dual_norm_oracle",
     "write_field",
     "read_field",
 ]
@@ -241,14 +237,6 @@ def node_to_cell(u: np.ndarray, periodic: bool = False) -> np.ndarray:
     return v
 
 
-def cell_to_node_adjoint(f: np.ndarray, periodic: bool = False) -> np.ndarray:
-    """Adjoint of node_to_cell; spreads cell data to nodes."""
-    v = f
-    for axis in range(f.ndim - 1, -1, -1):
-        v = _pair_adj(v, axis, periodic, np.add, 2.0)
-    return v
-
-
 def stencil_matrix(stencil: dict, periodic: bool = False):
     """CSR matrix of a node stencil: row x holds stencil[delta][x] in column x + delta.
 
@@ -288,7 +276,7 @@ def stencil_matrix(stencil: dict, periodic: bool = False):
 
 
 # ---------------------------------------------------------------------------
-# Multiscale weak-norm estimator and its Neumann oracle.
+# Multiscale weak-norm estimator.
 # ---------------------------------------------------------------------------
 
 
@@ -326,23 +314,6 @@ def weak_norm_estimate(f: np.ndarray, grid: GridSpec) -> float:
             av_sq = av_sq.sum(axis=tuple(range(d, av.ndim)))
         total += 3.0**n * float(np.sqrt(av_sq.mean()))
     return total
-
-
-def dual_norm_oracle(f: np.ndarray, grid: GridSpec) -> float:
-    """Energy norm of the Neumann solution of -lap v = f - (f) on the macro cube.
-
-    Solved exactly in the cosine basis of the constant-coefficient operator.
-    """
-    block = np.asarray(f, dtype=float)[grid.macro_cube().cell_slices(grid)]
-    if block.ndim != grid.d:
-        raise ValueError("dual_norm_oracle expects a scalar cell field")
-    block = block - block.mean()
-    h = grid.h
-    b = cell_to_node_adjoint(block, periodic=False) * h**grid.d
-    v = spectral.neumann_solve_nodespace(b, h)
-    g = discrete_gradient(v, h, periodic=False)
-    vol = float(block.size) * h**grid.d
-    return float(np.sqrt(h**grid.d * (g**2).sum() / vol))
 
 
 # ---------------------------------------------------------------------------

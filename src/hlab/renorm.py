@@ -2,11 +2,14 @@
 
 b_r(x) maps Gaussian-smoothed corrected-plane gradients to their smoothed
 fluxes: with G and Q the d x d matrices whose k-th columns are the smoothed
-gradient and flux of the corrected plane psi_k = l_{e_k} + phi_{e_k},
-b_r(x) = Q G^-1 wherever G is well conditioned.  Ill-conditioned or
-unconverged points are blended toward the homogenized matrix through the
-cutoff chi_r built from a windowed minimal-scale proxy.  The ensemble
-studies of b_r and of cube averages across scales live in `hlab.harness`.
+gradient and flux of the corrected plane psi_k = l_{e_k} + phi_{e_k}, each
+smoothed at the point x alone by a direct sum over the kernel's support,
+b_hat = Q G^-1.  The result blends b_hat toward the homogenized matrix,
+b_r = chi b_hat + (1 - chi) abar, through the cutoff chi = clip(2 - X/r, 0, 1)
+of the local minimal scale X: the side of the smallest triadic cube around x
+whose duality gap is at most PROXY_DELTA (Lam - lam).  Where
+cond(G) > COND_GATE, b_r is abar itself.  The ensemble studies of b_r and of
+cube averages across scales live in `hlab.harness`.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.ndimage
 
 from .coarse import coarse_matrices, duality_defect
 from .correctors import CorrectorSet
@@ -25,7 +27,6 @@ from .solver import SolveOptions
 __all__ = [
     "HeatCoarsening",
     "heat_kernel_1d",
-    "heat_convolve",
     "heat_point_value",
     "coarse_grained_b",
 ]
@@ -49,22 +50,6 @@ def heat_kernel_1d(r: float, h: float):
     x = np.arange(-n, n + 1) * h
     w = np.exp(-(x**2) / (4.0 * r**2))
     return w / w.sum()
-
-
-def heat_convolve(f: np.ndarray, r: float, h: float, spatial_dims: int = None) -> np.ndarray:
-    """Separable Gaussian smoothing of a periodic field over its leading spatial axes.
-
-    The whole-field reference that `heat_point_value` is checked against.
-    """
-    f = np.asarray(f, dtype=float)
-    nd = f.ndim if spatial_dims is None else spatial_dims
-    w = heat_kernel_1d(r, h)
-    out = f
-    for ax in range(nd):
-        if w.size > f.shape[ax]:
-            raise ValueError("kernel support exceeds the torus period")
-        out = scipy.ndimage.convolve1d(out, w, axis=ax, mode="wrap")
-    return out
 
 
 def heat_point_value(f: np.ndarray, r: float, h: float, point) -> np.ndarray:

@@ -2,16 +2,15 @@
 
 The macro domain is the unit cube; the heterogeneous problem lives on the
 triadic lattice cube of side 3^M with a unit-periodic microstructure, so the
-scale ratio is eps = 3^-M.  Macro data is supplied analytically
-(value/gradient/Hessian callbacks), keeping the expansion free of macro
-discretization error; the corrector factor comes from a periodic
-corrector set on one unit cell.
+scale ratio is eps = 3^-M.  The macro data is affine, u(x) = p.x, given by
+its slope p: it solves the homogenized equation for every homogenized
+matrix, and the expansion has no macro discretization error.  The corrector
+factor comes from a periodic corrector set on one unit cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -21,54 +20,12 @@ from .lattice import GridSpec, discrete_gradient, weak_norm_estimate
 from .solver import SolveOptions, solve_dirichlet_data
 
 __all__ = [
-    "MacroFunction",
     "TwoScaleReport",
-    "macro_affine",
-    "macro_harmonic_quadratic",
     "scale_level",
     "build_two_scale",
     "dirichlet_error",
     "error_table_rows",
 ]
-
-
-@dataclass(frozen=True)
-class MacroFunction:
-    """Smooth function on the unit macro cube, given analytically."""
-
-    value: Callable      # (..., d) -> (...)
-    gradient: Callable   # (..., d) -> (..., d)
-    hessian: Callable    # (..., d) -> (..., d, d)
-    label: str = "macro"
-
-
-def macro_affine(p, c: float = 0.0) -> MacroFunction:
-    p = np.asarray(p, dtype=float)
-    d = p.size
-    return MacroFunction(
-        value=lambda x: x @ p + c,
-        gradient=lambda x: np.broadcast_to(p, x.shape).copy(),
-        hessian=lambda x: np.zeros(x.shape + (d,)),
-        label=f"affine_{p.tolist()}",
-    )
-
-
-def macro_harmonic_quadratic(B, abar) -> MacroFunction:
-    """u(x) = 1/2 x.Bx with B symmetric and trace(abar B) = 0 (abar-harmonic)."""
-    B = np.asarray(B, dtype=float)
-    abar = np.asarray(abar, dtype=float)
-    if not np.allclose(B, B.T, atol=1e-12):
-        raise ValueError("quadratic coefficient matrix must be symmetric")
-    tr = float(np.trace(abar @ B))
-    if abs(tr) > 1e-10 * max(1.0, np.abs(abar @ B).max()):
-        raise ValueError(f"quadratic is not abar-harmonic: trace(abar B) = {tr}")
-    d = B.shape[0]
-    return MacroFunction(
-        value=lambda x: 0.5 * np.einsum("...i,ij,...j->...", x, B, x),
-        gradient=lambda x: x @ B,
-        hessian=lambda x: np.broadcast_to(B, x.shape + (d,)).copy(),
-        label="harmonic_quadratic",
-    )
 
 
 @dataclass
@@ -101,8 +58,14 @@ def scale_level(eps: float) -> int:
     return M
 
 
-def build_two_scale(u: MacroFunction, cset: CorrectorSet, eps: float) -> np.ndarray:
-    """w^eps = u + eps sum_k (d_k u) phi_k(./eps) at the nodes of the lattice cube.
+def _unit_nodes(grid: GridSpec) -> np.ndarray:
+    """The grid's nodes as points of the unit macro domain, shape (*nodes, d)."""
+    coords = np.meshgrid(*[np.arange(n) / grid.side for n in grid.node_shape], indexing="ij")
+    return np.stack(coords, axis=-1)
+
+
+def build_two_scale(p, cset: CorrectorSet, eps: float) -> np.ndarray:
+    """w^eps = x.p + eps sum_j p_j phi_j(x/eps) at the nodes of the lattice cube.
 
     The corrector set must be periodic with a single-unit-cell grid; eps must
     equal 3^-M for an integer M, and the returned node array lives on the
@@ -110,68 +73,46 @@ def build_two_scale(u: MacroFunction, cset: CorrectorSet, eps: float) -> np.ndar
     """
     if cset.mode != "periodic" or cset.grid.m != 0:
         raise ValueError("two-scale expansion needs a periodic unit-cell corrector set")
+    p = np.asarray(p, dtype=float)
     M = scale_level(eps)
-    d, k = cset.grid.d, cset.grid.k
-    reps = 3**M
-    macro_grid = GridSpec(d, M, k)
-    coords = np.meshgrid(*[np.arange(n) / (k * reps) for n in macro_grid.node_shape],
-                         indexing="ij")
-    X = np.stack(coords, axis=-1)
-    w = u.value(X)
-    du = u.gradient(X)
-    for j in range(d):
-        w = w + eps * du[..., j] * _tile_corrector_nodes(cset.phi[j], reps)
+    w = _unit_nodes(GridSpec(cset.grid.d, M, cset.grid.k)) @ p
+    for j in range(cset.grid.d):
+        w = w + eps * p[j] * _tile_corrector_nodes(cset.phi[j], 3**M)
     return w
 
 
-def dirichlet_error(a_field: CoefficientField, u: MacroFunction, cset: CorrectorSet,
+def dirichlet_error(a_field: CoefficientField, p, cset: CorrectorSet,
                     eps: float, opts: SolveOptions = None) -> TwoScaleReport:
-    """Solve the heterogeneous Dirichlet problem with macro data and compare.
+    """Solve the heterogeneous Dirichlet problem with the affine data x.p and compare.
 
     `a_field` must be the unit-periodic microstructure tiled over the lattice
-    cube of side 1/eps at the corrector resolution.  The macro function must
-    satisfy the homogenized equation for the set's matrix (checked at cell
-    centers); the fine problem then has no bulk forcing.
+    cube of side 1/eps at the corrector resolution.  Affine data solves the
+    homogenized equation, so the fine problem has no bulk forcing.
     """
     opts = opts or SolveOptions()
+    p = np.asarray(p, dtype=float)
     M = scale_level(eps)
     grid = a_field.grid
-    d, k, h = grid.d, grid.k, grid.h
-    if grid.m != M or k != cset.grid.k:
+    if grid.m != M or grid.k != cset.grid.k:
         raise ValueError("coefficient grid does not match the eps/corrector pair")
-    reps = 3**M
 
-    centers = np.meshgrid(*[(np.arange(n) + 0.5) / (k * reps) for n in grid.cell_shape],
-                          indexing="ij")
-    Xc = np.stack(centers, axis=-1)
-    hess = u.hessian(Xc)
-    harmonic_defect = np.abs(np.einsum("ij,...ij->...", cset.abar, hess)).max()
-    if harmonic_defect > 1e-6:
-        raise ValueError(
-            f"macro function is not homogenized-harmonic (defect {harmonic_defect:.2e})")
-
-    node_coords = np.meshgrid(*[np.arange(n) / (k * reps) for n in grid.node_shape],
-                              indexing="ij")
-    Xn = np.stack(node_coords, axis=-1)
-    U = u.value(Xn)
+    U = _unit_nodes(grid) @ p
     sol = solve_dirichlet_data(a_field, grid.macro_cube(), U, opts)
 
-    w = build_two_scale(u, cset, eps)
+    w = build_two_scale(p, cset, eps)
     # lattice gradients are d/dx with x = X / eps; unit-domain gradients scale by 3^M
-    scale = float(reps)
-    grad_err_cells = scale * (sol.gradient - discrete_gradient(w, h, periodic=False))
+    scale = float(3**M)
+    grad_err_cells = scale * (sol.gradient - discrete_gradient(w, grid.h, periodic=False))
     grad_error = float(np.sqrt((grad_err_cells**2).sum(axis=-1).mean()))
     l2_error = float(np.sqrt(((sol.u - U) ** 2).mean()))
 
     # the lattice estimator weighs level-n cubes by 3^n lattice lengths; one
     # factor eps converts those weights to unit-domain scales
-    du_c = u.gradient(Xc)
-    weak_grad = eps * weak_norm_estimate(scale * sol.gradient - du_c, grid)
-    weak_flux = eps * weak_norm_estimate(
-        scale * sol.flux - du_c @ cset.abar.T, grid)
+    weak_grad = eps * weak_norm_estimate(scale * sol.gradient - p, grid)
+    weak_flux = eps * weak_norm_estimate(scale * sol.flux - cset.abar @ p, grid)
 
     return TwoScaleReport(
-        eps=eps, macro_label=u.label,
+        eps=eps, macro_label=f"affine_{p.tolist()}",
         grad_error=grad_error, l2_error=l2_error,
         weak_grad_defect=weak_grad, weak_flux_defect=weak_flux,
     )

@@ -83,13 +83,15 @@ def test_jobs_below_one_rejected_before_any_solve(runner, tmp_path, monkeypatch,
     ("cascade", {"extra": {"cube_level": [1, 2]}}, "'extra.cube_level'"),
     ("walk", {"extra": {"horizon": -5}}, "'extra.horizon'"),
     ("twoscale", {"scales": [0.5, 1 / 9, 1 / 27]}, "'scales'"),
+    ("twoscale", {"extra": {"slope": [0, 0]}}, "'extra.slope'"),
     ("coarsen", {"generator": {"name": "laminate", "period": 7.0}}, "'generator.period'"),
     ("twoscale", {"generator": {"name": "laminate", "period": 3.0}}, "'generator.period'"),
     ("walk", {"grid": {"d": 5}}, "'grid.d'"),
     ("coarsen", {"solver": {"tol": 0.5}}, "'solver.tol'"),
     ("coarsen", {"kind": None}, "'kind'"),
 ], ids=["size-float", "size-bool", "size-str", "extra-key", "walk-horizon", "twoscale-eps",
-        "coarsen-period", "twoscale-period", "grid-d", "solver-tol", "no-kind"])
+        "twoscale-zero-slope", "coarsen-period", "twoscale-period", "grid-d", "solver-tol",
+        "no-kind"])
 def test_bad_config_rejected_before_any_solve(runner, tmp_path, monkeypatch, kind, override, key):
     import hlab.harness
 

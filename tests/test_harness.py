@@ -16,12 +16,17 @@ from hlab.harness import (
     ExperimentConfig,
     ensemble,
     ensemble_values,
-    field_from_config,
     member_seed,
     rate_fit,
     run_experiment,
 )
 from hlab.solver import SolverError
+
+
+def _config_field(generator, grid, seed):
+    # the runners' route: validate() resolves the blocks, the builder makes the field
+    rc = ExperimentConfig("field-gen", generator=generator, grid=grid).validate()
+    return hlab.harness._build_field(rc.generator, rc.grid, seed)
 
 
 def _member_value(seed):
@@ -118,6 +123,7 @@ class TestConfig:
                 ("twoscale", dict(scales=[1 / 3, 1 / 9]), "'scales'"),
                 ("twoscale", dict(extra={"slope": [1, 0, 0]}), "'extra.slope'"),
                 ("twoscale", dict(extra={"slope": [1, "0"]}), "'extra.slope'"),
+                ("twoscale", dict(extra={"slope": [0.0, 0.0]}), "'extra.slope'"),
                 ("cascade", dict(ensemble_size=2, scales=[0.5, 1, 2]), "'scales'"),
                 ("cascade", dict(ensemble_size=2, scales=[1, 2]), "'scales'"),
                 ("cascade", dict(ensemble_size=2, extra={"cube_levels": [-1, 1, 2]}),
@@ -337,15 +343,15 @@ class TestFieldFromConfig:
                     {"name": "laminate", "period": 1.0},
                     {"name": "checkerboard"},
                     {"name": "gaussian", "truncation": 1}):
-            fld = field_from_config(gen, grid, seed=3)
+            fld = _config_field(gen, grid, seed=3)
             fld.validate()
         with pytest.raises(ValueError):
-            field_from_config({"name": "perlin"}, grid, 0)
+            _config_field({"name": "perlin"}, grid, 0)
 
     def test_seed_controls_random_generators(self):
         grid = {"d": 2, "m": 1, "k": 1}
-        a = field_from_config({"name": "checkerboard"}, grid, 1)
-        b = field_from_config({"name": "checkerboard"}, grid, 2)
+        a = _config_field({"name": "checkerboard"}, grid, 1)
+        b = _config_field({"name": "checkerboard"}, grid, 2)
         assert not np.array_equal(a.a, b.a)
 
 
@@ -420,7 +426,7 @@ class TestRunExperiment:
         # the slacks equal those of a ledger that solves its own parent and children
         below = [n for n in scales if n < m]
         if below:
-            fld = field_from_config(cfg.generator, cfg.grid, cfg.master_seed)
+            fld = _config_field(cfg.generator, cfg.grid, cfg.master_seed)
             led = hlab.coarse.subadditivity_ledger(fld, m, min(below))
             assert summary["subadditivity_slacks"] == {
                 "upper": led["upper_slack_min_eig"], "lower": led["lower_slack_min_eig"]}
@@ -461,6 +467,7 @@ class TestRunExperiment:
         with open(tmp_path / "twoscale.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert [float(r["eps"]) for r in rows] == [1 / 3, 1 / 9, 1 / 27]
+        assert {r["macro"] for r in rows} == {"affine_[1.0, 0.0]"}
         assert np.abs(summary["abar"] - np.diag([1.6, 2.5])).max() < 1e-6
 
     def test_green_experiment_reports_its_steps(self, tmp_path):

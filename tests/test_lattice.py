@@ -7,9 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hlab.lattice import (
     GridSpec,
     TriadicCube,
-    cell_to_node_adjoint,
     discrete_gradient,
-    dual_norm_oracle,
     gradient_adjoint,
     node_to_cell,
     read_field,
@@ -17,6 +15,7 @@ from hlab.lattice import (
     weak_norm_estimate,
     write_field,
 )
+from oracles import cell_to_node_adjoint, dual_norm_oracle
 
 
 def rng(seed):

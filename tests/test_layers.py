@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,11 +11,14 @@ import hlab
 
 PACKAGE = Path(hlab.__file__).parent
 
-# lowest first; a module may import only modules of earlier groups
-ORDER = [("spectral",), ("lattice",), ("fields",), ("solver",), ("coarse",), ("correctors",),
+# lowest first; a module may import only modules of earlier groups, so the
+# transforms and the grid calculus import no hlab module
+ORDER = [("spectral", "lattice"), ("fields",), ("solver",), ("coarse",), ("correctors",),
          ("renorm", "twoscale", "stochproc"), ("harness",), ("cli",)]
 RANK = {name: i for i, group in enumerate(ORDER) for name in group}
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
+# the third-party modules (and their submodules) the package may import
+THIRD_PARTY = {"numpy", "scipy.fft", "scipy.sparse"}
 
 
 def _tree(name):
@@ -53,6 +57,22 @@ def test_imports_only_lower_layers(name):
     ceiling = RANK["harness"] if name == "__init__" else RANK[name]
     above = sorted(m for m in imported if RANK[m] >= ceiling)
     assert above == [], f"hlab.{name} imports {above}, which are not below it"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_imports_only_allowed_third_party(name):
+    allowed = THIRD_PARTY | ({"click"} if name == "cli" else set())
+    imported = set()
+    for node in ast.walk(_tree(name)):
+        if isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            # `from scipy import fft` may name a submodule; `from numpy import pi` an attribute
+            imported.update(f"{node.module}.{a.name}" for a in node.names)
+    outside = sorted(m for m in imported
+                     if m.split(".")[0] not in sys.stdlib_module_names | {"hlab"}
+                     and not any(m == a or m.startswith(a + ".") for a in allowed))
+    assert outside == [], f"hlab.{name} imports {outside}, outside {sorted(allowed)}"
 
 
 @pytest.mark.parametrize("name", MODULES)

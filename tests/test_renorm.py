@@ -12,10 +12,10 @@ from hlab.renorm import (
     PROXY_DELTA,
     _local_min_scale,
     coarse_grained_b,
-    heat_convolve,
     heat_kernel_1d,
     heat_point_value,
 )
+from oracles import heat_convolve
 
 
 class TestKernel:

@@ -20,7 +20,6 @@ from hlab.fields import (
 from hlab.lattice import (
     GridSpec,
     TriadicCube,
-    cell_to_node_adjoint,
     discrete_gradient,
     gradient_adjoint,
     stencil_matrix,
@@ -39,6 +38,7 @@ from hlab.solver import (
     solve_periodic_cell,
 )
 from hlab.spectral import torus_solve_nodespace
+from oracles import cell_to_node_adjoint
 
 CUBE1 = TriadicCube(1, (0, 0))
 

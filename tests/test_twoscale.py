@@ -10,8 +10,6 @@ from hlab.twoscale import (
     build_two_scale,
     dirichlet_error,
     error_table_rows,
-    macro_affine,
-    macro_harmonic_quadratic,
     scale_level,
 )
 
@@ -20,36 +18,11 @@ def laminate_unit(k=4):
     return make_laminate(GridSpec(2, 0, k), 1.0, 4.0, 1.0, axis=1)
 
 
-class TestMacroFunctions:
-    def test_affine_consistency(self):
-        u = macro_affine([2.0, -1.0], c=0.5)
-        x = np.array([[0.3, 0.7]])
-        assert u.value(x)[0] == pytest.approx(2.0 * 0.3 - 0.7 + 0.5)
-        assert np.allclose(u.gradient(x), [[2.0, -1.0]])
-        assert np.allclose(u.hessian(x), 0.0)
-
-    def test_harmonic_quadratic_consistency(self):
-        abar = np.diag([1.6, 2.5])
-        # trace(abar B) = 0: B = diag(2.5, -1.6)
-        B = np.diag([2.5, -1.6])
-        u = macro_harmonic_quadratic(B, abar)
-        x = np.array([[0.2, 0.4]])
-        assert u.value(x)[0] == pytest.approx(0.5 * (2.5 * 0.04 - 1.6 * 0.16))
-        assert np.allclose(u.gradient(x), x @ B)
-
-    def test_non_harmonic_rejected(self):
-        with pytest.raises(ValueError):
-            macro_harmonic_quadratic(np.eye(2), np.diag([1.6, 2.5]))
-        with pytest.raises(ValueError):
-            macro_harmonic_quadratic(np.array([[0.0, 1.0], [0.5, 0.0]]), np.eye(2))
-
-
 class TestBuildTwoScale:
     def test_constant_coefficient_reduces_to_macro(self):
-        # zero correctors: the expansion is the macro function on the nodes
+        # zero correctors: the expansion is the affine data x.p on the nodes
         cset = periodic_homogenized_matrix(make_constant(GridSpec(2, 0, 3), np.eye(2)))
-        u = macro_affine([1.0, 2.0])
-        w = build_two_scale(u, cset, 1.0 / 3.0)
+        w = build_two_scale([1.0, 2.0], cset, 1.0 / 3.0)
         g = GridSpec(2, 1, 3)
         coords = np.meshgrid(*[np.arange(n) / 9.0 for n in g.node_shape], indexing="ij")
         expect = coords[0] + 2.0 * coords[1]
@@ -59,12 +32,12 @@ class TestBuildTwoScale:
     def test_requires_unit_cell_periodic_set(self):
         cset = periodic_homogenized_matrix(make_constant(GridSpec(2, 1, 2), np.eye(2)))
         with pytest.raises(ValueError):
-            build_two_scale(macro_affine([1.0, 0.0]), cset, 1.0 / 3.0)
+            build_two_scale([1.0, 0.0], cset, 1.0 / 3.0)
 
     def test_requires_triadic_eps(self):
         cset = periodic_homogenized_matrix(make_constant(GridSpec(2, 0, 2), np.eye(2)))
         with pytest.raises(ValueError):
-            build_two_scale(macro_affine([1.0, 0.0]), cset, 0.25)
+            build_two_scale([1.0, 0.0], cset, 0.25)
 
     def test_scale_level(self):
         assert [scale_level(eps) for eps in (1.0, 1 / 3, 1 / 27)] == [0, 1, 3]
@@ -76,8 +49,7 @@ class TestBuildTwoScale:
         # with an affine macro slope the added oscillation repeats per cell
         unit = laminate_unit()
         cset = periodic_homogenized_matrix(unit)
-        u = macro_affine([1.0, 0.0])
-        w = build_two_scale(u, cset, 1.0 / 3.0)
+        w = build_two_scale([1.0, 0.0], cset, 1.0 / 3.0)
         k = unit.grid.k
         osc = w - np.add.outer(np.arange(w.shape[0]), np.zeros(w.shape[1])) / (3 * k)
         assert np.abs(osc[:k, :k] - osc[k:2 * k, k:2 * k]).max() < 1e-12
@@ -87,12 +59,11 @@ class TestDirichletError:
     def test_laminate_affine_errors_decay(self):
         unit = laminate_unit()
         cset = periodic_homogenized_matrix(unit)
-        u = macro_affine([1.0, 0.0])
         reports = []
         for eps in (1 / 3, 1 / 9):
             M = round(-np.log(eps) / np.log(3.0))
             fld = tile_unit_cell(unit, M)
-            reports.append(dirichlet_error(fld, u, cset, eps))
+            reports.append(dirichlet_error(fld, [1.0, 0.0], cset, eps))
         r3, r9 = reports
         assert r9.grad_error < r3.grad_error
         assert r9.l2_error < r3.l2_error
@@ -101,43 +72,22 @@ class TestDirichletError:
         # the weak defects decay at least like the scale ratio
         assert r9.weak_grad_defect < 0.5 * r3.weak_grad_defect
 
-    def test_harmonic_quadratic_accepted(self):
-        unit = laminate_unit()
-        cset = periodic_homogenized_matrix(unit)
-        ab = cset.abar
-        B = np.diag([ab[1, 1], -ab[0, 0]])
-        B = B / np.abs(B).max()
-        u = macro_harmonic_quadratic(B, ab)
-        fld = tile_unit_cell(unit, 1)
-        rep = dirichlet_error(fld, u, cset, 1 / 3)
-        assert rep.grad_error < 1.0
-        assert rep.l2_error < 0.1
-
-    def test_non_harmonic_macro_rejected(self):
-        unit = laminate_unit()
-        cset = periodic_homogenized_matrix(unit)
-        bad = macro_harmonic_quadratic(np.diag([1.0, -1.0]), np.eye(2))
-        fld = tile_unit_cell(unit, 1)
-        with pytest.raises(ValueError):
-            dirichlet_error(fld, bad, cset, 1 / 3)
-
     def test_grid_mismatch_rejected(self):
         unit = laminate_unit()
         cset = periodic_homogenized_matrix(unit)
         fld = tile_unit_cell(unit, 2)
         with pytest.raises(ValueError):
-            dirichlet_error(fld, macro_affine([1.0, 0.0]), cset, 1 / 3)
+            dirichlet_error(fld, [1.0, 0.0], cset, 1 / 3)
 
 
 class TestErrorTable:
     def test_rows_sorted_by_eps(self):
         unit = make_constant(GridSpec(2, 0, 2), np.eye(2))
         cset = periodic_homogenized_matrix(unit)
-        u = macro_affine([1.0, 0.0])
         reports = []
         for eps in (1 / 9, 1 / 3):
             M = round(-np.log(eps) / np.log(3.0))
-            reports.append(dirichlet_error(tile_unit_cell(unit, M), u, cset, eps))
+            reports.append(dirichlet_error(tile_unit_cell(unit, M), [1.0, 0.0], cset, eps))
         rows = error_table_rows(reports)
         assert [r["eps"] for r in rows] == [1 / 3, 1 / 9]
         assert set(rows[0]) >= {"eps", "grad_error", "l2_error"}
