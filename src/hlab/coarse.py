@@ -117,11 +117,12 @@ def partition_matrices(a_field: CoefficientField, cube: TriadicCube, n: int,
     dirs = solve_dirichlet_affine(a_field, cubes, es, opts)
     a_up = _symmetric(_bilinear_form(dirs.gradient, dirs.flux))
     d_means = np.stack([dirs.gradient.mean(axis=cells), dirs.flux.mean(axis=cells)])
+    d_its, d_res, v = dirs.column_iterations, dirs.column_residuals, dirs.u
+    del dirs            # the warm start and the Neumann CG run without the Dirichlet batch
     # warm start: w_i ~ sum_j (a(U)^-1)_ij v_j, as both extremals are near affine + corrector;
     # C order lets the Neumann CG take the guess over as its iterate
-    x0 = np.einsum("bij,jb...->ib...", np.linalg.inv(a_up), dirs.u, order="C")
-    d_its, d_res = dirs.column_iterations, dirs.column_residuals
-    del dirs            # the Neumann CG runs without the Dirichlet batch
+    x0 = np.einsum("bij,jb...->ib...", np.linalg.inv(a_up), v, order="C")
+    del v
     neus = solve_neumann_affine(a_field, cubes, es, opts, x0=x0)
 
     n_grad = neus.gradient.mean(axis=cells)

@@ -5,7 +5,8 @@ Coefficient-like data lives on cells, solution-like data on nodes.  The
 discrete gradient samples the bilinear (trilinear in 3d) element gradient at
 the cell center; the divergence is its negative adjoint, so summation by
 parts is exact.  Operators with a nearest-neighbour node stencil are
-assembled as sparse matrices by `stencil_matrix`.
+assembled as sparse matrices by `stencil_matrix`: stored as diagonals on a
+free grid, where no index array is needed, and as CSR on the torus.
 """
 
 from __future__ import annotations
@@ -238,14 +239,21 @@ def node_to_cell(u: np.ndarray, periodic: bool = False) -> np.ndarray:
 
 
 def stencil_matrix(stencil: dict, periodic: bool = False):
-    """CSR matrix of a node stencil: row x holds stencil[delta][x] in column x + delta.
+    """Sparse matrix of a node stencil: row x holds stencil[delta][x] in column x + delta.
 
     `stencil` maps offsets delta in {-1, 0, 1}^d to coefficient arrays of one
     shape (*batch, *grid), the grid being the trailing d axes; the matrix is
-    block-diagonal over the batch axes.  A periodic grid wraps x + delta;
-    otherwise entries with x + delta off the grid are dropped (stored as zeros
-    on the row's own column).  Offsets whose coefficients all vanish get no
-    entries, every other offset one per row; indices are int32 below 2^31 entries.
+    block-diagonal over the batch axes.  Offsets whose coefficients all vanish
+    get no entries.
+
+    On a free grid, entries with x + delta off the grid are dropped, and the
+    matrix is a `dia_array`: each offset is one diagonal at its flat step, so
+    no index array is built.  On grids of 2 nodes per axis two offsets can
+    share a flat step (in 2d, (0, -1) and (-1, 1)); their diagonals are
+    summed, as their on-grid entries never fall in one row.  A periodic grid
+    wraps x + delta, and a wrapped offset would need full-length diagonals of
+    mostly zeros, so the torus matrix is CSR, one entry per kept offset and
+    row, with int32 indices below 2^31 entries.
     """
     shape = next(iter(stencil.values())).shape
     d = len(next(iter(stencil)))
@@ -257,20 +265,28 @@ def stencil_matrix(stencil: dict, periodic: bool = False):
                               for t, n in zip(delta, grid))
 
     kept = [delta for delta, c in stencil.items() if c[on_grid(delta)].any()]
+    strides = [math.prod(grid[axis + 1:]) for axis in range(d)]
+    if not periodic:
+        steps = [sum(t * s for t, s in zip(delta, strides)) for delta in kept]
+        # in order of first use, which keeps each row's sum in the order of `stencil`
+        offsets = list(dict.fromkeys(steps))
+        data = np.zeros((len(offsets), rows))
+        for delta, step in zip(kept, steps):
+            # diagonal entry j is the one in column j
+            column = (...,) + tuple(slice(max(0, t), n + min(0, t)) for t, n in zip(delta, grid))
+            data[offsets.index(step)].reshape(shape)[column] += stencil[delta][on_grid(delta)]
+        return scipy.sparse.dia_array((data, offsets), shape=(rows, rows))
     index = np.int32 if rows * max(len(kept), 1) < 2**31 else np.int64
     base = np.arange(rows, dtype=index).reshape(shape)
-    data = np.zeros((rows, len(kept)))
+    data = np.empty((rows, len(kept)))
     columns = np.empty((rows, len(kept)), dtype=index)
     for j, delta in enumerate(kept):
-        on = on_grid(delta)
-        data[:, j].reshape(shape)[on] = stencil[delta][on]
+        data[:, j].reshape(shape)[...] = stencil[delta]
         shift = 0       # the flat step from x to x + delta, wrapped per axis
         for axis, (t, n) in enumerate(zip(delta, grid)):
-            step = ((np.arange(n) + t) % n - np.arange(n)) * math.prod(grid[axis + 1:])
+            step = ((np.arange(n) + t) % n - np.arange(n)) * strides[axis]
             shift = shift + step.reshape((n,) + (1,) * (d - 1 - axis))
-        col = columns[:, j].reshape(shape)
-        col[...] = base
-        col[on] += np.broadcast_to(shift, grid)[on]
+        columns[:, j].reshape(shape)[...] = base + shift
     indptr = np.arange(rows + 1, dtype=index) * len(kept)
     return scipy.sparse.csr_array((data.ravel(), columns.ravel(), indptr), shape=(rows, rows))
 

@@ -3,7 +3,8 @@
 All problems are symmetric positive (semi)definite and solved by
 preconditioned conjugate gradients on the node grid.  One function writes the
 node stencil of grad^T a grad, on the free grid or on the torus, and each
-solve call assembles it once as a sparse matrix.  The Dirichlet solves take
+solve call assembles it once as a sparse matrix (`lattice.stencil_matrix`:
+its diagonals on the free grid, CSR on the torus).  The Dirichlet solves take
 the interior block of the free-grid stencil as their operator and the
 stencil's rows at interior nodes for the load of the lifted boundary data.
 The preconditioner inverts the constant-coefficient operator exactly in a
@@ -24,6 +25,18 @@ which `coarse.partition_matrices` builds from the Dirichlet extremals.  A
 solve hands its load and guess over to the CG, which works in their buffers,
 so no full-size copy of either stays alive beside the CG's own arrays.
 
+On large cubes the basis directions run one CG each: once one direction's
+block of columns holds `_SPLIT_NODES` = 2^17 nodes (a 729^2 cube has 533k, a
+243^2 cube 59k), each direction's CG takes over its row of the load and
+leaves its solution there, or in the guess's row, so the CG's work arrays
+(search direction, product, preconditioned residual and the transforms'
+buffers) are those of one direction, not of d.  Every output is the batched
+one, bit for bit.  On a 2d level-6 coarse pair (2-vCPU Xeon, one thread) this
+takes the peak RSS from about 173 to 148 MB.  Smaller solves keep all
+directions in one CG, so the many tiny solves of `hlab coarsen` make one CG
+call each: a prototype that split every solve measured the `coarsen-small`
+benchmark at 0.119 -> 0.132 s over 12 pairs (BENCH_19.json has the reruns).
+
 The cell-centered element has zero-energy node modes beyond constants: the
 parity fields (-1)^(i_r + i_s) over two or more axes.  They are projected
 out of free-boundary and even-sided periodic solves; reported gradients,
@@ -34,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +85,9 @@ class SolverError(RuntimeError):
 
 # the smallest tolerance whose solves precondition in float32
 _SINGLE_TOL = 1e-12
+
+# nodes per direction from which the basis directions of a solve run one CG each
+_SPLIT_NODES = 2**17
 
 
 @dataclass(frozen=True)
@@ -305,20 +322,38 @@ def _solve(A, b, h, bc, opts, labels=None, x0=None):
     {'dirichlet' (interior), 'neumann', 'periodic'}; `bc` picks the spectral
     preconditioner, and the free solves project out the operator's kernel.
     The CG takes over b and, when given, the guess x0 (b-shaped): it overwrites both.
+    Once one direction's block of columns holds _SPLIT_NODES nodes, each direction
+    runs its own CG, which takes over its row of b as the residual and leaves its
+    solution in that row, or in the guess's row.
     """
     lead, shape = b.shape[:2], b.shape[2:]
     kind = "torus" if bc == "periodic" else bc
     dtype = np.float32 if opts.tol >= _SINGLE_TOL else np.float64
     inverse = spectral.pseudo_inverse(getattr(spectral, f"{kind}_symbol")(shape, h)).astype(dtype)
     solve = getattr(spectral, f"{kind}_solve_nodespace")
-    x, res, its = cg(A, b.reshape((-1,) + shape),
-                     lambda r: solve(r.astype(dtype, copy=False), h,
-                                     inverse=inverse).astype(float, copy=False),
-                     opts.tol, opts.maxiter,
-                     None if bc == "dirichlet" else _make_projector(shape, bc == "periodic"),
-                     None if labels is None else labels * lead[0],
-                     None if x0 is None else np.reshape(x0, (-1,) + shape), overwrite=True)
-    return x.reshape(b.shape), res.reshape(lead), its.reshape(lead)
+    project = None if bc == "dirichlet" else _make_projector(shape, bc == "periodic")
+
+    def precondition(r):
+        return solve(r.astype(dtype, copy=False), h, inverse=inverse).astype(float, copy=False)
+
+    def run(load, guess):
+        # all of b, or one direction's row; either way a column per (direction, cube)
+        cols = load.reshape((-1,) + shape)
+        return cg(A, cols, precondition, opts.tol, opts.maxiter, project,
+                  None if labels is None else labels * (len(cols) // lead[1]),
+                  None if guess is None else np.reshape(guess, cols.shape), overwrite=True)
+
+    if lead[0] == 1 or math.prod(b.shape[1:]) < _SPLIT_NODES:
+        x, res, its = run(b, x0)
+        return x.reshape(b.shape), res.reshape(lead), its.reshape(lead)
+    x = b if x0 is None else np.require(np.reshape(x0, b.shape), float, "CW")
+    res, its = np.empty(lead), np.empty(lead, dtype=int)
+    for i in range(lead[0]):
+        xi, res[i], its[i] = run(b[i], None if x0 is None else x[i])
+        if not np.may_share_memory(xi, x[i]):
+            x[i] = xi       # row i of b is free: its CG has finished with the residual
+        del xi
+    return x, res, its
 
 
 def _vol_energy(grad, flux):
@@ -391,6 +426,7 @@ def _dirichlet_solve(a, u, h, opts, cubes):
         corr, res, its = _solve(A, load, h, "dirichlet", opts, cubes)
         del A, load
         inside += corr
+        del corr
     grad = discrete_gradient(u, h, False, d=d)
     flux = _amul(a, grad)
     return _batch_solution(u, grad, flux, res, its, _vol_energy(grad, flux))
@@ -456,6 +492,7 @@ def solve_neumann_affine(a_field: CoefficientField, cube, q, opts: SolveOptions 
 
     grad = discrete_gradient(w, h, periodic=False, d=d)
     mean_flux = _amul(a, grad).mean(axis=axes)
+    del grad
     abar_cell = a.mean(axis=tuple(range(1, d + 1)))
     c = np.linalg.solve(abar_cell, (q[:, None] - mean_flux)[..., None])[..., 0]
     w += _plane(c, grid)

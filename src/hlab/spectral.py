@@ -19,6 +19,8 @@ preconditions the random-conductance solves.
 Solves run in float32 on request: a solve keeps its input's dtype, so a float32
 load with a float32 `inverse` transforms in single precision (about half the
 time of float64), and a float64 load gives the exact float64 solve.
+A solve never writes to its load; it transforms the arrays it made itself
+(the spectrum, and the Neumann solve's weighted copy of the load) in place.
 """
 
 from __future__ import annotations
@@ -108,7 +110,7 @@ def torus_solve_nodespace(b: np.ndarray, h: float, *, inverse=None) -> np.ndarra
     x, axes = _columns(b, inverse)
     xh = fft.rfftn(x, axes=axes)
     xh *= inverse
-    return fft.irfftn(xh, s=b.shape[-inverse.ndim:], axes=axes).reshape(b.shape)
+    return fft.irfftn(xh, s=b.shape[-inverse.ndim:], axes=axes, overwrite_x=True).reshape(b.shape)
 
 
 def dirichlet_symbol(shape, h):
@@ -126,7 +128,7 @@ def dirichlet_solve_nodespace(b: np.ndarray, h: float, *, inverse=None) -> np.nd
     x, axes = _columns(b, inverse)
     xh = fft.dstn(x, type=1, axes=axes)
     xh *= inverse
-    return fft.idstn(xh, type=1, axes=axes).reshape(b.shape)
+    return fft.idstn(xh, type=1, axes=axes, overwrite_x=True).reshape(b.shape)
 
 
 def neumann_symbol(shape, h):
@@ -151,6 +153,6 @@ def neumann_solve_nodespace(b: np.ndarray, h: float, *, inverse=None) -> np.ndar
         ends = [slice(None)] * w.ndim
         ends[axis] = [0, -1]
         w[tuple(ends)] *= 2.0
-    xh = fft.dctn(w, type=1, axes=axes)
+    xh = fft.dctn(w, type=1, axes=axes, overwrite_x=True)
     xh *= inverse
-    return fft.idctn(xh, type=1, axes=axes).reshape(b.shape)
+    return fft.idctn(xh, type=1, axes=axes, overwrite_x=True).reshape(b.shape)

@@ -2,7 +2,9 @@
 
 import ast
 import importlib
+import re
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -114,3 +116,12 @@ def test_exports_exist(name):
     module = importlib.import_module("hlab" if name == "__init__" else f"hlab.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == [], f"hlab.{name} exports undefined names {missing}"
+
+
+def test_numpy_floor_has_vecdot():
+    # the CG and the projector call np.vecdot, which numpy added in 2.0
+    meta = tomllib.loads((PACKAGE.parents[1] / "pyproject.toml").read_text())
+    floors = [re.fullmatch(r"numpy\s*>=\s*(\d+)(?:\.(\d+))?.*", dep.strip())
+              for dep in meta["project"]["dependencies"] if re.match(r"numpy\b", dep)]
+    assert len(floors) == 1 and floors[0], meta["project"]["dependencies"]
+    assert (int(floors[0][1]), int(floors[0][2] or 0)) >= (2, 0)

@@ -26,6 +26,8 @@ from hlab.lattice import (
     triadic_partition,
 )
 from hlab import solver, spectral
+from hlab.coarse import coarse_matrices, partition_matrices
+from hlab.correctors import finite_volume_correctors
 from hlab.solver import (
     _make_projector,
     _stencil,
@@ -468,6 +470,13 @@ class TestAssembledOperator:
     @example(grid=(2, (2, 5), 1), bc="dirichlet", isotropic=True, h=1.0, seed=2)
     @example(grid=(2, (3, 4), 2), bc="periodic", isotropic=False, h=1.0, seed=3)
     @example(grid=(3, (1, 2, 3), 2), bc="periodic", isotropic=False, h=1.0, seed=4)
+    # 2 nodes per axis: offsets that share a flat step, such as (0, -1) and (-1, 1), share
+    # one diagonal of the free-grid matrix
+    @example(grid=(2, (3, 3), 1), bc="dirichlet", isotropic=False, h=1.0, seed=5)
+    @example(grid=(2, (3, 3), 2), bc="dirichlet", isotropic=False, h=0.5, seed=6)
+    @example(grid=(2, (1, 1), 2), bc="neumann", isotropic=False, h=1.0, seed=7)
+    @example(grid=(3, (1, 1, 1), 1), bc="neumann", isotropic=False, h=1.0, seed=8)
+    @example(grid=(3, (3, 3, 3), 1), bc="dirichlet", isotropic=False, h=1.0, seed=9)
     def test_product_matches_matrix_free(self, grid, bc, isotropic, h, seed):
         d, cells, ncube = grid
         assume(bc != "dirichlet" or min(cells) >= 2)     # an interior node on every axis
@@ -498,7 +507,12 @@ class TestAssembledOperator:
         coo = A.tocoo()
         block = math.prod(nodes)
         assert np.array_equal(coo.row // block, coo.col // block)
-        assert A.indices.dtype == np.int32
+        if periodic:
+            # the torus keeps CSR; wrapped offsets would make full-length diagonals
+            assert A.format == "csr" and A.indices.dtype == np.int32
+        else:
+            # one diagonal per distinct flat step, and no index array
+            assert A.format == "dia" and len(set(A.offsets)) == len(A.offsets)
         if isotropic and d == 2 and (not periodic or min(nodes) >= 3):
             # axis-neighbour entries cancel exactly and drop out of the matrix (a torus
             # narrower than 3 nodes wraps diagonal neighbours onto axis neighbours)
@@ -549,7 +563,7 @@ class TestStencilOffsets:
         if kind == "anisotropic":
             assert len(stencil) == 3**d
         got, ref = (stencil_matrix(s, periodic) for s in (stencil, full))
-        for name in ("indptr", "indices", "data"):
+        for name in ("indptr", "indices", "data") if periodic else ("offsets", "data"):
             assert np.array_equal(getattr(got, name), getattr(ref, name))
 
 
@@ -801,3 +815,78 @@ class TestBatchedSolves:
         f = sample_checkerboard(GridSpec(2, 2, 1), 0)
         with pytest.raises(ValueError, match="one level"):
             solve_dirichlet_affine(f, [TriadicCube(1, (0, 0)), TriadicCube(0, (0, 0))], [1.0, 0.0])
+
+
+class TestPerDirectionCG:
+    """Once one direction's block of columns holds `_SPLIT_NODES` nodes, each basis
+    direction runs its own CG; every output equals the batched run's, bit for bit."""
+
+    @staticmethod
+    def _count_columns(monkeypatch, split_nodes):
+        # the number of columns of each CG call, so a test sees which path ran
+        calls = []
+
+        def counting_cg(A, b, *args, **kwargs):
+            calls.append(len(b))
+            return cg(A, b, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "_SPLIT_NODES", split_nodes)
+        monkeypatch.setattr(solver, "cg", counting_cg)
+        return calls
+
+    @pytest.mark.parametrize("d, m", [(2, 3), (3, 2)])
+    def test_coarse_pair_is_bit_identical(self, monkeypatch, d, m):
+        f = sample_checkerboard(GridSpec(d, m, 1), 3)
+        cube = TriadicCube(m, (0,) * d)
+        calls = self._count_columns(monkeypatch, solver._SPLIT_NODES)
+        batched = coarse_matrices(f, cube)
+        assert calls == [d, d]
+        calls.clear()
+        monkeypatch.setattr(solver, "_SPLIT_NODES", 0)
+        split = coarse_matrices(f, cube)
+        assert calls == [1] * (2 * d)
+        for name in ("a_upper", "a_lower", "basis_iterations", "dirichlet_means",
+                     "neumann_means"):
+            assert np.array_equal(getattr(split, name), getattr(batched, name)), name
+        assert (split.residual, split.iterations) == (batched.residual, batched.iterations)
+
+    def test_threshold_counts_the_nodes_of_one_direction(self, monkeypatch):
+        # a level-2 cube: 8^2 interior nodes per direction below the threshold, 10^2 free
+        # nodes at it, so the Dirichlet half stays batched and the Neumann half splits
+        calls = self._count_columns(monkeypatch, 100)
+        coarse_matrices(sample_checkerboard(GridSpec(2, 2, 1), 4), TriadicCube(2, (0, 0)))
+        assert calls == [2, 1, 1]
+
+    def test_periodic_and_finite_volume_columns_are_bit_identical(self, monkeypatch):
+        f = sample_checkerboard(GridSpec(2, 3, 1), 6)
+        periodic, fv = solve_periodic_cell(f, np.eye(2)), finite_volume_correctors(f, 2)
+        calls = self._count_columns(monkeypatch, 0)
+        periodic2, fv2 = solve_periodic_cell(f, np.eye(2)), finite_volume_correctors(f, 2)
+        assert calls == [1] * 4
+        for name in ("u", "gradient", "flux", "energy", "column_iterations",
+                     "column_residuals"):
+            assert np.array_equal(getattr(periodic2, name), getattr(periodic, name)), name
+        assert np.array_equal(fv2.abar, fv.abar)
+        for name in ("phi", "g", "s"):
+            assert all(np.array_equal(x, y) for x, y in zip(getattr(fv2, name), getattr(fv, name)))
+
+    def test_partition_keeps_its_cubes_and_its_guess(self, monkeypatch):
+        # each direction's CG spans every cube, and a handed-over guess becomes the solution
+        f = sample_checkerboard(GridSpec(2, 3, 1), 8)
+        cubes = triadic_partition(TriadicCube(3, (0, 0)), 2)
+        guess = np.random.default_rng(9).normal(size=(2, len(cubes)) + (10, 10))
+        batched = solve_neumann_affine(f, cubes, np.eye(2), x0=guess.copy())
+        calls = self._count_columns(monkeypatch, 0)
+        split = solve_neumann_affine(f, cubes, np.eye(2), x0=guess)
+        assert calls == [len(cubes)] * 2
+        assert np.shares_memory(split.u, guess)
+        for name in ("u", "flux", "energy", "column_iterations", "column_residuals"):
+            assert np.array_equal(getattr(split, name), getattr(batched, name)), name
+
+    def test_nonconvergence_names_a_cube(self, monkeypatch):
+        self._count_columns(monkeypatch, 0)
+        f = sample_checkerboard(GridSpec(2, 2, 1), 1)
+        named = r"on TriadicCube\(level=1, offset=\(\d, \d\)\)"
+        with pytest.raises(SolverError, match=named) as err:
+            partition_matrices(f, TriadicCube(2, (0, 0)), 1, SolveOptions(maxiter=1))
+        assert err.value.iterations == 1 and err.value.residual > 1e-8
