@@ -351,7 +351,7 @@ def _solve(A, b, h, bc, opts, labels=None, x0=None):
     for i in range(lead[0]):
         xi, res[i], its[i] = run(b[i], None if x0 is None else x[i])
         if not np.may_share_memory(xi, x[i]):
-            x[i] = xi       # row i of b is free: its CG has finished with the residual
+            x[i] = xi       # x is b here, and row i's CG is done with its residual
         del xi
     return x, res, its
 
