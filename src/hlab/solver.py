@@ -25,17 +25,12 @@ which `coarse.partition_matrices` builds from the Dirichlet extremals.  A
 solve hands its load and guess over to the CG, which works in their buffers,
 so no full-size copy of either stays alive beside the CG's own arrays.
 
-On large cubes the basis directions run one CG each: once one direction's
-block of columns holds `_SPLIT_NODES` = 2^17 nodes (a 729^2 cube has 533k, a
-243^2 cube 59k), each direction's CG takes over its row of the load and
-leaves its solution there, or in the guess's row, so the CG's work arrays
-(search direction, product, preconditioned residual and the transforms'
-buffers) are those of one direction, not of d.  Every output is the batched
-one, bit for bit.  On a 2d level-6 coarse pair (2-vCPU Xeon, one thread) this
-takes the peak RSS from about 173 to 148 MB.  Smaller solves keep all
-directions in one CG, so the many tiny solves of `hlab coarsen` make one CG
-call each: a prototype that split every solve measured the `coarsen-small`
-benchmark at 0.119 -> 0.132 s over 12 pairs (BENCH_19.json has the reruns).
+The basis directions of a solve run one CG each.  Each direction's CG takes
+over its row of the load and leaves its solution there, or in the guess's
+row, so the CG's work arrays (search direction, product, preconditioned
+residual and the transforms' buffers) are those of one direction, not of d.
+A column's CG steps do not depend on the other columns of its batch, so every
+output is the one that a CG over all directions gives, bit for bit.
 
 The cell-centered element has zero-energy node modes beyond constants: the
 parity fields (-1)^(i_r + i_s) over two or more axes.  They are projected
@@ -47,7 +42,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,9 +79,6 @@ class SolverError(RuntimeError):
 
 # the smallest tolerance whose solves precondition in float32
 _SINGLE_TOL = 1e-12
-
-# nodes per direction from which the basis directions of a solve run one CG each
-_SPLIT_NODES = 2**17
 
 
 @dataclass(frozen=True)
@@ -321,10 +312,9 @@ def _solve(A, b, h, bc, opts, labels=None, x0=None):
     A is grad^T a grad, block-diagonal over the cubes, on the nodes of `bc` in
     {'dirichlet' (interior), 'neumann', 'periodic'}; `bc` picks the spectral
     preconditioner, and the free solves project out the operator's kernel.
-    The CG takes over b and, when given, the guess x0 (b-shaped): it overwrites both.
-    Once one direction's block of columns holds _SPLIT_NODES nodes, each direction
-    runs its own CG, which takes over its row of b as the residual and leaves its
-    solution in that row, or in the guess's row.
+    Each direction, a row of b, runs its own CG, which takes over that row as the
+    residual and leaves its solution there or, when given, in the guess x0's row
+    (b-shaped): the solve overwrites b and x0.
     """
     lead, shape = b.shape[:2], b.shape[2:]
     kind = "torus" if bc == "periodic" else bc
@@ -336,20 +326,11 @@ def _solve(A, b, h, bc, opts, labels=None, x0=None):
     def precondition(r):
         return solve(r.astype(dtype, copy=False), h, inverse=inverse).astype(float, copy=False)
 
-    def run(load, guess):
-        # all of b, or one direction's row; either way a column per (direction, cube)
-        cols = load.reshape((-1,) + shape)
-        return cg(A, cols, precondition, opts.tol, opts.maxiter, project,
-                  None if labels is None else labels * (len(cols) // lead[1]),
-                  None if guess is None else np.reshape(guess, cols.shape), overwrite=True)
-
-    if lead[0] == 1 or math.prod(b.shape[1:]) < _SPLIT_NODES:
-        x, res, its = run(b, x0)
-        return x.reshape(b.shape), res.reshape(lead), its.reshape(lead)
     x = b if x0 is None else np.require(np.reshape(x0, b.shape), float, "CW")
     res, its = np.empty(lead), np.empty(lead, dtype=int)
     for i in range(lead[0]):
-        xi, res[i], its[i] = run(b[i], None if x0 is None else x[i])
+        xi, res[i], its[i] = cg(A, b[i], precondition, opts.tol, opts.maxiter, project, labels,
+                                None if x0 is None else x[i], overwrite=True)
         if not np.may_share_memory(xi, x[i]):
             x[i] = xi       # x is b here, and row i's CG is done with its residual
         del xi

@@ -818,11 +818,11 @@ class TestBatchedSolves:
 
 
 class TestPerDirectionCG:
-    """Once one direction's block of columns holds `_SPLIT_NODES` nodes, each basis
-    direction runs its own CG; every output equals the batched run's, bit for bit."""
+    """Each basis direction runs its own CG; every output equals that of one CG over all
+    the directions' columns, bit for bit."""
 
     @staticmethod
-    def _count_columns(monkeypatch, split_nodes):
+    def _count_columns(monkeypatch):
         # the number of columns of each CG call, so a test sees which path ran
         calls = []
 
@@ -830,39 +830,49 @@ class TestPerDirectionCG:
             calls.append(len(b))
             return cg(A, b, *args, **kwargs)
 
-        monkeypatch.setattr(solver, "_SPLIT_NODES", split_nodes)
         monkeypatch.setattr(solver, "cg", counting_cg)
         return calls
+
+    @staticmethod
+    def _one_cg(monkeypatch):
+        # the reference: fold the k directions into the cube axis, so the k B columns of a
+        # solve run in one CG, each direction's cubes labelled again
+        per_direction = solver._solve
+
+        def one_cg(A, b, h, bc, opts, labels=None, x0=None):
+            fold = (1, -1) + b.shape[2:]
+            x, res, its = per_direction(A, b.reshape(fold), h, bc, opts,
+                                        None if labels is None else labels * len(b),
+                                        None if x0 is None else np.reshape(x0, fold))
+            return x.reshape(b.shape), res.reshape(b.shape[:2]), its.reshape(b.shape[:2])
+
+        monkeypatch.setattr(solver, "_solve", one_cg)
 
     @pytest.mark.parametrize("d, m", [(2, 3), (3, 2)])
     def test_coarse_pair_is_bit_identical(self, monkeypatch, d, m):
         f = sample_checkerboard(GridSpec(d, m, 1), 3)
         cube = TriadicCube(m, (0,) * d)
-        calls = self._count_columns(monkeypatch, solver._SPLIT_NODES)
-        batched = coarse_matrices(f, cube)
-        assert calls == [d, d]
-        calls.clear()
-        monkeypatch.setattr(solver, "_SPLIT_NODES", 0)
+        calls = self._count_columns(monkeypatch)
         split = coarse_matrices(f, cube)
         assert calls == [1] * (2 * d)
+        calls.clear()
+        self._one_cg(monkeypatch)
+        batched = coarse_matrices(f, cube)
+        assert calls == [d, d]
         for name in ("a_upper", "a_lower", "basis_iterations", "dirichlet_means",
                      "neumann_means"):
             assert np.array_equal(getattr(split, name), getattr(batched, name)), name
         assert (split.residual, split.iterations) == (batched.residual, batched.iterations)
 
-    def test_threshold_counts_the_nodes_of_one_direction(self, monkeypatch):
-        # a level-2 cube: 8^2 interior nodes per direction below the threshold, 10^2 free
-        # nodes at it, so the Dirichlet half stays batched and the Neumann half splits
-        calls = self._count_columns(monkeypatch, 100)
-        coarse_matrices(sample_checkerboard(GridSpec(2, 2, 1), 4), TriadicCube(2, (0, 0)))
-        assert calls == [2, 1, 1]
-
     def test_periodic_and_finite_volume_columns_are_bit_identical(self, monkeypatch):
         f = sample_checkerboard(GridSpec(2, 3, 1), 6)
+        calls = self._count_columns(monkeypatch)
         periodic, fv = solve_periodic_cell(f, np.eye(2)), finite_volume_correctors(f, 2)
-        calls = self._count_columns(monkeypatch, 0)
-        periodic2, fv2 = solve_periodic_cell(f, np.eye(2)), finite_volume_correctors(f, 2)
         assert calls == [1] * 4
+        calls.clear()
+        self._one_cg(monkeypatch)
+        periodic2, fv2 = solve_periodic_cell(f, np.eye(2)), finite_volume_correctors(f, 2)
+        assert calls == [2, 2]
         for name in ("u", "gradient", "flux", "energy", "column_iterations",
                      "column_residuals"):
             assert np.array_equal(getattr(periodic2, name), getattr(periodic, name)), name
@@ -875,16 +885,19 @@ class TestPerDirectionCG:
         f = sample_checkerboard(GridSpec(2, 3, 1), 8)
         cubes = triadic_partition(TriadicCube(3, (0, 0)), 2)
         guess = np.random.default_rng(9).normal(size=(2, len(cubes)) + (10, 10))
-        batched = solve_neumann_affine(f, cubes, np.eye(2), x0=guess.copy())
-        calls = self._count_columns(monkeypatch, 0)
+        guess0 = guess.copy()
+        calls = self._count_columns(monkeypatch)
         split = solve_neumann_affine(f, cubes, np.eye(2), x0=guess)
         assert calls == [len(cubes)] * 2
         assert np.shares_memory(split.u, guess)
+        calls.clear()
+        self._one_cg(monkeypatch)
+        batched = solve_neumann_affine(f, cubes, np.eye(2), x0=guess0)
+        assert calls == [2 * len(cubes)]
         for name in ("u", "flux", "energy", "column_iterations", "column_residuals"):
             assert np.array_equal(getattr(split, name), getattr(batched, name)), name
 
-    def test_nonconvergence_names_a_cube(self, monkeypatch):
-        self._count_columns(monkeypatch, 0)
+    def test_nonconvergence_names_a_cube(self):
         f = sample_checkerboard(GridSpec(2, 2, 1), 1)
         named = r"on TriadicCube\(level=1, offset=\(\d, \d\)\)"
         with pytest.raises(SolverError, match=named) as err:
