@@ -5,12 +5,13 @@ The Dirichlet energy over affine boundary data defines a(U); the dual
 setting and the extremals are linear in the data, so the d basis solves of
 each kind determine each matrix through the bilinear form.  All same-level
 subcubes of a triadic partition are solved together: each kind of basis
-problem is one column-batched solve over every direction and subcube of the
-partition (`partition_matrices`), and a single cube is the partition of
-itself (`coarse_matrices`).  The Neumann solve starts from the Dirichlet
-extremals combined through a(U)^-1.  The gap
-functional J(U, p, q) and the subadditivity/duality ledgers quantify how
-fast the two pinch together under coarsening.
+problem is one solve call, which runs one CG per direction over every
+subcube of the partition (`partition_matrices`), and a single cube is the
+partition of itself (`coarse_matrices`).  The Neumann solve starts from the
+Dirichlet extremals combined through a(U)^-1.  The gap functional
+J(U, p, q) = 1/2 p.a(U)p + 1/2 q.a*(U)^-1 q - p.q >= 0 and the
+subadditivity/duality ledgers quantify how fast the two pinch together
+under coarsening.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ __all__ = [
     "CascadeRecord",
     "coarse_matrices",
     "partition_matrices",
-    "J_value",
     "duality_defect",
     "subadditivity_slacks",
     "subadditivity_ledger",
@@ -145,14 +145,6 @@ def coarse_matrices(a_field: CoefficientField, cube: TriadicCube,
                     opts: SolveOptions = None) -> CoarseGrainResult:
     """Compute a(U) and a*(U) on one cube: the one-cube case of `partition_matrices`."""
     return partition_matrices(a_field, cube, cube.level, opts)[0]
-
-
-def J_value(r: CoarseGrainResult, p, q) -> float:
-    """Gap functional J(U, p, q) = 1/2 p.a(U)p + 1/2 q.a*(U)^-1 q - p.q (>= 0)."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    return float(0.5 * p @ r.a_upper @ p
-                 + 0.5 * q @ np.linalg.solve(r.a_lower, q) - p @ q)
 
 
 def _gaps_and_bounds(a_upper, a_lower):

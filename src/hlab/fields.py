@@ -86,14 +86,6 @@ class CoefficientField:
         if ev.max() > self.Lam + _VALIDATE_TOL:
             raise ValueError(f"ellipticity upper bound violated: max eig {ev.max()}")
 
-    def restrict(self, cube) -> "CoefficientField":
-        """The field on a triadic subcube, re-indexed to its own grid."""
-        sl = cube.cell_slices(self.grid)
-        sub = GridSpec(self.grid.d, cube.level, self.grid.k)
-        prov = dict(self.provenance)
-        prov["restricted_to"] = {"level": cube.level, "offset": list(cube.offset)}
-        return CoefficientField(sub, np.ascontiguousarray(self.a[sl]), self.lam, self.Lam, prov)
-
 
 @dataclass(frozen=True)
 class GaussianFieldParams:

@@ -206,9 +206,8 @@ class EnsembleStats:
         self.count = 0
         self.mean = None
         self.M2 = None
-        self.seeds = []
 
-    def update(self, value, seed=None):
+    def update(self, value):
         value = np.asarray(value, dtype=float)
         if self.count == 0:
             self.count = 1
@@ -219,8 +218,6 @@ class EnsembleStats:
             delta = value - self.mean
             self.mean = self.mean + delta / self.count
             self.M2 = self.M2 + delta * (value - self.mean)
-        if seed is not None:
-            self.seeds.append(int(seed))
         return self
 
     def merge(self, other: "EnsembleStats") -> "EnsembleStats":
@@ -235,7 +232,6 @@ class EnsembleStats:
         out.count = n
         out.mean = self.mean + delta * (other.count / n)
         out.M2 = self.M2 + other.M2 + delta**2 * (self.count * other.count / n)
-        out.seeds = list(self.seeds) + list(other.seeds)
         return out
 
     @property
@@ -246,10 +242,10 @@ class EnsembleStats:
         return self.M2 / (self.count - 1)
 
     @classmethod
-    def from_values(cls, values, seeds=None) -> "EnsembleStats":
+    def from_values(cls, values) -> "EnsembleStats":
         st = cls()
-        for i, v in enumerate(values):
-            st.update(v, None if seeds is None else seeds[i])
+        for v in values:
+            st.update(v)
         return st
 
 
@@ -310,7 +306,7 @@ def ensemble(run, N: int, master_seed: int, jobs: int = 1) -> EnsembleStats:
         lines = "; ".join(f"member {i} (seed {seeds[i]}): {msg}"
                           for i, msg in sorted(errors.items()))
         raise RuntimeError(f"{len(errors)}/{N} ensemble members failed ({lines})")
-    leaves = [EnsembleStats().update(v, s) for v, s in zip(values, seeds)]
+    leaves = [EnsembleStats().update(v) for v in values]
     return _reduce_tree(leaves)
 
 
@@ -506,7 +502,7 @@ def run_experiment(cfg: "ExperimentConfig", jobs: int = 1) -> dict:
     _check_jobs(jobs)
     out = rc.output_dir
     os.makedirs(out, exist_ok=True)
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         summary = KINDS[rc.kind].run(rc, jobs)
     except Exception as exc:  # noqa: BLE001 - reported then re-raised
@@ -517,7 +513,7 @@ def run_experiment(cfg: "ExperimentConfig", jobs: int = 1) -> dict:
         "config": json.loads(cfg.to_json()),
         "version": __version__,
         "prng": fields.PRNG_NAME,
-        "wall_time_s": time.time() - t0,
+        "wall_time_s": time.perf_counter() - t0,
     }
     _write_json(os.path.join(out, "metadata.json"), meta)
     _write_json(os.path.join(out, "summary.json"), summary)

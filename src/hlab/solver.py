@@ -215,8 +215,8 @@ def cg(A, b, precondition, tol, maxiter, project=None, labels=None, x0=None,
        overwrite=False):
     """Column-batched preconditioned CG for the symmetric sparse operator A.
 
-    b carries a leading column axis; A acts on the rows of b.reshape(-1, A.shape[1]), a
-    column or a run of columns that a block-diagonal A spans.  `precondition` maps b-shaped
+    b carries a leading column axis, and A spans all of b: one column, or the
+    columns of a block-diagonal A (the cubes of a partition).  `precondition` maps b-shaped
     arrays to new ones; `project`, in place, keeps b, the guess and each preconditioned
     residual off the kernel of a singular A.  The iterate starts at the guess x0 (b-shaped)
     when given, so the residual starts as b - A x0, and at zero otherwise; a zero column of
@@ -233,12 +233,7 @@ def cg(A, b, precondition, tol, maxiter, project=None, labels=None, x0=None,
     project = project or (lambda v: v)
 
     def apply_op(v):
-        if v.size == A.shape[1]:
-            return (A @ v.ravel()).reshape(v.shape)
-        out = np.empty_like(v)
-        for row, product in zip(v.reshape(-1, A.shape[1]), out.reshape(-1, A.shape[1])):
-            product[...] = A @ row
-        return out
+        return (A @ v.ravel()).reshape(v.shape)
 
     def dot(u, v):
         return np.vecdot(u.reshape(ncol, -1), v.reshape(ncol, -1))

@@ -89,19 +89,21 @@ def network_homogenized_matrix(net: ConductanceNetwork) -> np.ndarray:
     """Homogenized matrix of the conductance network via its cell problem.
 
     The corrector chi_k of axis k minimizes the edge Dirichlet energy of
-    x_k + chi_k, so L chi_k = b_k = -D_k^T c_k; the d correctors are one
-    batched solve.  Column k is the mean corrected edge flux per axis, read by
-    summation by parts: mean(c_j (D_j chi_k + delta_jk)) = delta_jk mean(c_k)
-    - mean(b_j chi_k).
+    x_k + chi_k, so L chi_k = b_k = -D_k^T c_k; each axis runs one CG over L.
+    Column k is the mean corrected edge flux per axis, read by summation by
+    parts: mean(c_j (D_j chi_k + delta_jk)) = delta_jk mean(c_k) - mean(b_j chi_k).
     """
     grid = net.grid
     d, h = grid.d, grid.h
+    A = network_operator(net)
     inverse = spectral.pseudo_inverse(spectral.network_symbol(grid.cell_shape, h))
     b = np.stack([(c - np.roll(c, 1, axis=k)) / h for k, c in enumerate(net.cond)])
     b -= b.mean(axis=tuple(range(1, d + 1)), keepdims=True)
-    chi, _, _ = cg(network_operator(net), b,
-                   lambda r: spectral.torus_solve_nodespace(r, h, inverse=inverse),
-                   CELL_TOL, 10_000)
+
+    def precondition(r):
+        return spectral.torus_solve_nodespace(r, h, inverse=inverse)
+
+    chi = np.concatenate([cg(A, bk[None], precondition, CELL_TOL, 10_000)[0] for bk in b])
     flux_gain = b.reshape(d, -1) @ chi.reshape(d, -1).T / b[0].size
     abar = np.diag([c.mean() for c in net.cond]) - flux_gain
     return 0.5 * (abar + abar.T)

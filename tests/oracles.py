@@ -2,13 +2,16 @@
 
 Each one computes a quantity the package computes another way, by a route
 that is slower or needs more machinery but is easy to trust: the whole-field
-convolution behind `renorm.heat_point_value`, and the exact dual norm that
-`lattice.weak_norm_estimate` bounds.
+convolution behind `renorm.heat_point_value`, the exact dual norm that
+`lattice.weak_norm_estimate` bounds, and the gap functional J whose basis sum
+`coarse.duality_defect` gives in closed form.  `restrict` cuts a field down to
+a subcube, for comparing a solve on a cube of a field with one on its own grid.
 """
 
 import numpy as np
 import scipy.ndimage
 
+from hlab.fields import CoefficientField
 from hlab.lattice import GridSpec, _pair_adj, discrete_gradient
 from hlab.renorm import heat_kernel_1d
 from hlab.spectral import neumann_solve_nodespace
@@ -53,3 +56,18 @@ def dual_norm_oracle(f: np.ndarray, grid: GridSpec) -> float:
     g = discrete_gradient(v, h, periodic=False)
     vol = float(block.size) * h**grid.d
     return float(np.sqrt(h**grid.d * (g**2).sum() / vol))
+
+
+def J_value(r, p, q) -> float:
+    """Gap functional J(U, p, q) = 1/2 p.a(U)p + 1/2 q.a*(U)^-1 q - p.q (>= 0) of a coarse pair."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    return float(0.5 * p @ r.a_upper @ p
+                 + 0.5 * q @ np.linalg.solve(r.a_lower, q) - p @ q)
+
+
+def restrict(f: CoefficientField, cube) -> CoefficientField:
+    """The field on a triadic subcube, re-indexed to its own grid."""
+    sub = GridSpec(f.grid.d, cube.level, f.grid.k)
+    return CoefficientField(sub, np.ascontiguousarray(f.a[cube.cell_slices(f.grid)]),
+                            f.lam, f.Lam, dict(f.provenance))

@@ -12,7 +12,6 @@ import hlab.solver
 from hlab import spectral
 from hlab.coarse import (
     CascadeRecord,
-    J_value,
     cascade_record,
     coarse_matrices,
     duality_defect,
@@ -36,6 +35,7 @@ from hlab.solver import (
     solve_dirichlet_affine,
     solve_neumann_affine,
 )
+from oracles import J_value
 
 TOL10 = 1e-7  # ten solver tolerances
 

@@ -15,7 +15,7 @@ from hlab.fields import (
     sample_gaussian_field,
     tile_unit_cell,
 )
-from hlab.lattice import GridSpec, TriadicCube
+from hlab.lattice import GridSpec
 
 
 class TestMix64:
@@ -209,15 +209,6 @@ class TestGaussianField:
 
 
 class TestRestrictAndTile:
-    def test_restrict_matches_slices(self):
-        g = GridSpec(2, 1, 2)
-        f = sample_checkerboard(g, 4)
-        cube = TriadicCube(0, (1, 2))
-        sub = f.restrict(cube)
-        assert sub.grid == GridSpec(2, 0, 2)
-        assert np.array_equal(sub.a, f.a[2:4, 4:6])
-        assert sub.provenance["restricted_to"]["offset"] == [1, 2]
-
     def test_tile_unit_cell(self):
         unit = sample_checkerboard(GridSpec(2, 0, 2), 8)
         big = tile_unit_cell(unit, 1)

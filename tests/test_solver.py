@@ -40,7 +40,7 @@ from hlab.solver import (
     solve_periodic_cell,
 )
 from hlab.spectral import torus_solve_nodespace
-from oracles import cell_to_node_adjoint
+from oracles import cell_to_node_adjoint, restrict
 
 CUBE1 = TriadicCube(1, (0, 0))
 
@@ -97,7 +97,7 @@ class TestDirichletAffine:
     def test_solution_fields_consistent(self):
         f = sample_checkerboard(GridSpec(2, 1, 2), 3)
         sol = solve_dirichlet_affine(f, CUBE1, [1.0, 0.0])
-        sub = f.restrict(CUBE1)
+        sub = restrict(f, CUBE1)
         assert np.array_equal(sol.gradient,
                               discrete_gradient(sol.u, sub.grid.h))
         assert np.allclose(sol.flux,
@@ -606,8 +606,10 @@ class TestBatchedCG:
 
     @staticmethod
     def _diagonal_problem(spectrum, supports, seed):
-        # a shared diagonal operator on a 4 x 4 grid; column i has its load on supports[i]
-        A = scipy.sparse.diags_array(np.resize(spectrum, 16), format="csr")
+        # a diagonal operator on a 4 x 4 grid, block-diagonal over the columns (its first
+        # 16 x 16 block is one column's); column i has its load on supports[i]
+        A = scipy.sparse.diags_array(np.tile(np.resize(spectrum, 16), len(supports)),
+                                     format="csr")
         b = np.random.default_rng(seed).normal(size=(len(supports), 4, 4))
         for col, support in zip(b, supports):
             col.ravel()[np.setdiff1d(np.arange(16), support)] = 0.0
@@ -621,7 +623,7 @@ class TestBatchedCG:
         x, res, its = cg(A, b, _identity, 1e-10, 100)
         assert its[0] == 1 and its[1] > its[2] > its[0]
         for i in range(len(b)):
-            xi, ri, ti = cg(A, b[i:i + 1], _identity, 1e-10, 100)
+            xi, ri, ti = cg(A[:16, :16], b[i:i + 1], _identity, 1e-10, 100)
             assert np.array_equal(x[i], xi[0])
             assert res[i] == ri[0] <= 1e-10 and its[i] == ti[0]
 
@@ -646,7 +648,7 @@ class TestBatchedCG:
 
     def test_guess_at_the_solution_takes_no_step(self):
         A, b = self._diagonal_problem(np.linspace(1.0, 50.0, 16), [np.arange(16)] * 2, 4)
-        exact = b / A.diagonal().reshape(4, 4)
+        exact = b / A.diagonal().reshape(b.shape)
         x, res, its = cg(A, b, _identity, 1e-10, 100, x0=exact)
         assert not its.any() and res.max() <= 1e-10 and np.array_equal(x, exact)
         # on the torus the guess is projected like b: a constant offset drops out
@@ -673,7 +675,8 @@ class TestBatchedCG:
         x, res, its = cg(A, b, _identity, 1e-8, 100, x0=guess)
         assert np.all(its > 0) and np.all(res <= 1e-8)
         for xi, bi in zip(x, b):
-            assert np.linalg.norm(bi.ravel() - A @ xi.ravel()) <= 1e-8 * np.linalg.norm(bi)
+            residual = bi.ravel() - A[:16, :16] @ xi.ravel()
+            assert np.linalg.norm(residual) <= 1e-8 * np.linalg.norm(bi)
 
     def test_zero_column_ignores_its_guess(self):
         A, b = self._diagonal_problem(np.linspace(1.0, 9.0, 16), [np.arange(16)] * 2, 7)
@@ -689,7 +692,7 @@ class TestBatchedCG:
         guess = np.random.default_rng(10).normal(size=b.shape)
         x, res, its = cg(A, b, _identity, 1e-10, 100, x0=guess)
         for i in range(len(b)):
-            xi, ri, ti = cg(A, b[i:i + 1], _identity, 1e-10, 100, x0=guess[i:i + 1])
+            xi, ri, ti = cg(A[:16, :16], b[i:i + 1], _identity, 1e-10, 100, x0=guess[i:i + 1])
             assert np.array_equal(x[i], xi[0])
             assert res[i] == ri[0] <= 1e-10 and its[i] == ti[0]
 
@@ -834,14 +837,25 @@ class TestPerDirectionCG:
         return calls
 
     @staticmethod
-    def _one_cg(monkeypatch):
+    def _repeat_blocks(A, k):
+        # the block-diagonal operator of k copies of A, each row summed in A's order
+        n = A.shape[0]
+        if isinstance(A, scipy.sparse.dia_array):
+            return scipy.sparse.dia_array((np.tile(A.data, (1, k)), A.offsets), shape=(k * n,) * 2)
+        indices = np.concatenate([A.indices + i * n for i in range(k)])
+        indptr = np.concatenate([A.indptr[:-1] + i * A.nnz for i in range(k)] + [[k * A.nnz]])
+        return scipy.sparse.csr_array((np.tile(A.data, k), indices, indptr), shape=(k * n,) * 2)
+
+    @classmethod
+    def _one_cg(cls, monkeypatch):
         # the reference: fold the k directions into the cube axis, so the k B columns of a
-        # solve run in one CG, each direction's cubes labelled again
+        # solve run in one CG over k copies of the operator, each direction's cubes
+        # labelled again
         per_direction = solver._solve
 
         def one_cg(A, b, h, bc, opts, labels=None, x0=None):
             fold = (1, -1) + b.shape[2:]
-            x, res, its = per_direction(A, b.reshape(fold), h, bc, opts,
+            x, res, its = per_direction(cls._repeat_blocks(A, len(b)), b.reshape(fold), h, bc, opts,
                                         None if labels is None else labels * len(b),
                                         None if x0 is None else np.reshape(x0, fold))
             return x.reshape(b.shape), res.reshape(b.shape[:2]), its.reshape(b.shape[:2])

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse
 from hypothesis import example, given, settings, strategies as st
 
+import hlab.stochproc
 from hlab.fields import (
     GaussianFieldParams,
     make_constant,
@@ -72,6 +73,30 @@ class TestNetwork:
         ev = np.linalg.eigvalsh(ab)
         assert ev.min() > 0.5 * f.lam
         assert ev.max() < 1.5 * f.Lam
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_homogenized_matches_dense_cell_problem(self, monkeypatch, d):
+        # each axis is one CG of one row; the matrix is that of a dense least-squares solve
+        # of L chi_k = -D_k^T c_k, read as the mean corrected edge flux
+        # mean(c_j (D_j chi_k + delta_jk)) on the 9^d torus
+        net = build_network(sample_checkerboard(GridSpec(d, 2, 1), 11))
+        rows = []
+
+        def counting_cg(A, b, *args, **kwargs):
+            rows.append(len(b))
+            return cg(A, b, *args, **kwargs)
+
+        monkeypatch.setattr(hlab.stochproc, "cg", counting_cg)
+        got = network_homogenized_matrix(net)
+        assert rows == [1] * d
+        h, L = net.grid.h, network_operator(net).toarray()
+        ref = np.empty((d, d))
+        for k, ck in enumerate(net.cond):
+            load = (ck - np.roll(ck, 1, axis=k)) / h
+            chi = np.linalg.lstsq(L, load.ravel(), rcond=None)[0].reshape(load.shape)
+            for j, cj in enumerate(net.cond):
+                ref[j, k] = (cj * ((np.roll(chi, -1, axis=j) - chi) / h + (j == k))).mean()
+        assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 def _reference_walks(net, T, n_paths, seed, sample_times):
