@@ -5,12 +5,15 @@ Coefficient-like data lives on cells, solution-like data on nodes.  The
 discrete gradient samples the bilinear (trilinear in 3d) element gradient at
 the cell center; the divergence is its negative adjoint, so summation by
 parts is exact.  Operators with a nearest-neighbour node stencil are
-assembled as sparse matrices by `stencil_matrix`: stored as diagonals on a
-free grid, where no index array is needed, and as CSR on the torus.
+assembled as sparse matrices by `stencil_matrix`, which reads the stencil one
+offset at a time: on a free grid each offset's array is copied into its
+diagonal, in diagonals allocated once, so no index array is built and no
+second copy of the stencil is held; on the torus the matrix is CSR.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -238,44 +241,69 @@ def node_to_cell(u: np.ndarray, periodic: bool = False) -> np.ndarray:
     return v
 
 
-def stencil_matrix(stencil: dict, periodic: bool = False):
-    """Sparse matrix of a node stencil: row x holds stencil[delta][x] in column x + delta.
+def stencil_matrix(stencil, periodic: bool = False, offsets=None):
+    """Sparse matrix of a node stencil: row x holds c[x] of offset delta in column x + delta.
 
-    `stencil` maps offsets delta in {-1, 0, 1}^d to coefficient arrays of one
-    shape (*batch, *grid), the grid being the trailing d axes; the matrix is
-    block-diagonal over the batch axes.  Offsets whose coefficients all vanish
-    get no entries.
+    `stencil` yields (delta, c) pairs, one offset at a time: offsets delta in
+    {-1, 0, 1}^d and coefficient arrays c of one shape (*batch, *grid), the grid
+    being the trailing d axes.  It may be a dict's items() or a generator that
+    makes each array as it is read.  The matrix is block-diagonal over the batch
+    axes, and offsets whose coefficients all vanish get no entries.
 
     On a free grid, entries with x + delta off the grid are dropped, and the
     matrix is a `dia_array`: each offset is one diagonal at its flat step, so
-    no index array is built.  On grids of 2 nodes per axis two offsets can
-    share a flat step (in 2d, (0, -1) and (-1, 1)); their diagonals are
-    summed, as their on-grid entries never fall in one row.  A periodic grid
-    wraps x + delta, and a wrapped offset would need full-length diagonals of
-    mostly zeros, so the torus matrix is CSR, one entry per kept offset and
-    row, with int32 indices below 2^31 entries.
+    no index array is built.  The diagonals are allocated once, when the first
+    pair arrives: one row per flat step of `offsets` (the deltas the stream can
+    yield, by default all 3^d), counting only offsets with an on-grid entry.
+    Each array is copied into its diagonal as it arrives, so the stream need
+    hold one array at a time; if some offset of `offsets` yields no entries,
+    the unused rows are cut off by one copy.  On grids of 2 nodes per axis two
+    offsets can share a flat step (in 2d, (0, -1) and (-1, 1)); their
+    diagonals are summed, as their on-grid entries never fall in one row.  A
+    periodic grid wraps x + delta, and a wrapped offset would need full-length
+    diagonals of mostly zeros, so the torus matrix is CSR, one entry per kept
+    offset and row, with int32 indices below 2^31 entries; it collects the
+    stream first, as it lays out rows only once all kept offsets are known.
     """
-    shape = next(iter(stencil.values())).shape
-    d = len(next(iter(stencil)))
+    pairs = iter(stencil)
+    first = next(pairs)
+    d = len(first[0])
+    shape = first[1].shape
     grid = shape[len(shape) - d:]
     rows = math.prod(shape)
+    strides = [math.prod(grid[axis + 1:]) for axis in range(d)]
 
     def on_grid(delta):
         return (...,) + tuple(slice(None) if periodic else slice(max(0, -t), n - max(0, t))
                               for t, n in zip(delta, grid))
 
-    kept = [delta for delta, c in stencil.items() if c[on_grid(delta)].any()]
-    strides = [math.prod(grid[axis + 1:]) for axis in range(d)]
+    def flat_step(delta):
+        return sum(t * s for t, s in zip(delta, strides))
+
     if not periodic:
-        steps = [sum(t * s for t, s in zip(delta, strides)) for delta in kept]
-        # in order of first use, which keeps each row's sum in the order of `stencil`
-        offsets = list(dict.fromkeys(steps))
-        data = np.zeros((len(offsets), rows))
-        for delta, step in zip(kept, steps):
-            # diagonal entry j is the one in column j
-            column = (...,) + tuple(slice(max(0, t), n + min(0, t)) for t, n in zip(delta, grid))
-            data[offsets.index(step)].reshape(shape)[column] += stencil[delta][on_grid(delta)]
-        return scipy.sparse.dia_array((data, offsets), shape=(rows, rows))
+        if offsets is None:
+            offsets = itertools.product((-1, 0, 1), repeat=d)
+        capacity = len({flat_step(delta) for delta in offsets
+                        if all(abs(t) < n for t, n in zip(delta, grid))})
+        data = np.empty((capacity, rows))
+        steps = []      # in order of first use, which keeps each row's sum in the stream's order
+        pairs = itertools.chain([first], pairs)
+        del first
+        for delta, c in pairs:
+            if c[on_grid(delta)].any():
+                step = flat_step(delta)
+                if step not in steps:
+                    data[len(steps)] = 0.0
+                    steps.append(step)
+                # diagonal entry j is the one in column j
+                column = (...,) + tuple(slice(max(0, t), n + min(0, t)) for t, n in zip(delta, grid))
+                data[steps.index(step)].reshape(shape)[column] += c[on_grid(delta)]
+            del c       # the next array is made only after this one is freed
+        if len(steps) < capacity:
+            data = data[:len(steps)].copy()
+        return scipy.sparse.dia_array((data, steps), shape=(rows, rows))
+    stencil = dict(itertools.chain([first], pairs))
+    kept = [delta for delta, c in stencil.items() if c[on_grid(delta)].any()]
     index = np.int32 if rows * max(len(kept), 1) < 2**31 else np.int64
     base = np.arange(rows, dtype=index).reshape(shape)
     data = np.empty((rows, len(kept)))

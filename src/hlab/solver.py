@@ -2,12 +2,13 @@
 
 All problems are symmetric positive (semi)definite and solved by
 preconditioned conjugate gradients on the node grid.  One function writes the
-node stencil of grad^T a grad, on the free grid or on the torus, and each
-solve call assembles it once as a sparse matrix (`lattice.stencil_matrix`:
-its diagonals on the free grid, CSR on the torus).  The Dirichlet solves take
-the interior block of the free-grid stencil as their operator and the
-stencil's rows at interior nodes for the load of the lifted boundary data.
-The preconditioner inverts the constant-coefficient operator exactly in a
+node stencil of grad^T a grad, on the free grid or on the torus, one offset at
+a time, and each solve call assembles it once as a sparse matrix
+(`lattice.stencil_matrix`: CSR on the torus, and on the free grid diagonals
+allocated once, into which each offset's array is streamed and then freed).
+The Dirichlet solves take the interior block of the free-grid stencil as their
+operator and the stencil's rows at interior nodes for the load of the lifted
+boundary data, both from one pass over the offsets.  The preconditioner inverts the constant-coefficient operator exactly in a
 fast transform basis, which caps the condition number by the ellipticity
 ratio.  It need not be exact to do so: a solve with tolerance tol >= 1e-12
 applies it in float32, at about half the transform cost, and a smaller tol in
@@ -29,8 +30,12 @@ The basis directions of a solve run one CG each.  Each direction's CG takes
 over its row of the load and leaves its solution there, or in the guess's
 row, so the CG's work arrays (search direction, product, preconditioned
 residual and the transforms' buffers) are those of one direction, not of d.
-A column's CG steps do not depend on the other columns of its batch, so every
-output is the one that a CG over all directions gives, bit for bit.
+A Neumann direction's load is made right before its CG, and the Dirichlet
+lift is dropped through the CGs and made again to take the correction; the
+cell-wise products, energies and flux averages afterwards work one direction
+row at a time.  So no phase of a coarse pair holds more than its CG's working
+set.  A column's CG steps do not depend on the other columns of its batch, so
+every output is the one that a CG over all directions gives, bit for bit.
 
 The cell-centered element has zero-energy node modes beyond constants: the
 parity fields (-1)^(i_r + i_s) over two or more axes.  They are projected
@@ -140,46 +145,67 @@ def _batch_solution(u, grad, flux, res, its, energy):
 
 
 def _amul(a, g):
-    """Cell-wise matrix-vector product a(x) g(x), summed over the columns of a in order."""
-    out = a[..., 0] * g[..., :1]
-    for j in range(1, g.shape[-1]):
-        out += a[..., j] * g[..., j:j + 1]
+    """Cell-wise matrix-vector product a(x) g(x), summed over the columns of a in order.
+
+    g carries a leading row axis (the columns of a solve) ahead of a's axes; each
+    row is written straight into the output, through one row-sized buffer.
+    """
+    out = np.empty(g.shape[:1] + np.broadcast_shapes(a.shape[:-1], g.shape[1:]))
+    buf = np.empty(out.shape[1:]) if g.shape[-1] > 1 else None
+    for row, gr in zip(out, g):
+        np.multiply(a[..., 0], gr[..., :1], out=row)
+        for j in range(1, g.shape[-1]):
+            row += np.multiply(a[..., j], gr[..., j:j + 1], out=buf)
     return out
 
 
 def _stencil(a, h, periodic):
-    """grad^T a grad on the free node grid or the torus, as a node stencil: offsets
-    delta in {-1, 0, 1}^d mapped to (B, *nodes) arrays, one block per cube of a (B, *cells, d, d).
+    """grad^T a grad on the free node grid or the torus, as a node stencil streamed one
+    offset at a time: (B, *nodes) arrays, one block per cube of a (B, *cells, d, d).
 
-    Entry (x, x + delta) sums, over the cells c = x - sigma holding both
-    nodes, eps . a(c) eta / (h^2 4^(d-1)) with the gradient's corner signs
-    eps = 2 sigma - 1 and eta = 2 (sigma + delta) - 1.  Summing cell by cell
-    makes isotropic cells cancel exactly, so those entries are zero; an offset
-    whose entries all vanish (the 2d axis offsets, on isotropic cells) is left
-    out.  The interior-Dirichlet operator is the interior block of the
-    free-grid stencil.
+    Returns the offsets delta in {-1, 0, 1}^d that it computes, in order, and a
+    generator of (delta, coefficients) pairs over them, which makes each array
+    only once the previous one is released.  Entry (x, x + delta) sums, over the
+    cells c = x - sigma holding both nodes, eps . a(c) eta / (h^2 4^(d-1)) with
+    the gradient's corner signs eps = 2 sigma - 1 and eta = 2 (sigma + delta) - 1.
+    Summing cell by cell makes isotropic cells cancel exactly, so those entries
+    are zero, and an offset whose entries all vanish is not yielded.  When every
+    cell is isotropic (a = a_00 I, bit for bit) the 2d axis offsets are such
+    offsets, and they are not computed at all.  The interior-Dirichlet operator
+    is the interior block of the free-grid stencil.
     """
     d = a.shape[-1]
     nodes = tuple(n + (not periodic) for n in a.shape[1:1 + d])
-    # pad the cells so that node x's cell x - sigma sits at x + 1 - sigma
-    pad = [(0, 0)] + [(1, 0) if periodic else (1, 1)] * d
-    comps = {(k, l): np.pad(c, pad, mode="wrap" if periodic else "constant")
-             for k, l in itertools.product(range(d), repeat=2) if (c := a[..., k, l]).any()}
-    stencil = {}
-    for delta in itertools.product((-1, 0, 1), repeat=d):
-        coef = np.zeros(a.shape[:1] + nodes)
-        for sigma in itertools.product((0, 1), repeat=d):
-            tau = [s + t for s, t in zip(sigma, delta)]
-            if not all(0 <= t <= 1 for t in tau):
-                continue
-            view = (slice(None),) + tuple(slice(1 - s, 1 - s + n) for s, n in zip(sigma, nodes))
-            for (k, l), comp in comps.items():
-                (np.add if (2 * sigma[k] - 1) * (2 * tau[l] - 1) > 0 else np.subtract)(
-                    coef, comp[view], out=coef)
-        if coef.any():
-            coef /= h * h * 4 ** (d - 1)
-            stencil[delta] = coef
-    return stencil
+    nonzero = [(k, l) for k, l in itertools.product(range(d), repeat=2) if a[..., k, l].any()]
+    isotropic = (d == 2 and nonzero == [(0, 0), (1, 1)]
+                 and np.array_equal(a[..., 0, 0], a[..., 1, 1]))
+    offsets = [delta for delta in itertools.product((-1, 0, 1), repeat=d)
+               if not (isotropic and sum(map(abs, delta)) == 1)]
+
+    def coefficients():
+        # pad the cells so that node x's cell x - sigma sits at x + 1 - sigma; isotropic
+        # cells share one padded component
+        pad = [(0, 0)] + [(1, 0) if periodic else (1, 1)] * d
+        comps = {}
+        for k, l in nonzero:
+            comps[k, l] = (comps[0, 0] if isotropic and k else
+                           np.pad(a[..., k, l], pad, mode="wrap" if periodic else "constant"))
+        for delta in offsets:
+            coef = np.zeros(a.shape[:1] + nodes)
+            for sigma in itertools.product((0, 1), repeat=d):
+                tau = [s + t for s, t in zip(sigma, delta)]
+                if not all(0 <= t <= 1 for t in tau):
+                    continue
+                view = (slice(None),) + tuple(slice(1 - s, 1 - s + n) for s, n in zip(sigma, nodes))
+                for (k, l), comp in comps.items():
+                    (np.add if (2 * sigma[k] - 1) * (2 * tau[l] - 1) > 0 else np.subtract)(
+                        coef, comp[view], out=coef)
+            if coef.any():
+                coef /= h * h * 4 ** (d - 1)
+                yield delta, coef
+            del coef
+
+    return offsets, coefficients()
 
 
 def _make_projector(shape, periodic):
@@ -265,9 +291,11 @@ def cg(A, b, precondition, tol, maxiter, project=None, labels=None, x0=None,
     nrun = np.count_nonzero(running)
     if nrun == 0:
         return x, relres, its
+    # z is dropped once it has entered p, so each product runs beside x, r and p only
     z = project(precondition(r))
     p = z * running.reshape(col)
     rz = dot(r, z)
+    del z
     for it in range(1, maxiter + 1):
         Ap = apply_op(p)
         pAp = dot(p, Ap)
@@ -286,13 +314,13 @@ def cg(A, b, precondition, tol, maxiter, project=None, labels=None, x0=None,
             return x, relres, its
         running = ~(relres <= tol)
         nrun = np.count_nonzero(running)
-        del z
         z = project(precondition(r))
         rz_new = dot(r, z)
         if nrun < ncol:
             rz = np.where(running, rz, 1.0)
         p *= (rz_new / rz).reshape(col)
         p += z
+        del z
         if nrun < ncol:
             p *= running.reshape(col)
         rz = rz_new
@@ -301,17 +329,18 @@ def cg(A, b, precondition, tol, maxiter, project=None, labels=None, x0=None,
          i, maxiter)
 
 
-def _solve(A, b, h, bc, opts, labels=None, x0=None):
-    """x with A x = b per (column, cube) of b (k, B, *nodes), and (k, B) counts.
+def _solve(A, load, x, h, bc, opts, labels=None, warm=False):
+    """Solve A x[i] = load(i) for each direction row i of x (k, B, *nodes); (k, B) counts.
 
     A is grad^T a grad, block-diagonal over the cubes, on the nodes of `bc` in
     {'dirichlet' (interior), 'neumann', 'periodic'}; `bc` picks the spectral
     preconditioner, and the free solves project out the operator's kernel.
-    Each direction, a row of b, runs its own CG, which takes over that row as the
-    residual and leaves its solution there or, when given, in the guess x0's row
-    (b-shaped): the solve overwrites b and x0.
+    Each direction runs its own CG.  `load(i)` gives row i's load, a writable
+    C-contiguous (B, *nodes) array (made right before the CG, or a row of x),
+    which the CG takes over as its residual.  The solution lands in x's row,
+    whose values start the CG when `warm` and are ignored otherwise.
     """
-    lead, shape = b.shape[:2], b.shape[2:]
+    lead, shape = x.shape[:2], x.shape[2:]
     kind = "torus" if bc == "periodic" else bc
     dtype = np.float32 if opts.tol >= _SINGLE_TOL else np.float64
     inverse = spectral.pseudo_inverse(getattr(spectral, f"{kind}_symbol")(shape, h)).astype(dtype)
@@ -321,29 +350,53 @@ def _solve(A, b, h, bc, opts, labels=None, x0=None):
     def precondition(r):
         return solve(r.astype(dtype, copy=False), h, inverse=inverse).astype(float, copy=False)
 
-    x = b if x0 is None else np.require(np.reshape(x0, b.shape), float, "CW")
     res, its = np.empty(lead), np.empty(lead, dtype=int)
     for i in range(lead[0]):
-        xi, res[i], its[i] = cg(A, b[i], precondition, opts.tol, opts.maxiter, project, labels,
-                                None if x0 is None else x[i], overwrite=True)
+        xi, res[i], its[i] = cg(A, load(i), precondition, opts.tol, opts.maxiter, project,
+                                labels, x[i] if warm else None, overwrite=True)
         if not np.may_share_memory(xi, x[i]):
-            x[i] = xi       # x is b here, and row i's CG is done with its residual
+            x[i] = xi       # row i's CG is done with its residual, which may be this row
         del xi
-    return x, res, its
+    return res, its
+
+
+def _mean_dot(x, y):
+    """Cell mean of x . y per column (k, B) of the cell fields x (k, B, *cells, d) and y
+    (broadcast to x), made one row of x at a time."""
+    return np.stack([np.einsum("...i,...i->...", xr, yr).reshape(len(xr), -1).mean(axis=-1)
+                     for xr, yr in zip(x, np.broadcast_to(y, x.shape))])
 
 
 def _vol_energy(grad, flux):
     """Volume-normalized energy of each column: the cell mean of 1/2 grad . flux, flux = a grad."""
-    e = np.einsum("...i,...i->...", grad, flux)
-    return 0.5 * e.reshape(e.shape[:-grad.shape[-1]] + (-1,)).mean(axis=-1)
+    return 0.5 * _mean_dot(grad, flux)
 
 
 def _plane(p, grid):
     """Node values of the affine function x -> p . x, one plane per row of p (..., d)."""
-    axes = np.meshgrid(*[np.arange(n + 1) * grid.h for n in grid.cell_shape], indexing="ij")
     p = np.asarray(p, dtype=float)
-    lead = p.shape[:-1] + (1,) * grid.d
-    return sum(p[..., i].reshape(lead) * axes[i] for i in range(grid.d))
+    out = np.zeros(p.shape[:-1] + grid.node_shape)
+    for i, n in enumerate(grid.node_shape):
+        x = (np.arange(n) * grid.h).reshape((n,) + (1,) * (grid.d - 1 - i))
+        out += p[..., i].reshape(p.shape[:-1] + (1,) * grid.d) * x
+    return out
+
+
+def _flux_load(q, ncube, grid):
+    """gradient_adjoint of the constant cell field q (d,) on each of `ncube` cubes, bit for bit.
+
+    Its values depend only on whether a node is first, inner or last along each
+    axis (the inner differences of a constant cancel exactly, so the load lives
+    on the boundary), so they are read off the adjoint on 2 cells per axis.
+    """
+    d = grid.d
+    out = np.empty((ncube,) + grid.node_shape)
+    v = gradient_adjoint(np.broadcast_to(q, (2,) * d + (d,)), grid.h)
+    for axis, n in enumerate(grid.node_shape):
+        position = np.minimum(np.arange(n), 1) + (np.arange(n) == n - 1)  # 0, 1 ... 1, 2
+        v = np.take(v, position, axis=axis, out=out[0] if axis == d - 1 else None, mode="clip")
+    out[1:] = out[0]
+    return out
 
 
 def _stack(p, d):
@@ -381,28 +434,41 @@ def _result(sol: Solution, stack, cube) -> Solution:
 # ---------------------------------------------------------------------------
 
 
-def _dirichlet_solve(a, u, h, opts, cubes):
-    """Extend the boundary values of each column of u (k, B, *nodes) to the extremal, in place.
+def _dirichlet_solve(a, lift, h, opts, cubes):
+    """The extremals with the boundary values of the lift() columns (k, B, *nodes).
 
-    The interior of u is the initial lift; the correction solves the interior block of
-    the free-grid stencil against the stencil's load -grad^T a grad u on interior nodes.
+    The interior of the lift is the initial guess; the correction solves the interior
+    block of the free-grid stencil against the stencil's load -grad^T a grad u on
+    interior nodes.  One pass over the stencil's offsets writes each into its diagonal
+    and adds its part of the load, one direction row at a time.  Only the operator
+    and the load live through the CGs, which leave the correction in the load; the
+    lift is made again afterwards to take it.
     """
     d = a.shape[-1]
     inner = (...,) + (slice(1, -1),) * d
-    inside = u[inner]       # a view: the correction lands in u
+    u = lift()
     res, its = np.zeros(u.shape[:2]), np.zeros(u.shape[:2], dtype=int)
-    if inside.size:
-        stencil = _stencil(a, h, False)
-        load = np.zeros(inside.shape)
-        for delta, c in stencil.items():
-            load -= c[inner] * u[(...,) + tuple(slice(1 + t, n - 1 + t)
-                                                for t, n in zip(delta, u.shape[2:]))]
-        A = stencil_matrix({delta: c[inner] for delta, c in stencil.items()})
-        del stencil         # only the interior matrix lives through the CG
-        corr, res, its = _solve(A, load, h, "dirichlet", opts, cubes)
-        del A, load
-        inside += corr
-        del corr
+    if u[inner].size:
+        load = np.zeros(u[inner].shape)
+        offsets, stencil = _stencil(a, h, False)
+
+        def interior():
+            for delta, c in stencil:
+                c = c[inner]
+                shifted = u[(...,) + tuple(slice(1 + t, n - 1 + t)
+                                           for t, n in zip(delta, u.shape[2:]))]
+                for row, ur in zip(load, shifted):
+                    row -= c * ur
+                yield delta, c
+                del c
+
+        A = stencil_matrix(interior(), offsets=offsets)
+        del u
+        res, its = _solve(A, load.__getitem__, load, h, "dirichlet", opts, cubes)
+        del A
+        u = lift()
+        u[inner] += load
+        del load
     grad = discrete_gradient(u, h, False, d=d)
     flux = _amul(a, grad)
     return _batch_solution(u, grad, flux, res, its, _vol_energy(grad, flux))
@@ -422,8 +488,8 @@ def solve_dirichlet_affine(a_field: CoefficientField, cube, p,
     """
     cubes, grid, a = _blocks(a_field, cube)
     p, stack = _stack(p, grid.d)
-    u = np.repeat(_plane(p, grid)[:, None], len(cubes), axis=1)
-    sol = _dirichlet_solve(a, u, grid.h, opts or SolveOptions(), cubes)
+    planes = np.broadcast_to(p[:, None], (len(p), len(cubes), grid.d))
+    sol = _dirichlet_solve(a, lambda: _plane(planes, grid), grid.h, opts or SolveOptions(), cubes)
     return _result(sol, stack, cube)
 
 
@@ -437,8 +503,8 @@ def solve_dirichlet_data(a_field: CoefficientField, cube: TriadicCube, boundary:
     cubes, grid, a = _blocks(a_field, cube)
     if boundary.shape != grid.node_shape:
         raise ValueError(f"boundary array shape {boundary.shape} != {grid.node_shape}")
-    u = boundary.astype(float, copy=True)[None, None]
-    sol = _dirichlet_solve(a, u, grid.h, opts or SolveOptions(), cubes)
+    sol = _dirichlet_solve(a, lambda: boundary.astype(float, copy=True)[None, None], grid.h,
+                           opts or SolveOptions(), cubes)
     return _result(sol, (), cube)
 
 
@@ -461,10 +527,14 @@ def solve_neumann_affine(a_field: CoefficientField, cube, q, opts: SolveOptions 
     axes = tuple(range(2, d + 2))
     q, stack = _stack(q, d)
     qcol = q.reshape((len(q), 1) + (1,) * d + (d,))     # broadcasts over (k, B, *cells, d)
-    # a load column per (flux, cube), in a buffer the CG takes over as its residual
-    b = gradient_adjoint(np.broadcast_to(qcol, (len(q), len(cubes)) + grid.cell_shape + (d,)), h)
-    w, res, its = _solve(stencil_matrix(_stencil(a, h, False)), b, h, "neumann", opts, cubes, x0)
-    del b
+    shape = (len(q), len(cubes)) + grid.node_shape
+    w = np.empty(shape) if x0 is None else np.require(np.reshape(x0, shape), float, "CW")
+    offsets, stencil = _stencil(a, h, False)
+    A = stencil_matrix(stencil, offsets=offsets)
+    # each direction's load is made right before its CG, which takes it over as its residual
+    res, its = _solve(A, lambda i: _flux_load(q[i], len(cubes), grid), w, h, "neumann", opts,
+                      cubes, warm=x0 is not None)
+    del A
 
     grad = discrete_gradient(w, h, periodic=False, d=d)
     mean_flux = _amul(a, grad).mean(axis=axes)
@@ -477,8 +547,7 @@ def solve_neumann_affine(a_field: CoefficientField, cube, q, opts: SolveOptions 
     flux = _amul(a, grad)
 
     # value = volume mean of (q . grad w  -  1/2 grad w . a grad w)
-    qgrad = np.einsum("...i,...i->...", grad, qcol)
-    value = qgrad.reshape(qgrad.shape[:2] + (-1,)).sum(axis=-1) / qgrad[0, 0].size
+    value = _mean_dot(grad, qcol)
     value -= _vol_energy(grad, flux)
     sol = _batch_solution(w, grad, flux, res, its, value)
     return _result(sol, stack, cube)
@@ -494,9 +563,9 @@ def solve_periodic_cell(a_field: CoefficientField, e, opts: SolveOptions = None)
     a = a_field.a[None]
     e, stack = _stack(e, d)
     ecol = e.reshape((len(e), 1) + (1,) * d + (d,))
-    b = -gradient_adjoint(_amul(a, ecol), h, periodic=True)
-    phi, res, its = _solve(stencil_matrix(_stencil(a, h, True), periodic=True), b, h,
-                           "periodic", opts or SolveOptions())
+    phi = -gradient_adjoint(_amul(a, ecol), h, periodic=True)
+    res, its = _solve(stencil_matrix(_stencil(a, h, True)[1], periodic=True), phi.__getitem__,
+                      phi, h, "periodic", opts or SolveOptions())
     phi -= phi.mean(axis=tuple(range(2, d + 2)), keepdims=True)
     grad = discrete_gradient(phi, h, periodic=True, d=d)
     corrected = grad + ecol

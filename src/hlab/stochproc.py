@@ -82,7 +82,7 @@ def network_operator(net: ConductanceNetwork):
     stencil = {(0,) * d: sum(c + b for c, b in zip(net.cond, behind)) / h**2}
     for e, c, b in zip(np.eye(d, dtype=int), net.cond, behind):
         stencil[tuple(e)], stencil[tuple(-e)] = -c / h**2, -b / h**2
-    return stencil_matrix(stencil, periodic=True)
+    return stencil_matrix(stencil.items(), periodic=True)
 
 
 def network_homogenized_matrix(net: ConductanceNetwork) -> np.ndarray:
@@ -212,21 +212,19 @@ def simulate_walks(net: ConductanceNetwork, T: float, n_paths: int, seed: int,
 # ---------------------------------------------------------------------------
 
 
-def parabolic_green(a_field: CoefficientField, t_final: float, source,
-                    dt: float = 0.25) -> DiffusionReport:
-    """Green density P(t, ., source) with Gaussian comparison and margins.
+def _green_steps(net: ConductanceNetwork, t_final: float, source, dt: float):
+    """Implicit-Euler density P(t_final, ., source): (density, steps, CG iterations, mass drift).
 
-    `source` holds the integer indices of a cell.  Each implicit-Euler step
-    solves (I + dt A) u_new = u_old by CG with an exact constant-coefficient
+    `source` holds the integer indices of a cell.  Each step solves
+    (I + dt A) u_new = u_old by CG with an exact constant-coefficient
     preconditioner, starting from the linear extrapolation 2 u_n - u_(n-1) of
     the last two densities (the first step from u_0).  The guess carries the
     exact mass, and neither I + dt A nor the preconditioner moves the mean of
     a correction, so the scheme conserves mass to rounding.
     """
-    source = cell_index(source, a_field.grid.cell_shape, name="source")
-    net = build_network(a_field)
     grid = net.grid
     d, h, side = grid.d, grid.h, grid.side
+    source = cell_index(source, grid.cell_shape, name="source")
     n_steps = int(round(t_final / dt))
     if not np.isclose(n_steps * dt, t_final):
         raise ValueError("horizon must be an integer number of steps")
@@ -249,6 +247,22 @@ def parabolic_green(a_field: CoefficientField, t_final: float, source,
         mass_drift = max(mass_drift, abs(new.sum() * cell_mass - before))
         guess = 2.0 * new - u
         u = new
+    return u, n_steps, iters, mass_drift
+
+
+def parabolic_green(a_field: CoefficientField, t_final: float, source,
+                    dt: float = 0.25) -> DiffusionReport:
+    """Green density P(t, ., source) with Gaussian comparison and margins.
+
+    `source` holds the integer indices of a cell; the density comes from
+    implicit-Euler steps on the cell network (`_green_steps`), and the
+    Gaussian comparison from the network's homogenized matrix.
+    """
+    source = cell_index(source, a_field.grid.cell_shape, name="source")
+    net = build_network(a_field)
+    u, n_steps, iters, mass_drift = _green_steps(net, t_final, source, dt)
+    grid = net.grid
+    d, h, side = grid.d, grid.h, grid.side
 
     abar = network_homogenized_matrix(net)
     ainv = np.linalg.inv(abar)
@@ -290,7 +304,11 @@ def parabolic_green(a_field: CoefficientField, t_final: float, source,
 
 def green_symmetry_check(a_field: CoefficientField, t_final: float, x, y,
                          dt: float = 0.25) -> float:
-    """|P(t, y, x) - P(t, x, y)| for one source/target pair."""
-    px = parabolic_green(a_field, t_final, x, dt).green_field
-    py = parabolic_green(a_field, t_final, y, dt).green_field
+    """|P(t, y, x) - P(t, x, y)| for one source/target pair.
+
+    Only the two densities are computed: no cell problem, no Gaussian comparison.
+    """
+    net = build_network(a_field)
+    px = _green_steps(net, t_final, x, dt)[0]
+    py = _green_steps(net, t_final, y, dt)[0]
     return float(abs(px[tuple(y)] - py[tuple(x)]))

@@ -102,6 +102,7 @@ def test_criterion_03_subadditivity_and_fenchel():
            f"{worst_fen:.2e}, both >= -1e-7, {time.time() - t0:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_04_duality_gap_decay():
     # 16-seed checkerboard ensemble: the mean spectral gap |a - a*| on the
     # level-6 cube is at most half its level-3 value.
@@ -120,6 +121,7 @@ def test_criterion_04_duality_gap_decay():
            f"= {ratio:.3f} <= 0.5, {time.time() - t0:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_05_fluctuation_scaling():
     # 64 seeds: ensemble variance of e1.a(cube)e1 over levels 2..5 and of
     # the smoothed coefficient at the origin over radii 4..32; both fitted

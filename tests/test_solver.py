@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ from hlab import solver, spectral
 from hlab.coarse import coarse_matrices, partition_matrices
 from hlab.correctors import finite_volume_correctors
 from hlab.solver import (
+    _amul,
+    _flux_load,
     _make_projector,
     _stencil,
     SolveOptions,
@@ -40,7 +43,16 @@ from hlab.solver import (
     solve_periodic_cell,
 )
 from hlab.spectral import torus_solve_nodespace
-from oracles import cell_to_node_adjoint, restrict
+from oracles import (
+    amul,
+    cell_to_node_adjoint,
+    dict_stencil,
+    dict_stencil_matrix,
+    restrict,
+    whole_dirichlet_affine,
+    whole_dirichlet_data,
+    whole_neumann_affine,
+)
 
 CUBE1 = TriadicCube(1, (0, 0))
 
@@ -495,11 +507,11 @@ class TestAssembledOperator:
                                          discrete_gradient(full, h, periodic, d)), h, periodic)
         if bc == "dirichlet":
             ref = ref[(slice(None),) + (slice(1, -1),) * d]
-        stencil = _stencil(a, h, periodic)
+        stencil = dict(_stencil(a, h, periodic)[1])
         if bc == "dirichlet":
             inner = (...,) + (slice(1, -1),) * d
             stencil = {delta: c[inner] for delta, c in stencil.items()}
-        A = stencil_matrix(stencil, periodic)
+        A = stencil_matrix(stencil.items(), periodic)
         got = (A @ u.ravel()).reshape(ref.shape)
         # relative to the size of the terms: their cancellation can leave ref near zero
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(a).max() * np.abs(u).max() / h**2
@@ -554,7 +566,7 @@ class TestStencilOffsets:
         grid = GridSpec(d, 2, 1)
         a = (sample_checkerboard(grid, 4) if kind == "checkerboard" else
              anisotropic(grid, 4)).a[None]
-        stencil = _stencil(a, grid.h, periodic)
+        stencil = dict(_stencil(a, grid.h, periodic)[1])
         full = _full_stencil(a, grid.h, periodic)
         assert all(full[delta].any() == (delta in stencil) for delta in full)
         if kind == "checkerboard" and d == 2:
@@ -562,7 +574,7 @@ class TestStencilOffsets:
             assert sorted(stencil) == [(-1, -1), (-1, 1), (0, 0), (1, -1), (1, 1)]
         if kind == "anisotropic":
             assert len(stencil) == 3**d
-        got, ref = (stencil_matrix(s, periodic) for s in (stencil, full))
+        got, ref = (stencil_matrix(s.items(), periodic) for s in (stencil, full))
         for name in ("indptr", "indices", "data") if periodic else ("offsets", "data"):
             assert np.array_equal(getattr(got, name), getattr(ref, name))
 
@@ -654,7 +666,7 @@ class TestBatchedCG:
         # on the torus the guess is projected like b: a constant offset drops out
         grid = GridSpec(2, 1, 2)
         a = sample_checkerboard(grid, 5).a[None]
-        A = stencil_matrix(_stencil(a, grid.h, True), periodic=True)
+        A = stencil_matrix(_stencil(a, grid.h, True)[1], periodic=True)
         project = _make_projector(grid.cell_shape, True)
         inverse = spectral.pseudo_inverse(spectral.torus_symbol(grid.cell_shape, grid.h))
 
@@ -853,12 +865,12 @@ class TestPerDirectionCG:
         # labelled again
         per_direction = solver._solve
 
-        def one_cg(A, b, h, bc, opts, labels=None, x0=None):
-            fold = (1, -1) + b.shape[2:]
-            x, res, its = per_direction(cls._repeat_blocks(A, len(b)), b.reshape(fold), h, bc, opts,
-                                        None if labels is None else labels * len(b),
-                                        None if x0 is None else np.reshape(x0, fold))
-            return x.reshape(b.shape), res.reshape(b.shape[:2]), its.reshape(b.shape[:2])
+        def one_cg(A, load, x, h, bc, opts, labels=None, warm=False):
+            fold = (1, -1) + x.shape[2:]
+            b = np.stack([load(i) for i in range(len(x))]).reshape(fold)
+            res, its = per_direction(cls._repeat_blocks(A, len(x)), b.__getitem__, x.reshape(fold),
+                                     h, bc, opts, None if labels is None else labels * len(x), warm)
+            return res.reshape(x.shape[:2]), its.reshape(x.shape[:2])
 
         monkeypatch.setattr(solver, "_solve", one_cg)
 
@@ -917,3 +929,189 @@ class TestPerDirectionCG:
         with pytest.raises(SolverError, match=named) as err:
             partition_matrices(f, TriadicCube(2, (0, 0)), 1, SolveOptions(maxiter=1))
         assert err.value.iterations == 1 and err.value.residual > 1e-8
+
+
+def _cells(kind, d, cells, ncube, seed):
+    """Coefficient blocks (ncube, *cells, d, d): isotropic, general SPD, or diagonal cells whose
+    axis-offset terms alternate in sign from one layer of cells to the next."""
+    r = np.random.default_rng(seed)
+    shape = (ncube,) + (cells,) * d
+    if kind == "isotropic":
+        return r.uniform(1.0, 4.0, size=shape)[..., None, None] * np.eye(d)
+    if kind == "anisotropic":
+        m = r.normal(size=shape + (d, d))
+        return m @ np.swapaxes(m, -1, -2) + 0.5 * np.eye(d)
+    # diag(1, 2) and diag(2, 1) layers along the last axis: on interior nodes the two cells
+    # of each axis-0 edge cancel exactly, so the interior block drops those offsets
+    layer = np.arange(cells) % 2
+    a = np.zeros(shape + (d, d))
+    a[..., 0, 0] = 1.0 + layer
+    a[..., 1, 1] = 2.0 - layer
+    return a
+
+
+class TestStreamedAssembly:
+    """The free-grid operator is streamed into its diagonals, one offset at a time: its
+    offsets and data equal those built from the whole stencil dict, bit for bit, and its
+    data holds the kept diagonals only."""
+
+    CASES = [(kind, d, cells, ncube) for kind in ("isotropic", "anisotropic")
+             for d in (2, 3) for cells in (1, 3, 5) for ncube in (1, 3)]
+
+    @staticmethod
+    def _streamed(a, h, interior):
+        inner = (...,) + (slice(1, -1),) * a.shape[-1]
+        offsets, stencil = _stencil(a, h, False)
+        if interior:
+            stencil = ((delta, c[inner]) for delta, c in stencil)
+        return stencil_matrix(stencil, offsets=offsets)
+
+    @staticmethod
+    def _whole(a, h, interior):
+        inner = (...,) + (slice(1, -1),) * a.shape[-1]
+        stencil = dict_stencil(a, h, False)
+        if interior:
+            stencil = {delta: c[inner] for delta, c in stencil.items()}
+        return dict_stencil_matrix(stencil)
+
+    @staticmethod
+    def _assert_same(got, ref):
+        rows = got.shape[0]
+        assert np.array_equal(got.offsets, ref.offsets)
+        assert got.data.tobytes() == ref.data.tobytes()
+        # one owned row per kept diagonal, none of them all zero
+        assert got.data.shape == (len(got.offsets), rows) and got.data.base is None
+        assert got.data.any(axis=1).all()
+
+    @pytest.mark.parametrize("kind, d, cells, ncube", CASES)
+    def test_equals_dict_builder(self, kind, d, cells, ncube):
+        a = _cells(kind, d, cells, ncube, seed=cells + 10 * ncube)
+        h = 0.5
+        stream = dict(_stencil(a, h, False)[1])
+        whole = dict_stencil(a, h, False)
+        assert list(stream) == list(whole)
+        assert all(stream[delta].tobytes() == whole[delta].tobytes() for delta in whole)
+        for interior in (False, True) if cells >= 2 else (False,):
+            self._assert_same(self._streamed(a, h, interior), self._whole(a, h, interior))
+        if kind == "isotropic" and d == 2:
+            # the 2d axis offsets cancel exactly on isotropic cells: they are not computed
+            assert sorted(_stencil(a, h, False)[0]) == [(-1, -1), (-1, 1), (0, 0), (1, -1), (1, 1)]
+
+    def test_two_node_axes_share_a_flat_step(self):
+        # on a 2 x 2 interior grid (0, -1) and (-1, 1) both step by -1: one summed diagonal
+        a = _cells("anisotropic", 2, 3, 2, seed=5)
+        got, ref = self._streamed(a, 1.0, True), self._whole(a, 1.0, True)
+        self._assert_same(got, ref)
+        assert len(got.offsets) < 9
+
+    def test_offset_that_vanishes_on_the_interior_is_cut(self):
+        # every computed offset gets a row when the data is allocated; the axis-0 offsets
+        # vanish on the interior block only, so their rows are cut off
+        a = _cells("layered", 2, 6, 1, seed=0)
+        got, ref = self._streamed(a, 1.0, True), self._whole(a, 1.0, True)
+        self._assert_same(got, ref)
+        assert len(got.offsets) == 7 and len(self._streamed(a, 1.0, False).offsets) == 9
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_torus_stencil_equals_dict(self, d):
+        a = _cells("anisotropic", d, 3, 1, seed=d)
+        stream, whole = dict(_stencil(a, 0.5, True)[1]), dict_stencil(a, 0.5, True)
+        assert list(stream) == list(whole)
+        assert all(stream[delta].tobytes() == whole[delta].tobytes() for delta in whole)
+
+
+def _same_solution(got, ref):
+    for name in ("u", "gradient", "flux", "energy", "column_iterations", "column_residuals"):
+        x, y = getattr(got, name), getattr(ref, name)
+        assert (x is None) == (y is None), name
+        if x is not None:
+            assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), name
+    assert (got.iterations, got.residual) == (ref.iterations, ref.residual)
+
+
+class TestWholeArrayRoute:
+    """The streamed assembly, the loads made one direction at a time, the lift made again
+    after the CG and the row-wise products give the whole-array route's arrays, bit for bit."""
+
+    SETUPS = [("checkerboard", 2, 3, 2), ("checkerboard", 3, 2, 1), ("gaussian", 2, 3, 1)]
+
+    @pytest.mark.parametrize("kind, d, m, n", SETUPS)
+    def test_dirichlet_affine(self, kind, d, m, n):
+        f = partition_field(kind, d, m, 11)
+        cube = TriadicCube(m, (0,) * d)
+        opts = SolveOptions(tol=1e-10)
+        slopes = np.random.default_rng(2).normal(size=(2, d))
+        for target in (cube, triadic_partition(cube, n)):
+            _same_solution(solve_dirichlet_affine(f, target, slopes, opts),
+                           whole_dirichlet_affine(f, target, slopes, opts))
+
+    @pytest.mark.parametrize("kind, d, m, n", SETUPS)
+    def test_dirichlet_data(self, kind, d, m, n):
+        f = partition_field(kind, d, m, 12)
+        boundary = np.random.default_rng(3).normal(size=f.grid.node_shape)
+        opts = SolveOptions(tol=1e-10)
+        _same_solution(solve_dirichlet_data(f, f.grid.macro_cube(), boundary, opts),
+                       whole_dirichlet_data(f, f.grid.macro_cube(), boundary, opts))
+
+    @pytest.mark.parametrize("kind, d, m, n", SETUPS)
+    def test_neumann_affine(self, kind, d, m, n):
+        f = partition_field(kind, d, m, 13)
+        cube = TriadicCube(m, (0,) * d)
+        opts = SolveOptions(tol=1e-10)
+        fluxes = np.eye(d)
+        rng = np.random.default_rng(4)
+        for target in (cube, triadic_partition(cube, n)):
+            ncube = 1 if isinstance(target, TriadicCube) else len(target)
+            guess = rng.normal(size=(d, ncube) + GridSpec(d, n if ncube > 1 else m, 1).node_shape)
+            if ncube == 1:
+                guess = guess[:, 0]
+            _same_solution(solve_neumann_affine(f, target, fluxes, opts),
+                           whole_neumann_affine(f, target, fluxes, opts))
+            # the guess is handed over to the CG, so each route gets its own copy
+            _same_solution(solve_neumann_affine(f, target, fluxes, opts, x0=guess.copy()),
+                           whole_neumann_affine(f, target, fluxes, opts, x0=guess.copy()))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_row_wise_amul(self, d):
+        r = np.random.default_rng(d)
+        a = r.normal(size=(3,) + (4,) * d + (d, d))
+        g = r.normal(size=(2, 3) + (4,) * d + (d,))
+        assert _amul(a, g).tobytes() == amul(a, g).tobytes()
+        # a constant row per column, as the periodic solve's affine part
+        e = r.normal(size=(2, 1) + (1,) * d + (d,))
+        assert _amul(a[:1], e).tobytes() == amul(a[:1], e).tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("cells", [1, 2, 5])
+    def test_flux_load_is_the_adjoint_bit_for_bit(self, d, cells):
+        grid = GridSpec(d, 0, cells)
+        for q in (np.eye(d)[0], np.random.default_rng(cells).normal(size=d), np.zeros(d)):
+            ref = gradient_adjoint(np.broadcast_to(q, (3,) + grid.cell_shape + (d,)), grid.h)
+            load = _flux_load(q, 3, grid)
+            assert load.tobytes() == ref.tobytes()
+            inner = load[(slice(None),) + (slice(1, -1),) * d]
+            assert not inner.any()      # the load lives on the boundary nodes
+
+
+class TestWorkingSet:
+    """A coarse pair's peak of traced allocations, in units of one node field, stays below
+    the whole-array route's: assembly, loads and products stay under the CG's working set."""
+
+    @pytest.mark.parametrize("d, m, bound", [(2, 4, 16.0), (3, 2, 56.0)])
+    def test_coarse_pair_peak(self, d, m, bound):
+        f = sample_checkerboard(GridSpec(d, m, 1), 7)
+        field = 8 * f.grid.node_shape[0] ** d
+        cube = f.grid.macro_cube()
+        coarse_matrices(f, cube)        # warm caches outside the measurement
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            coarse_matrices(f, cube)
+            peak = (tracemalloc.get_traced_memory()[1] - start) / field
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < bound, f"pair peak {peak:.2f} node fields >= {bound}"

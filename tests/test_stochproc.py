@@ -268,6 +268,22 @@ class TestGreen:
         fld = sample_checkerboard(GridSpec(2, 2, 1), 6)
         assert green_symmetry_check(fld, 2.0, (1, 4), (7, 2), dt=0.25) < 1e-10
 
+    def test_symmetry_check_solves_no_cell_problem(self, monkeypatch):
+        # the check needs only the two densities: the same value as from two full
+        # `parabolic_green` reports, without their cell problems
+        fld = sample_checkerboard(GridSpec(2, 3, 1), 5)
+        x, y = (1, 4), (20, 11)
+        expected = abs(parabolic_green(fld, 2.0, x).green_field[y]
+                       - parabolic_green(fld, 2.0, y).green_field[x])
+        calls = []
+        real = hlab.stochproc.network_homogenized_matrix
+        monkeypatch.setattr(hlab.stochproc, "network_homogenized_matrix",
+                            lambda net: calls.append(net) or real(net))
+        assert green_symmetry_check(fld, 2.0, x, y) == expected
+        assert calls == []
+        parabolic_green(fld, 2.0, x)
+        assert len(calls) == 1          # the spy sees the report's cell problem
+
     def test_horizon_must_divide(self):
         fld = make_constant(GridSpec(2, 2, 1), np.eye(2))
         with pytest.raises(ValueError):
