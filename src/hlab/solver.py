@@ -242,9 +242,11 @@ def cg(A, b, precondition, tol, maxiter, project=None, labels=None, x0=None,
     """Column-batched preconditioned CG for the symmetric sparse operator A.
 
     b carries a leading column axis, and A spans all of b: one column, or the
-    columns of a block-diagonal A (the cubes of a partition).  `precondition` maps b-shaped
-    arrays to new ones; `project`, in place, keeps b, the guess and each preconditioned
-    residual off the kernel of a singular A.  The iterate starts at the guess x0 (b-shaped)
+    columns of a block-diagonal A (the cubes of a partition).  `precondition` maps the
+    residual to a b-shaped array, a new one or the residual itself: each preconditioned
+    residual is consumed before r changes, so the identity `lambda r: r` runs plain CG
+    (a `project` then acts on r itself); `project`, in place, keeps b, the guess and each preconditioned residual off the
+    kernel of a singular A.  The iterate starts at the guess x0 (b-shaped)
     when given, so the residual starts as b - A x0, and at zero otherwise; a zero column of
     b keeps x = 0 whatever its guess.  Each column stops once ||r|| <= tol ||b||, with b
     projected, so a guess changes the work but not the accuracy, and a guess that already

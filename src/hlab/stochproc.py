@@ -4,9 +4,12 @@ Both objects discretize the same generator: sites are grid cells on the
 torus, and the edge between neighboring cells carries the harmonic mean of
 their axis-diagonal coefficients.  The walk is the variable-speed
 continuous-time chain jumping across edge e at rate c_e / h^2; the Green
-function time-steps the matching heat equation with implicit Euler.  Their
-common homogenized matrix comes from the network's own periodic cell
-problem, so discretization bias cancels from the comparisons.
+function time-steps the matching heat equation with implicit Euler, each
+step a CG without a preconditioner: the spectrum of I + dt A lies in
+[1, 1 + dt 4d Lam / h^2], narrow on the unit lattice, and every residual has
+mean zero, so mass is conserved to rounding.  Their common homogenized matrix
+comes from the network's own periodic cell problem, so discretization bias
+cancels from the comparisons.
 """
 
 from __future__ import annotations
@@ -216,20 +219,27 @@ def _green_steps(net: ConductanceNetwork, t_final: float, source, dt: float):
     """Implicit-Euler density P(t_final, ., source): (density, steps, CG iterations, mass drift).
 
     `source` holds the integer indices of a cell.  Each step solves
-    (I + dt A) u_new = u_old by CG with an exact constant-coefficient
-    preconditioner, starting from the linear extrapolation 2 u_n - u_(n-1) of
-    the last two densities (the first step from u_0).  The guess carries the
-    exact mass, and neither I + dt A nor the preconditioner moves the mean of
-    a correction, so the scheme conserves mass to rounding.
+    (I + dt A) u_new = u_old by CG without a preconditioner, starting from the
+    linear extrapolation 2 u_n - u_(n-1) of the last two densities (the first
+    step from u_0).  By Gershgorin the spectrum of I + dt A lies in
+    [1, 1 + dt 4d Lam / h^2], so on the unit lattice its condition number is
+    small (at most 2.6 for d = 2, Lam = 4, dt = 0.05), and no transform is paid
+    per iteration.  The guess carries the exact mass, and the columns of A sum
+    to zero, so every residual and every correction has mean zero: the scheme
+    conserves mass to rounding.
     """
+    if not 0 < t_final < np.inf:
+        raise ValueError(f"horizon t_final must be finite and > 0, got {t_final!r}")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"time step dt must be finite and > 0, got {dt!r}")
     grid = net.grid
     d, h, side = grid.d, grid.h, grid.side
     source = cell_index(source, grid.cell_shape, name="source")
     n_steps = int(round(t_final / dt))
-    if not np.isclose(n_steps * dt, t_final):
-        raise ValueError("horizon must be an integer number of steps")
+    if n_steps < 1 or not np.isclose(n_steps * dt, t_final):
+        raise ValueError(f"horizon t_final = {t_final!r} must be an integer number of "
+                         f"steps dt = {dt!r}")
 
-    inverse = spectral.pseudo_inverse(1.0 + dt * spectral.network_symbol(grid.cell_shape, h))
     step = scipy.sparse.identity(side**d, format="csr") + dt * network_operator(net)
     u = np.zeros(grid.cell_shape)
     u[source] = 1.0 / h**d                 # unit-mass density
@@ -239,9 +249,7 @@ def _green_steps(net: ConductanceNetwork, t_final: float, source, dt: float):
     iters = 0
     for _ in range(n_steps):
         before = u.sum() * cell_mass
-        new, _, it = cg(step, u[None],
-                        lambda r: spectral.torus_solve_nodespace(r, h, inverse=inverse),
-                        STEP_TOL, 5000, x0=guess[None])
+        new, _, it = cg(step, u[None], lambda r: r, STEP_TOL, 5000, x0=guess[None])
         new = new[0]
         iters += int(it[0])
         mass_drift = max(mass_drift, abs(new.sum() * cell_mass - before))

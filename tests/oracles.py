@@ -6,6 +6,9 @@ convolution behind `renorm.heat_point_value`, the exact dual norm that
 `lattice.weak_norm_estimate` bounds, and the gap functional J whose basis sum
 `coarse.duality_defect` gives in closed form.  `restrict` cuts a field down to
 a subcube, for comparing a solve on a cube of a field with one on its own grid.
+`zero_start_green` steps the Green function from zero guesses with the exact
+constant-coefficient inverse as preconditioner, a solver independent of the
+package's warm-started, unpreconditioned steps.
 
 The free-grid solves are also checked, bit for bit, against the whole-array
 route they replaced: the stencil built as a dict of every nonzero offset's
@@ -26,6 +29,7 @@ from hlab.fields import CoefficientField
 from hlab.lattice import GridSpec, _pair_adj, discrete_gradient, gradient_adjoint
 from hlab.renorm import heat_kernel_1d
 from hlab.spectral import neumann_solve_nodespace
+from hlab.stochproc import STEP_TOL, build_network, network_operator
 
 
 def heat_convolve(f: np.ndarray, r: float, h: float, spatial_dims: int = None) -> np.ndarray:
@@ -95,6 +99,23 @@ def amul(a, g):
     for j in range(1, g.shape[-1]):
         out += a[..., j] * g[..., j:j + 1]
     return out
+
+
+def zero_start_green(a_field, t_final, source, dt):
+    """The implicit-Euler density with every step's CG started from zero and
+    preconditioned by the exact inverse of I + dt L, L the unit-conductance Laplacian."""
+    net = build_network(a_field)
+    grid = net.grid
+    h = grid.h
+    inverse = spectral.pseudo_inverse(1.0 + dt * spectral.network_symbol(grid.cell_shape, h))
+    step = scipy.sparse.identity(grid.side**grid.d, format="csr") + dt * network_operator(net)
+    u = np.zeros(grid.cell_shape)
+    u[source] = 1.0 / h**grid.d
+    for _ in range(int(round(t_final / dt))):
+        u = solver.cg(step, u[None],
+                      lambda r: spectral.torus_solve_nodespace(r, h, inverse=inverse),
+                      STEP_TOL, 5000)[0][0]
+    return u
 
 
 def dict_stencil(a, h, periodic):

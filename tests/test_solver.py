@@ -708,6 +708,26 @@ class TestBatchedCG:
             assert np.array_equal(x[i], xi[0])
             assert res[i] == ri[0] <= 1e-10 and its[i] == ti[0]
 
+    @pytest.mark.parametrize("guessed", [False, True])
+    def test_preconditioner_may_return_its_argument(self, guessed):
+        # a preconditioner that hands back the residual itself (plain CG) runs the same
+        # steps, bit for bit, as one that returns a copy: no write to r comes before z is
+        # consumed, with batched columns and with a column that stops first (nrun < ncol)
+        A, b = self._diagonal_problem(np.linspace(1.0, 50.0, 16),
+                                      [[3], np.arange(16), np.arange(0, 16, 3)], 14)
+        # a guess on each column's support keeps column 0 on one eigenvalue
+        x0 = np.random.default_rng(15).normal(size=b.shape) * (b != 0) if guessed else None
+        seen = []
+
+        def same(r):
+            seen.append(r)
+            return r
+
+        x, res, its = cg(A, b, same, 1e-10, 100, x0=x0)
+        x2, res2, its2 = cg(A, b, lambda r: r.copy(), 1e-10, 100, x0=x0)
+        assert its.min() < its.max() and len(seen) == its.max()
+        assert np.array_equal(x, x2) and np.array_equal(res, res2) and np.array_equal(its, its2)
+
     def test_overwritten_guess_becomes_the_iterate(self):
         # the copying run keeps its guess; the overwriting run returns the guess's buffer
         A, b = self._diagonal_problem(np.linspace(1.0, 50.0, 16), [np.arange(16)] * 2, 11)

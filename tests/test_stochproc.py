@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
-import scipy.sparse
 from hypothesis import example, given, settings, strategies as st
 
+import hlab.spectral
 import hlab.stochproc
 from hlab.fields import (
     GaussianFieldParams,
@@ -15,9 +15,7 @@ from hlab.fields import (
 )
 from hlab.lattice import GridSpec
 from hlab.solver import cg
-from hlab.spectral import network_symbol, pseudo_inverse, torus_solve_nodespace
 from hlab.stochproc import (
-    STEP_TOL,
     build_network,
     green_symmetry_check,
     network_homogenized_matrix,
@@ -25,6 +23,7 @@ from hlab.stochproc import (
     parabolic_green,
     simulate_walks,
 )
+from oracles import zero_start_green
 
 
 class TestNetwork:
@@ -217,30 +216,28 @@ class TestWalks:
         assert np.trace(rep.covariances[1]) > np.trace(rep.covariances[0])
 
 
-def _zero_start_green(a_field, t_final, source, dt):
-    """The implicit-Euler density with every step's CG started from zero."""
-    net = build_network(a_field)
-    grid = net.grid
-    h = grid.h
-    inverse = pseudo_inverse(1.0 + dt * network_symbol(grid.cell_shape, h))
-    step = scipy.sparse.identity(grid.side**grid.d, format="csr") + dt * network_operator(net)
-    u = np.zeros(grid.cell_shape)
-    u[source] = 1.0 / h**grid.d
-    for _ in range(int(round(t_final / dt))):
-        u = cg(step, u[None], lambda r: torus_solve_nodespace(r, h, inverse=inverse),
-               STEP_TOL, 5000)[0][0]
-    return u
-
-
 class TestGreen:
-    def test_warm_start_matches_zero_start(self):
-        # the extrapolated guess changes the iterations, not the density, and
-        # carries the exact mass
+    @pytest.mark.parametrize("dt", [0.125, 0.05])
+    def test_steps_match_zero_start_reference(self, dt):
+        # neither the extrapolated guess nor dropping the preconditioner moves the
+        # density beyond the solver's tolerance, and the guess carries the exact mass
         fld = sample_checkerboard(GridSpec(2, 3, 1), 2)
-        rep = parabolic_green(fld, 4.0, (13, 13), dt=0.125)
-        ref = _zero_start_green(fld, 4.0, (13, 13), 0.125)
+        rep = parabolic_green(fld, 4.0, (13, 13), dt=dt)
+        ref = zero_start_green(fld, 4.0, (13, 13), dt)
         assert np.abs(rep.green_field - ref).max() <= 1e-9 * ref.max()
         assert rep.mass_drift <= 1e-13
+
+    def test_steps_run_no_transform(self, monkeypatch):
+        # each implicit-Euler step is plain CG: no spectral solve per iteration
+        calls = []
+        real = hlab.spectral.torus_solve_nodespace
+        monkeypatch.setattr(hlab.spectral, "torus_solve_nodespace",
+                            lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+        net = build_network(sample_checkerboard(GridSpec(2, 2, 1), 3))
+        _, steps, iters, _ = hlab.stochproc._green_steps(net, 2.0, (4, 4), 0.05)
+        assert steps == 40 and iters > steps and calls == []
+        network_homogenized_matrix(net)
+        assert calls                    # the spy sees the cell problem's preconditioner
 
     def test_mass_conserved_and_gaussian_match(self):
         fld = make_constant(GridSpec(2, 3, 1), np.eye(2))
@@ -286,8 +283,26 @@ class TestGreen:
 
     def test_horizon_must_divide(self):
         fld = make_constant(GridSpec(2, 2, 1), np.eye(2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"t_final = 1\.0 .* dt = 0\.3"):
             parabolic_green(fld, 1.0, (0, 0), dt=0.3)
+        with pytest.raises(ValueError, match=r"t_final = 1e-09 .* dt = 1\.0"):
+            parabolic_green(fld, 1e-9, (0, 0), dt=1.0)
+
+    @pytest.mark.parametrize("t_final, dt, named", [
+        (1.0, -0.25, "dt"), (1.0, 0.0, "dt"), (1.0, np.nan, "dt"), (1.0, np.inf, "dt"),
+        (0.0, 0.25, "t_final"), (-1.0, 0.25, "t_final"), (np.nan, 0.25, "t_final"),
+        (np.inf, 0.25, "t_final"),
+    ])
+    @pytest.mark.parametrize("entry", ["green", "symmetry"])
+    def test_bad_time_inputs_named(self, monkeypatch, entry, t_final, dt, named):
+        # refused before any solve, by name, from either entry point
+        monkeypatch.setattr(hlab.stochproc, "cg", None)
+        fld = make_constant(GridSpec(2, 2, 1), np.eye(2))
+        with pytest.raises(ValueError, match=rf"\b{named} must be finite and > 0, got"):
+            if entry == "green":
+                parabolic_green(fld, t_final, (0, 0), dt=dt)
+            else:
+                green_symmetry_check(fld, t_final, (0, 0), (1, 1), dt=dt)
 
     @pytest.mark.parametrize("source", [(9, 0), (0, -1), (4.5, 4), (4,), (True, 4)])
     def test_source_must_be_a_cell(self, source):
