@@ -8,12 +8,12 @@ a time, and each solve call assembles it once as a sparse matrix
 allocated once, into which each offset's array is streamed and then freed).
 The Dirichlet solves take the interior block of the free-grid stencil as their
 operator and the stencil's rows at interior nodes for the load of the lifted
-boundary data, both from one pass over the offsets.  The preconditioner inverts the constant-coefficient operator exactly in a
-fast transform basis, which caps the condition number by the ellipticity
-ratio.  It need not be exact to do so: a solve with tolerance tol >= 1e-12
+boundary data, both from one pass over the offsets.  The preconditioner
+inverts the constant-coefficient operator exactly in a fast transform basis,
+which caps the condition number by the ellipticity ratio.  It need not be exact to do so: a solve with tolerance tol >= 1e-12
 applies it in float32, at about half the transform cost, and a smaller tol in
 float64 (see `SolveOptions`).  The CG itself (iterate, residual, dot
-products, projector and stopping rule) is float64 either way.
+products and stopping rule) is float64 either way.
 
 The CG is column-batched, with step sizes, residuals and iteration counts
 kept per column.  The affine solves take a stack of slopes or fluxes, so the
@@ -38,9 +38,13 @@ set.  A column's CG steps do not depend on the other columns of its batch, so
 every output is the one that a CG over all directions gives, bit for bit.
 
 The cell-centered element has zero-energy node modes beyond constants: the
-parity fields (-1)^(i_r + i_s) over two or more axes.  They are projected
-out of free-boundary and even-sided periodic solves; reported gradients,
-fluxes, and energies are invariant along them.
+parity fields (-1)^(i_r + i_s) over two or more axes.  The free-grid (Neumann)
+and torus operators have the constants and these fields as kernel (on the
+torus, those of even-sided axes), and the spectral pseudo-inverses zero the
+same modes.  So a solve projects them off each load and guess once before the
+CG and off its solution once after it, and the CG runs as for a definite
+operator (`_solve`); reported gradients, fluxes, and energies are invariant
+along them.
 """
 
 from __future__ import annotations
@@ -237,28 +241,28 @@ def _make_projector(shape, periodic):
     return project
 
 
-def cg(A, b, precondition, tol, maxiter, project=None, labels=None, x0=None,
-       overwrite=False):
+def cg(A, b, precondition, tol, maxiter, labels=None, x0=None, overwrite=False):
     """Column-batched preconditioned CG for the symmetric sparse operator A.
 
     b carries a leading column axis, and A spans all of b: one column, or the
     columns of a block-diagonal A (the cubes of a partition).  `precondition` maps the
     residual to a b-shaped array, a new one or the residual itself: each preconditioned
-    residual is consumed before r changes, so the identity `lambda r: r` runs plain CG
-    (a `project` then acts on r itself); `project`, in place, keeps b, the guess and each preconditioned residual off the
-    kernel of a singular A.  The iterate starts at the guess x0 (b-shaped)
-    when given, so the residual starts as b - A x0, and at zero otherwise; a zero column of
-    b keeps x = 0 whatever its guess.  Each column stops once ||r|| <= tol ||b||, with b
-    projected, so a guess changes the work but not the accuracy, and a guess that already
-    meets the tolerance takes no iteration.  b and x0 are copied unless `overwrite`, which
-    hands them over: a writable C-contiguous float64 b becomes the residual and such an x0
-    the iterate, in place, and any other array is copied as before.  Returns (x, relative
-    residuals, iterations), the last two per column.  A SolverError names the first failing
-    column (by `labels[i]` when given) and carries its residual and iteration count.
+    residual is consumed before r changes, so the identity `lambda r: r` runs plain CG.
+    A singular A needs b in its range and a preconditioner whose image has no kernel
+    part beyond rounding, as the spectral pseudo-inverses have: r then stays in the
+    range, and kernel parts reach only x, which the caller projects off if it must.
+    The iterate starts at the guess x0 (b-shaped) when given, so the residual starts as
+    b - A x0, and at zero otherwise; a zero column of b keeps x = 0 whatever its guess.
+    Each column stops once ||r|| <= tol ||b||, so a guess changes the work but not the
+    accuracy, and a guess that already meets the tolerance takes no iteration.  b and x0
+    are copied unless `overwrite`, which hands them over: a writable C-contiguous float64
+    b becomes the residual and such an x0 the iterate, in place, and any other array is
+    copied as before.  Returns (x, relative residuals, iterations), the last two per
+    column.  A SolverError names the first failing column (by `labels[i]` when given)
+    and carries its residual and iteration count.
     """
     ncol = b.shape[0]
     col = (ncol,) + (1,) * (b.ndim - 1)
-    project = project or (lambda v: v)
 
     def apply_op(v):
         return (A @ v.ravel()).reshape(v.shape)
@@ -275,7 +279,7 @@ def cg(A, b, precondition, tol, maxiter, project=None, labels=None, x0=None,
 
     # the residual starts in b's buffer when handed over, else in a private copy of b;
     # either way this function holds no other copy of b
-    r = project(own(b))
+    r = own(b)
     del b
     bnorm = np.sqrt(dot(r, r))
     nonzero = bnorm > 0.0
@@ -284,7 +288,7 @@ def cg(A, b, precondition, tol, maxiter, project=None, labels=None, x0=None,
         x = np.zeros_like(r)
         relres = nonzero.astype(float)
     else:
-        x = project(own(x0).reshape(r.shape))
+        x = own(x0).reshape(r.shape)
         x[~nonzero] = 0.0
         r -= apply_op(x)
         relres = np.sqrt(dot(r, r)) / bnorm
@@ -294,7 +298,7 @@ def cg(A, b, precondition, tol, maxiter, project=None, labels=None, x0=None,
     if nrun == 0:
         return x, relres, its
     # z is dropped once it has entered p, so each product runs beside x, r and p only
-    z = project(precondition(r))
+    z = precondition(r)
     p = z * running.reshape(col)
     rz = dot(r, z)
     del z
@@ -316,7 +320,7 @@ def cg(A, b, precondition, tol, maxiter, project=None, labels=None, x0=None,
             return x, relres, its
         running = ~(relres <= tol)
         nrun = np.count_nonzero(running)
-        z = project(precondition(r))
+        z = precondition(r)
         rz_new = dot(r, z)
         if nrun < ncol:
             rz = np.where(running, rz, 1.0)
@@ -336,26 +340,29 @@ def _solve(A, load, x, h, bc, opts, labels=None, warm=False):
 
     A is grad^T a grad, block-diagonal over the cubes, on the nodes of `bc` in
     {'dirichlet' (interior), 'neumann', 'periodic'}; `bc` picks the spectral
-    preconditioner, and the free solves project out the operator's kernel.
-    Each direction runs its own CG.  `load(i)` gives row i's load, a writable
-    C-contiguous (B, *nodes) array (made right before the CG, or a row of x),
-    which the CG takes over as its residual.  The solution lands in x's row,
-    whose values start the CG when `warm` and are ignored otherwise.
+    preconditioner.  Each direction runs its own CG.  `load(i)` gives row i's load, a
+    writable C-contiguous (B, *nodes) array (made right before the CG, or a row of x),
+    which the CG takes over as its residual.  The solution lands in x's row, whose
+    values start the CG when `warm` and are ignored otherwise.  The Neumann and
+    periodic operators are singular: their kernel (`_make_projector`) is projected off
+    each load and guess, in place, before the CG, and off its solution after it, and
+    nowhere inside its iterations.  The Dirichlet operator has no kernel.
     """
     lead, shape = x.shape[:2], x.shape[2:]
     kind = "torus" if bc == "periodic" else bc
     dtype = np.float32 if opts.tol >= _SINGLE_TOL else np.float64
     inverse = spectral.pseudo_inverse(getattr(spectral, f"{kind}_symbol")(shape, h)).astype(dtype)
     solve = getattr(spectral, f"{kind}_solve_nodespace")
-    project = None if bc == "dirichlet" else _make_projector(shape, bc == "periodic")
+    project = (lambda v: v) if bc == "dirichlet" else _make_projector(shape, bc == "periodic")
 
     def precondition(r):
         return solve(r.astype(dtype, copy=False), h, inverse=inverse).astype(float, copy=False)
 
     res, its = np.empty(lead), np.empty(lead, dtype=int)
     for i in range(lead[0]):
-        xi, res[i], its[i] = cg(A, load(i), precondition, opts.tol, opts.maxiter, project,
-                                labels, x[i] if warm else None, overwrite=True)
+        xi, res[i], its[i] = cg(A, project(load(i)), precondition, opts.tol, opts.maxiter,
+                                labels, project(x[i]) if warm else None, overwrite=True)
+        xi = project(xi)
         if not np.may_share_memory(xi, x[i]):
             x[i] = xi       # row i's CG is done with its residual, which may be this row
         del xi
@@ -568,7 +575,6 @@ def solve_periodic_cell(a_field: CoefficientField, e, opts: SolveOptions = None)
     phi = -gradient_adjoint(_amul(a, ecol), h, periodic=True)
     res, its = _solve(stencil_matrix(_stencil(a, h, True)[1], periodic=True), phi.__getitem__,
                       phi, h, "periodic", opts or SolveOptions())
-    phi -= phi.mean(axis=tuple(range(2, d + 2)), keepdims=True)
     grad = discrete_gradient(phi, h, periodic=True, d=d)
     corrected = grad + ecol
     flux = _amul(a, corrected)

@@ -169,7 +169,7 @@ def _whole_solve(A, b, h, bc, opts, labels=None, x0=None):
     dtype = np.float32 if opts.tol >= solver._SINGLE_TOL else np.float64
     inverse = spectral.pseudo_inverse(getattr(spectral, f"{bc}_symbol")(shape, h)).astype(dtype)
     solve = getattr(spectral, f"{bc}_solve_nodespace")
-    project = None if bc == "dirichlet" else solver._make_projector(shape, False)
+    project = (lambda v: v) if bc == "dirichlet" else solver._make_projector(shape, False)
 
     def precondition(r):
         return solve(r.astype(dtype, copy=False), h, inverse=inverse).astype(float, copy=False)
@@ -177,8 +177,10 @@ def _whole_solve(A, b, h, bc, opts, labels=None, x0=None):
     x = b if x0 is None else np.require(np.reshape(x0, b.shape), float, "CW")
     res, its = np.empty(b.shape[:2]), np.empty(b.shape[:2], dtype=int)
     for i in range(len(b)):
-        xi, res[i], its[i] = solver.cg(A, b[i], precondition, opts.tol, opts.maxiter, project,
-                                       labels, None if x0 is None else x[i], overwrite=True)
+        xi, res[i], its[i] = solver.cg(A, project(b[i]), precondition, opts.tol, opts.maxiter,
+                                       labels, None if x0 is None else project(x[i]),
+                                       overwrite=True)
+        xi = project(xi)
         if not np.may_share_memory(xi, x[i]):
             x[i] = xi
     return x, res, its

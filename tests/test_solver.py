@@ -599,6 +599,102 @@ class TestProjector:
             assert along.max() <= 1e-14 * np.linalg.norm(v), axes
 
 
+
+class TestKernel:
+    """The projector, the operator and the spectral preconditioner agree on the kernel
+    that the Neumann and periodic solves project off their loads, guesses and solutions."""
+
+    SHAPES = [(5, 5), (6, 6), (5, 6), (3, 3, 3), (4, 4, 4), (3, 4, 4)]
+
+    @staticmethod
+    def _setup(bc, shape, checkerboard=False):
+        # the projector, its modes as orthonormal rows, the operator of general SPD (or
+        # contrast-4 checkerboard) cells, and the pseudo-inverse of its constant part
+        periodic, h, d = bc == "torus", 1.0 / 3.0, len(shape)
+        project = _make_projector(shape, periodic)
+        n = math.prod(shape)
+        eye = np.eye(n).reshape((n,) + shape)
+        u, sv, _ = np.linalg.svd((eye - project(eye.copy())).reshape(n, n))
+        modes = u[:, sv > 0.5].T
+        cells = (1,) + tuple(k - (not periodic) for k in shape)
+        r = np.random.default_rng(len(shape))
+        if checkerboard:
+            a = np.where(r.random(cells) < 0.5, 1.0, 4.0)[..., None, None] * np.eye(d)
+        else:
+            m = r.normal(size=cells + (d, d))
+            a = m @ np.swapaxes(m, -1, -2) + 0.5 * np.eye(d)
+        A = stencil_matrix(_stencil(a, h, periodic)[1], periodic=periodic)
+        inverse = spectral.pseudo_inverse(getattr(spectral, f"{bc}_symbol")(shape, h))
+        return project, modes, A, inverse, h
+
+    @pytest.mark.parametrize("bc", ["neumann", "torus"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_operator_annihilates_the_modes_the_preconditioner_zeroes(self, bc, shape):
+        project, modes, A, inverse, h = self._setup(bc, shape)
+        scale = np.abs(A.toarray()).max()
+        assert max(np.abs(A @ mode).max() for mode in modes) <= 1e-14 * scale
+        if len(shape) == 2:
+            # in 3d the pseudo-inverse zeroes more: (-1)^(i_r + i_s) f(i_t) has no gradient
+            # either, and the projector leaves those modes to the loads, which have none
+            assert len(modes) == np.count_nonzero(inverse == 0.0)
+        if bc == "torus":
+            # the torus pseudo-inverse zeroes them in the Euclidean product
+            solved = spectral.torus_solve_nodespace(modes.reshape((-1,) + shape), h,
+                                                    inverse=inverse)
+            assert np.abs(solved).max() <= 1e-14 / scale
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_torus_preconditioner_keeps_projected_vectors_off_the_kernel(self, shape, dtype):
+        project, modes, _, inverse, h = self._setup("torus", shape)
+        v = project(np.random.default_rng(1).normal(size=(3,) + shape))
+        z = spectral.torus_solve_nodespace(v.astype(dtype), h, inverse=inverse.astype(dtype))
+        along = np.abs(z.astype(float).reshape(3, -1) @ modes.T).max()
+        assert along <= 2 * np.finfo(dtype).eps * np.abs(z).max()
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-13])
+    @pytest.mark.parametrize("bc", ["neumann", "torus"])
+    @pytest.mark.parametrize("shape", [(6, 6), (7, 7), (4, 4, 4), (5, 5, 5)])
+    def test_projection_inside_the_loop_changes_no_step(self, bc, shape, tol):
+        # the kernel part of a preconditioned residual reaches only the iterate (the
+        # Neumann one has one in the Euclidean product: the DCT-I zeroes the modes in a
+        # trapezoid-weighted one), so a CG that projects every preconditioned residual
+        # takes the same steps as one that projects its load before and its iterate after
+        project, modes, A, inverse, h = self._setup(bc, shape, checkerboard=True)
+        dtype = np.float32 if tol >= solver._SINGLE_TOL else np.float64
+        solve = getattr(spectral, f"{bc}_solve_nodespace")
+
+        def precondition(r):
+            return solve(r.astype(dtype), h, inverse=inverse.astype(dtype)).astype(float)
+
+        # a load in the range of A, as every solve's is (in 3d the projector's modes are
+        # not the whole kernel, so a projected random vector is not)
+        b = (A @ np.random.default_rng(3).normal(size=A.shape[0])).reshape((1,) + shape)
+        x, res, its = cg(A, b, precondition, tol, 500)
+        x_in, res_in, its_in = cg(A, b, lambda r: project(precondition(r)), tol, 500)
+        x = project(x)
+        assert its[0] == its_in[0] > 0
+        assert abs(res[0] - res_in[0]) <= 1e-3 * tol
+        assert np.abs(x - x_in).max() <= tol * np.abs(x_in).max()
+        assert np.abs(modes @ x.ravel()).max() <= 1e-14 * np.abs(x).max()
+
+    def test_torus_guess_offset_by_a_constant_takes_no_step(self):
+        # a solve projects its guess like its load, so a constant offset drops out
+        grid = GridSpec(2, 1, 2)
+        a = sample_checkerboard(grid, 5).a[None]
+        A = stencil_matrix(_stencil(a, grid.h, True)[1], periodic=True)
+        b = np.random.default_rng(4).normal(size=(1, 1) + grid.cell_shape)
+        opts = SolveOptions(tol=1e-10)
+        x = np.zeros_like(b)
+        _, its = solver._solve(A, lambda i: b[i].copy(), x, grid.h, "periodic", opts)
+        assert its[0, 0] > 0 and abs(x.mean()) <= 1e-15
+        x2 = x + 3.0
+        res2, its2 = solver._solve(A, lambda i: b[i].copy(), x2, grid.h, "periodic", opts,
+                                   warm=True)
+        assert its2[0, 0] == 0 and res2[0, 0] <= 1e-10
+        assert np.abs(x2 - x).max() <= 1e-12 * np.abs(x).max()
+
+
 # partitions: d in {2, 3}, macro level m <= 3 (3d: m <= 2), partition level n < m
 PARTITIONS = st.sampled_from([2, 3]).flatmap(
     lambda d: st.integers(1, 3 if d == 2 else 2).flatmap(
@@ -663,22 +759,6 @@ class TestBatchedCG:
         exact = b / A.diagonal().reshape(b.shape)
         x, res, its = cg(A, b, _identity, 1e-10, 100, x0=exact)
         assert not its.any() and res.max() <= 1e-10 and np.array_equal(x, exact)
-        # on the torus the guess is projected like b: a constant offset drops out
-        grid = GridSpec(2, 1, 2)
-        a = sample_checkerboard(grid, 5).a[None]
-        A = stencil_matrix(_stencil(a, grid.h, True)[1], periodic=True)
-        project = _make_projector(grid.cell_shape, True)
-        inverse = spectral.pseudo_inverse(spectral.torus_symbol(grid.cell_shape, grid.h))
-
-        def precondition(r):
-            return spectral.torus_solve_nodespace(r, grid.h, inverse=inverse)
-
-        b = np.random.default_rng(4).normal(size=(1,) + grid.cell_shape)
-        x, _, its = cg(A, b, precondition, 1e-10, 200, project)
-        assert its[0] > 0
-        x2, res2, its2 = cg(A, b, precondition, 1e-10, 200, project, x0=x + 3.0)
-        assert its2[0] == 0 and res2[0] <= 1e-10
-        assert np.abs(x2 - x).max() <= 1e-12 * np.abs(x).max()
 
     def test_bad_guess_meets_the_tolerance_of_b(self):
         # the stopping rule is relative to b, not to the guess's residual
