@@ -9,10 +9,12 @@ builder, which centres each flux by its own cell mean.
 The flux corrector s is antisymmetric by construction: each entry potential
 s_ij (i < j) solves a constant-coefficient Poisson problem on the torus.
 Because all discrete derivative symbols share one phase factor, the discrete
-divergence (row-wise, d/dx_j of s_ij) reproduces any discretely
-divergence-free g exactly; for fluxes that are divergence-free only up to
-the solver tolerance or a periodization seam, the residual is measured and
-reported in the weak norm.
+divergence (row-wise, d/dx_j of s_ij) reproduces exactly any discretely
+divergence-free g without Fourier modes of angle pi on two or more axes.  Those
+exist on even-sided tori: no gradient has them, so they stay in the residual
+(in 2d the parity field (-1)^(i_1 + i_2) times a constant vector).  For fluxes
+that are divergence-free only up to the solver tolerance or a periodization
+seam, the residual is measured and reported in the weak norm.
 """
 
 from __future__ import annotations

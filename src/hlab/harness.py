@@ -327,8 +327,8 @@ def rate_fit(scales, values) -> FitTarget:
     values = np.asarray(values, dtype=float)
     if scales.size < MIN_FIT_POINTS:
         raise ValueError(f"rate fit needs at least {MIN_FIT_POINTS} points")
-    if np.any(values <= 0) or np.any(scales <= 0):
-        raise ValueError("rate fit needs positive scales and values")
+    if not all(np.all((0 < v) & (v < np.inf)) for v in (scales, values)):
+        raise ValueError("rate fit needs finite, positive scales and values")
     ls, lv = np.log(scales), np.log(values)
     slope, intercept = np.polyfit(ls, lv, 1)
 

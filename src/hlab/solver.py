@@ -10,8 +10,9 @@ The Dirichlet solves take the interior block of the free-grid stencil as their
 operator and the stencil's rows at interior nodes for the load of the lifted
 boundary data, both from one pass over the offsets.  The preconditioner
 inverts the constant-coefficient operator exactly in a fast transform basis,
-which caps the condition number by the ellipticity ratio.  It need not be exact to do so: a solve with tolerance tol >= 1e-12
-applies it in float32, at about half the transform cost, and a smaller tol in
+which caps the condition number by the ellipticity ratio.  It need not be
+exact to do so: a solve with tolerance tol >= 1e-12 applies it in float32, at
+about half the transform cost, and a smaller tol in
 float64 (see `SolveOptions`).  The CG itself (iterate, residual, dot
 products and stopping rule) is float64 either way.
 
@@ -38,13 +39,10 @@ set.  A column's CG steps do not depend on the other columns of its batch, so
 every output is the one that a CG over all directions gives, bit for bit.
 
 The cell-centered element has zero-energy node modes beyond constants: the
-parity fields (-1)^(i_r + i_s) over two or more axes.  The free-grid (Neumann)
-and torus operators have the constants and these fields as kernel (on the
-torus, those of even-sided axes), and the spectral pseudo-inverses zero the
-same modes.  So a solve projects them off each load and guess once before the
-CG and off its solution once after it, and the CG runs as for a definite
-operator (`_solve`); reported gradients, fluxes, and energies are invariant
-along them.
+parity fields (-1)^(i_r + i_s) over two or more axes, in 3d times any function
+of the third index.  `_solve` projects the constants and the parity fields off
+the loads, guesses and solutions of free-boundary and periodic solves, outside
+the CG; reported gradients, fluxes, and energies are invariant along them.
 """
 
 from __future__ import annotations
@@ -244,22 +242,20 @@ def _make_projector(shape, periodic):
 def cg(A, b, precondition, tol, maxiter, labels=None, x0=None, overwrite=False):
     """Column-batched preconditioned CG for the symmetric sparse operator A.
 
-    b carries a leading column axis, and A spans all of b: one column, or the
-    columns of a block-diagonal A (the cubes of a partition).  `precondition` maps the
-    residual to a b-shaped array, a new one or the residual itself: each preconditioned
-    residual is consumed before r changes, so the identity `lambda r: r` runs plain CG.
-    A singular A needs b in its range and a preconditioner whose image has no kernel
-    part beyond rounding, as the spectral pseudo-inverses have: r then stays in the
-    range, and kernel parts reach only x, which the caller projects off if it must.
-    The iterate starts at the guess x0 (b-shaped) when given, so the residual starts as
-    b - A x0, and at zero otherwise; a zero column of b keeps x = 0 whatever its guess.
-    Each column stops once ||r|| <= tol ||b||, so a guess changes the work but not the
-    accuracy, and a guess that already meets the tolerance takes no iteration.  b and x0
-    are copied unless `overwrite`, which hands them over: a writable C-contiguous float64
-    b becomes the residual and such an x0 the iterate, in place, and any other array is
-    copied as before.  Returns (x, relative residuals, iterations), the last two per
-    column.  A SolverError names the first failing column (by `labels[i]` when given)
-    and carries its residual and iteration count.
+    b carries a leading column axis, and A spans all of b: one column, or the columns of a
+    block-diagonal A (the cubes of a partition).  `precondition` maps the residual to a
+    b-shaped array, a new one or the residual itself: each preconditioned residual is
+    consumed before r changes, so the identity `lambda r: r` runs plain CG.  A singular A
+    needs b in its range; r stays there, and the kernel parts of the preconditioned
+    residuals reach only x, for the caller to project off.  The iterate starts at the guess
+    x0 (b-shaped) when given, so the residual starts as b - A x0, and at zero otherwise; a
+    zero column of b keeps x = 0 whatever its guess.  Each column stops once ||r|| <= tol
+    ||b||, so a guess changes the work but not the accuracy, and a guess that already meets
+    the tolerance takes no iteration.  b and x0 are copied unless `overwrite`, which hands
+    them over: a writable C-contiguous float64 b becomes the residual and such an x0 the
+    iterate, in place, and any other array is copied as before.  Returns (x, relative
+    residuals, iterations), the last two per column.  A SolverError names the first failing
+    column (by `labels[i]` when given) and carries its residual and iteration count.
     """
     ncol = b.shape[0]
     col = (ncol,) + (1,) * (b.ndim - 1)
@@ -343,10 +339,9 @@ def _solve(A, load, x, h, bc, opts, labels=None, warm=False):
     preconditioner.  Each direction runs its own CG.  `load(i)` gives row i's load, a
     writable C-contiguous (B, *nodes) array (made right before the CG, or a row of x),
     which the CG takes over as its residual.  The solution lands in x's row, whose
-    values start the CG when `warm` and are ignored otherwise.  The Neumann and
-    periodic operators are singular: their kernel (`_make_projector`) is projected off
-    each load and guess, in place, before the CG, and off its solution after it, and
-    nowhere inside its iterations.  The Dirichlet operator has no kernel.
+    values start the CG when `warm` and are ignored otherwise.  The free and periodic
+    solves project the operator's kernel off each load and guess, in place, and off
+    each solution, but not inside the CG; the Dirichlet operator has no kernel.
     """
     lead, shape = x.shape[:2], x.shape[2:]
     kind = "torus" if bc == "periodic" else bc

@@ -141,13 +141,13 @@ def simulate_walks(net: ConductanceNetwork, T: float, n_paths: int, seed: int,
     d, h, side = grid.d, grid.h, grid.side
     if sample_times is None:
         sample_times = [T / 2.0, 3.0 * T / 4.0, T]
-    sample_times = sorted(float(s) for s in sample_times)
+    sample_times = [float(s) for s in sample_times]
     if not sample_times:
         raise ValueError("sample_times must not be empty")
-    if not sample_times[0] >= 0:
-        raise ValueError(f"sample times must be >= 0, got {sample_times[0]!r}")
-    if sample_times[-1] > T:
-        raise ValueError(f"sample time {sample_times[-1]!r} lies beyond the horizon T = {T!r}")
+    for s in sample_times:      # before sorting, which would keep a NaN inside the list
+        if not 0 <= s <= T:
+            raise ValueError(f"sample time {s!r} must lie in [0, T = {T!r}]")
+    sample_times = sorted(sample_times)
 
     n_moves = 2 * d
     inv_h2 = 1.0 / (h * h)

@@ -39,15 +39,11 @@ class TwoScaleReport:
 
 
 def _tile_corrector_nodes(phi: np.ndarray, reps: int) -> np.ndarray:
-    """Periodic extension of a unit-cell node field to reps^d cells of nodes."""
-    d = phi.ndim
-    tiled = np.tile(phi, (reps,) * d)  # torus node fields have one node per cell
-    # close the last node plane on each axis by periodicity
-    for ax in range(d):
-        first = [slice(None)] * d
-        first[ax] = slice(0, 1)
-        tiled = np.concatenate([tiled, tiled[tuple(first)]], axis=ax)
-    return tiled
+    """Periodic extension of a unit-cell node field to reps^d cells of nodes.
+
+    Torus node fields have one node per cell, so the tiled field's last node plane
+    on each axis is closed by periodicity."""
+    return np.pad(np.tile(phi, (reps,) * phi.ndim), [(0, 1)] * phi.ndim, mode="wrap")
 
 
 def scale_level(eps: float) -> int:

@@ -10,7 +10,7 @@ from hlab.correctors import (
     sublinearity_R,
 )
 from hlab.fields import make_constant, make_laminate, sample_checkerboard
-from hlab.lattice import GridSpec, TriadicCube, discrete_gradient
+from hlab.lattice import GridSpec, TriadicCube, discrete_gradient, weak_norm_estimate
 from oracles import restrict
 
 
@@ -44,6 +44,19 @@ class TestFluxCorrector:
         g = np.stack([grad[..., 1], -grad[..., 0]], axis=-1)
         _, residual = flux_corrector(g, grid)
         assert residual < 1e-11
+
+    def test_even_torus_residual_is_the_parity_component(self):
+        # on the even-sided 54^2 torus each centred flux has a (pi, pi) component, which
+        # is divergence-free but the divergence of no skew potential: it is the residual
+        f = sample_checkerboard(GridSpec(2, 3, 2), 5)
+        n = f.grid.side
+        parity = ((-1.0) ** np.add.outer(np.arange(n), np.arange(n)))[..., None]
+        cset = periodic_homogenized_matrix(f)
+        for g, residual in zip(cset.g, cset.div_residuals):
+            part = parity * (g * parity).mean(axis=(0, 1))
+            assert residual > 0.1
+            assert residual == pytest.approx(weak_norm_estimate(part, f.grid), rel=1e-6)
+            assert flux_corrector(g - part, f.grid)[1] < 1e-7
 
     def test_generic_field_residual_reported(self):
         # an arbitrary mean-zero field is not divergence-free; the residual

@@ -329,6 +329,11 @@ class TestRateFit:
             rate_fit([1.0, 2.0], [1.0, 1.0])
         with pytest.raises(ValueError):
             rate_fit([1.0, 2.0, 4.0], [1.0, -1.0, 1.0])
+        # a NaN or inf point would give a NaN slope, intercept and interval
+        for scales, values in (([1, 2, 3], [1.0, np.nan, 0.5]), ([1, 2, 3], [1.0, np.inf, 0.5]),
+                               ([1, np.nan, 3], [1.0, 0.7, 0.5]), ([1, 2, np.inf], [1.0, 0.7, 0.5])):
+            with pytest.raises(ValueError, match="finite"):
+                rate_fit(scales, values)
 
 
 class TestFieldFromConfig:

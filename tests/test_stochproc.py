@@ -204,6 +204,8 @@ class TestWalks:
     @pytest.mark.parametrize("T, times, named", [
         (0.0, None, "0.0"), (-5.0, [1.0], "-5.0"), (np.inf, [1.0], "inf"),
         (4.0, [], "sample_times"), (4.0, [-1.0, 4.0], "-1.0"),
+        # a NaN is named wherever it sits: sorting would leave it inside the list
+        (60.0, [10.0, np.nan, 50.0], "nan"), (60.0, [50.0, np.nan, 10.0], "nan"),
     ])
     def test_bad_walk_inputs_named(self, T, times, named):
         net = build_network(make_constant(GridSpec(2, 1, 1), np.eye(2)))

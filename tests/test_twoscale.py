@@ -7,6 +7,7 @@ from hlab.correctors import periodic_homogenized_matrix
 from hlab.fields import make_constant, make_laminate, tile_unit_cell
 from hlab.lattice import GridSpec
 from hlab.twoscale import (
+    _tile_corrector_nodes,
     build_two_scale,
     dirichlet_error,
     error_table_rows,
@@ -28,6 +29,15 @@ class TestBuildTwoScale:
         expect = coords[0] + 2.0 * coords[1]
         assert w.shape == g.node_shape
         assert np.abs(w - expect).max() < 1e-9
+
+    @pytest.mark.parametrize("d, reps", [(2, 1), (2, 3), (2, 9), (3, 1), (3, 3)])
+    def test_tiled_nodes_wrap_the_unit_cell(self, d, reps):
+        # node i of the tiling is node i mod n of the cell, the closing planes included
+        phi = np.random.default_rng(d * reps).normal(size=(4,) * d)
+        tiled = _tile_corrector_nodes(phi, reps)
+        assert tiled.shape == (4 * reps + 1,) * d
+        wrap = np.ix_(*[np.arange(4 * reps + 1) % 4] * d)
+        assert tiled.tobytes() == phi[wrap].tobytes()
 
     def test_requires_unit_cell_periodic_set(self):
         cset = periodic_homogenized_matrix(make_constant(GridSpec(2, 1, 2), np.eye(2)))
