@@ -12,9 +12,9 @@ boundary data, both from one pass over the offsets.  The preconditioner
 inverts the constant-coefficient operator exactly in a fast transform basis,
 which caps the condition number by the ellipticity ratio.  It need not be
 exact to do so: a solve with tolerance tol >= 1e-12 applies it in float32, at
-about half the transform cost, and a smaller tol in
-float64 (see `SolveOptions`).  The CG itself (iterate, residual, dot
-products and stopping rule) is float64 either way.
+about half the transform cost, and a smaller tol in float64 (see
+`SolveOptions`).  The CG itself (iterate, residual, dot products and stopping
+rule) is float64 either way.
 
 The CG is column-batched, with step sizes, residuals and iteration counts
 kept per column.  The affine solves take a stack of slopes or fluxes, so the
@@ -40,9 +40,10 @@ every output is the one that a CG over all directions gives, bit for bit.
 
 The cell-centered element has zero-energy node modes beyond constants: the
 parity fields (-1)^(i_r + i_s) over two or more axes, in 3d times any function
-of the third index.  `_solve` projects the constants and the parity fields off
-the loads, guesses and solutions of free-boundary and periodic solves, outside
-the CG; reported gradients, fluxes, and energies are invariant along them.
+of the third index.  `_solve` projects the constants and the parity fields (on
+the torus, of even-sided axes) off the loads, guesses and solutions of free and
+periodic solves, outside the CG; reported gradients, fluxes, and energies are
+invariant along these modes.
 """
 
 from __future__ import annotations
