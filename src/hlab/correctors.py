@@ -1,10 +1,10 @@
 """Correctors, flux correctors, the homogenized matrix, and sublinearity.
 
-Periodic mode solves the d cell problems on the torus and reads the
-homogenized matrix off the mean flux.  Finite-volume mode builds correctors
-from Dirichlet solves on a triadic cube and the flux corrector on the
-periodic extension of the centered flux.  Both hand their d fluxes to one
-builder, which centres each flux by its own cell mean.
+Periodic mode solves the d cell problems on the torus; finite-volume mode
+builds correctors from Dirichlet solves on a triadic cube and the flux
+corrector on the periodic extension of the centered flux.  Both hand their d
+fluxes to one builder, which centres each flux by its own cell mean; abar is
+their symmetrised cell mean, `mean_flux_matrix`, which `hlab.renorm` reads too.
 
 The flux corrector s is antisymmetric by construction: each entry potential
 s_ij (i < j) solves a constant-coefficient Poisson problem on the torus.
@@ -37,6 +37,7 @@ from .solver import SolveOptions, solve_dirichlet_affine, solve_periodic_cell
 
 __all__ = [
     "CorrectorSet",
+    "mean_flux_matrix",
     "periodic_homogenized_matrix",
     "finite_volume_correctors",
     "flux_corrector",
@@ -94,29 +95,31 @@ def flux_corrector(g: np.ndarray, grid: GridSpec):
     return s, weak_norm_estimate(div_s - g, grid)
 
 
-def _corrector_set(mode, grid, level, phis, fluxes, with_flux_correctors=True):
-    """abar (the symmetrised cell mean of the d stacked fluxes), the centred
-    fluxes and, unless switched off, their flux correctors."""
+def mean_flux_matrix(fluxes: np.ndarray) -> np.ndarray:
+    """abar: the symmetrised cell mean of the d stacked fluxes, column k from flux k."""
+    abar = fluxes.mean(axis=tuple(range(1, fluxes.shape[-1] + 1))).T
+    return 0.5 * (abar + abar.T)
+
+
+def _corrector_set(mode, grid, level, phis, fluxes):
+    """abar, the centred fluxes and their flux correctors."""
     d = grid.d
-    abar = fluxes.mean(axis=tuple(range(1, d + 1))).T
     gs = [flux - flux.reshape(-1, d).mean(axis=0) for flux in fluxes]
-    built = [flux_corrector(g, grid) for g in gs] if with_flux_correctors else []
+    built = [flux_corrector(g, grid) for g in gs]
     return CorrectorSet(
         mode=mode, grid=grid, level=level, phi=phis, g=gs,
-        s=[s for s, _ in built], abar=0.5 * (abar + abar.T),
+        s=[s for s, _ in built], abar=mean_flux_matrix(fluxes),
         div_residuals=[res for _, res in built],
     )
 
 
 def periodic_homogenized_matrix(a_field: CoefficientField,
-                                opts: SolveOptions = None,
-                                with_flux_correctors: bool = True) -> CorrectorSet:
+                                opts: SolveOptions = None) -> CorrectorSet:
     """Solve the d periodic cell problems; abar e = torus-average flux."""
     grid = a_field.grid
     sol = solve_periodic_cell(a_field, np.eye(grid.d), opts or SolveOptions())
     # flux k: a (e_k + grad phi_k), discretely divergence-free
-    return _corrector_set("periodic", grid, grid.m, list(sol.u), sol.flux,
-                          with_flux_correctors)
+    return _corrector_set("periodic", grid, grid.m, list(sol.u), sol.flux)
 
 
 def finite_volume_correctors(a_field: CoefficientField, m: int,

@@ -329,6 +329,8 @@ def rate_fit(scales, values) -> FitTarget:
         raise ValueError(f"rate fit needs at least {MIN_FIT_POINTS} points")
     if not all(np.all((0 < v) & (v < np.inf)) for v in (scales, values)):
         raise ValueError("rate fit needs finite, positive scales and values")
+    if np.unique(scales).size < 2:
+        raise ValueError(f"rate fit needs at least 2 distinct scales, got {scales.tolist()}")
     ls, lv = np.log(scales), np.log(values)
     slope, intercept = np.polyfit(ls, lv, 1)
 
@@ -392,9 +394,7 @@ def _sublinearity_member(generator, grid, m, opts, seed):
 def _b_r_at_origin(make_field, r, opts, seed):
     """Ensemble member of `fluctuation_cascade`: b_r at the origin cell, flattened."""
     fld = make_field(seed, _torus_level_for(r))
-    cset = correctors.periodic_homogenized_matrix(fld, opts, with_flux_correctors=False)
-    hc = renorm.coarse_grained_b(cset, fld, r, [(0,) * fld.grid.d], opts=opts)
-    return hc.b[0].ravel()
+    return renorm.coarse_grained_b(fld, r, [(0,) * fld.grid.d], opts).b[0].ravel()
 
 
 def _e1_upper_entry(make_field, n, opts, seed):
@@ -628,11 +628,18 @@ def _exp_green(rc, jobs):
 # ---------------------------------------------------------------------------
 
 
-def _check_levels(levels, key: str, top=math.inf, count: int = 1) -> None:
-    if not (isinstance(levels, (list, tuple)) and len(levels) >= count
+def _check_levels(levels, key: str, top=math.inf) -> None:
+    if not (isinstance(levels, (list, tuple)) and levels
             and all(_is_integer(n) and 0 <= n <= top for n in levels)):
-        raise ValueError(f"{key} must be {count} or more integer levels in [0, {top}], "
+        raise ValueError(f"{key} must be 1 or more integer levels in [0, {top}], "
                          f"got {levels!r}")
+
+
+def _check_fit_scales(scales, key: str) -> None:
+    """The scales of a rate fit: MIN_FIT_POINTS or more distinct values."""
+    if len(set(scales)) < MIN_FIT_POINTS:
+        raise ValueError(f"{key} must hold {MIN_FIT_POINTS} or more distinct values for "
+                         f"a rate fit, got {list(scales)!r}")
 
 
 def _numbers(values, key: str, count: int, check=float) -> tuple:
@@ -688,7 +695,8 @@ def _check_corrector(rc):
         raise ValueError(f"unknown corrector mode {mode!r} in 'extra.mode'; "
                          f"expected one of {CORRECTOR_MODES}")
     if mode == "finite-volume":
-        _check_levels(rc.scales, "'scales'", count=MIN_FIT_POINTS)
+        _check_levels(rc.scales, "'scales'")
+        _check_fit_scales(rc.scales, "'scales'")
         # a cube of one cell has no interior node, so its corrector and R vanish
         n = min(rc.scales)
         if 3**n * rc.grid.k < 2:
@@ -700,6 +708,7 @@ def _check_corrector(rc):
 
 def _check_twoscale(rc):
     scales = _numbers(rc.scales, "'scales'", MIN_FIT_POINTS, twoscale.scale_level)
+    _check_fit_scales(scales, "'scales'")
     d, slope = rc.grid.d, rc.extra["slope"]
     if slope is not None and (len(_numbers(slope, "'extra.slope'", d)) != d or not any(slope)):
         raise ValueError(f"'extra.slope' must be {d} numbers, not all zero, got {slope!r}")
@@ -713,9 +722,11 @@ def _check_cascade(rc):
                          f"got {rc.ensemble_size}")
     radii = _numbers(rc.scales, "'scales'", MIN_FIT_POINTS,
                      partial(renorm.heat_kernel_1d, h=rc.grid.h))
+    _check_fit_scales(radii, "'scales'")
     cube_levels = rc.extra["cube_levels"] or []
     if cube_levels:
-        _check_levels(cube_levels, "'extra.cube_levels'", count=MIN_FIT_POINTS)
+        _check_levels(cube_levels, "'extra.cube_levels'")
+        _check_fit_scales(cube_levels, "'extra.cube_levels'")
     return _check_field(replace(rc, scales=radii),
                         [_torus_level_for(r) for r in radii] + list(cube_levels))
 
@@ -734,8 +745,10 @@ def _check_walk(rc):
 
 def _check_green(rc):
     t, dt = _positive(rc.extra, "t"), _positive(rc.extra, "dt")
-    if not np.isclose(round(t / dt) * dt, t):     # the step rule of parabolic_green
-        raise ValueError(f"'extra.t' = {t} must be a whole multiple of 'extra.dt' = {dt}")
+    try:
+        stochproc.green_step_count(t, dt)
+    except ValueError as exc:
+        raise ValueError(f"'extra.t' and 'extra.dt': {exc}") from None
     source = rc.extra["source"]
     if source is not None:
         lattice.cell_index(source, rc.grid.cell_shape, name="'extra.source'")

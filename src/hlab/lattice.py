@@ -149,7 +149,7 @@ def triadic_partition(cube: TriadicCube, n: int) -> list:
 
 
 def cell_index(point, cell_shape: tuple, periodic: bool = False, name: str = "point") -> tuple:
-    """`point` as a tuple of integer indices of a cell in an array of `cell_shape`.
+    """`point` as integer indices of a cell in an array of `cell_shape`, wrapped if periodic.
 
     A ValueError names the point and the cell shape when the point has the
     wrong length or a coordinate that is not an integer, or, unless the cells
@@ -164,7 +164,7 @@ def cell_index(point, cell_shape: tuple, periodic: bool = False, name: str = "po
         where = "" if periodic else " in [0, side)"
         raise ValueError(f"{name} {point!r} must be {len(cell_shape)} integer cell indices"
                          f"{where} for the cell shape {tuple(cell_shape)}")
-    return tuple(int(c) for c in coords)
+    return tuple(int(c) % n for c, n in zip(coords, cell_shape))
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,13 @@
 b_r(x) maps Gaussian-smoothed corrected-plane gradients to their smoothed
 fluxes: with G and Q the d x d matrices whose k-th columns are the smoothed
 gradient and flux of the corrected plane psi_k = l_{e_k} + phi_{e_k}, each
-smoothed at the point x alone by a direct sum over the kernel's support,
-b_hat = Q G^-1.  The result blends b_hat toward the homogenized matrix,
-b_r = chi b_hat + (1 - chi) abar, through the cutoff chi = clip(2 - X/r, 0, 1)
-of the local minimal scale X: the side of the smallest triadic cube around x
-whose duality gap is at most PROXY_DELTA (Lam - lam).  Where
-cond(G) > COND_GATE, b_r is abar itself.  The ensemble studies of b_r and of
-cube averages across scales live in `hlab.harness`.
+smoothed at x alone by a direct sum over the kernel window (2 floor(6r/h) + 1
+cells per axis, all that is read of the d torus cell solutions), b_hat = Q G^-1.
+It blends toward the homogenized matrix, b_r = chi b_hat + (1 - chi) abar,
+through the cutoff chi = clip(2 - X/r, 0, 1) of the local minimal scale X: the
+side of the smallest triadic cube around x whose duality gap is at most
+PROXY_DELTA (Lam - lam).  Where cond(G) > COND_GATE, b_r is abar itself.  The
+ensemble studies of b_r and of cube averages across scales live in `hlab.harness`.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coarse import coarse_matrices, duality_defect
-from .correctors import CorrectorSet
+from .correctors import mean_flux_matrix
 from .fields import CoefficientField
-from .lattice import GridSpec, TriadicCube, cell_index, discrete_gradient
-from .solver import SolveOptions
+from .lattice import TriadicCube, cell_index
+from .solver import SolveOptions, solve_periodic_cell
 
 __all__ = [
     "HeatCoarsening",
@@ -52,6 +52,13 @@ def heat_kernel_1d(r: float, h: float):
     return w / w.sum()
 
 
+def _window(f: np.ndarray, point, n: int) -> np.ndarray:
+    """The cells of `f` within n of `point` along its leading axes, wrapping periodically."""
+    for ax, c in enumerate(point):
+        f = np.take(f, (c + np.arange(-n, n + 1)) % f.shape[ax], axis=ax)
+    return f
+
+
 def heat_point_value(f: np.ndarray, r: float, h: float, point) -> np.ndarray:
     """(f * Phi_r)(x) at one cell center of a periodic field, by direct sum.
 
@@ -60,13 +67,8 @@ def heat_point_value(f: np.ndarray, r: float, h: float, point) -> np.ndarray:
     """
     f = np.asarray(f, dtype=float)
     w = heat_kernel_1d(r, h)
-    n = (w.size - 1) // 2
     d = len(point)
-    point = cell_index(point, f.shape[:d], periodic=True)
-    out = f
-    for ax in range(d):
-        idx = (point[ax] + np.arange(-n, n + 1)) % f.shape[ax]
-        out = np.take(out, idx, axis=ax)
+    out = _window(f, cell_index(point, f.shape[:d], periodic=True), (w.size - 1) // 2)
     for _ in range(d):
         out = np.tensordot(w, out, axes=([0], [0]))
     return out
@@ -79,12 +81,6 @@ class HeatCoarsening:
     cond: list                   # condition number of G
     chi: list                    # cutoff values in [0, 1]
     b: list                      # blended chi b_hat + (1 - chi) abar
-
-
-def _containing_cube(point_cell, grid: GridSpec, n: int) -> TriadicCube:
-    s = 3**n
-    off = tuple((int(c) // grid.k // s) * s for c in point_cell)
-    return TriadicCube(n, off)
 
 
 def _local_min_scale(a_field: CoefficientField, point, delta: float,
@@ -100,39 +96,40 @@ def _local_min_scale(a_field: CoefficientField, point, delta: float,
     for n in range(cap + 1):
         if 3**n * grid.k < 2:
             continue
-        cube = _containing_cube(point, grid, n)
+        cube = TriadicCube(n, tuple(c // grid.k // 3**n * 3**n for c in point))
         if duality_defect(coarse_matrices(a_field, cube, opts))["gap"] <= thresh:
             return float(3**n)
     return float(2 * 3 ** (cap + 1))  # sentinel: beyond the searched range
 
 
-def coarse_grained_b(cset: CorrectorSet, a_field: CoefficientField, r: float,
-                     points, opts: SolveOptions = None) -> HeatCoarsening:
-    """b_r at the given cell centers from a periodic corrector set."""
-    if cset.mode != "periodic":
-        raise ValueError("heat coarsening needs a periodic corrector set")
-    grid = cset.grid
+def coarse_grained_b(a_field: CoefficientField, r: float, points,
+                     opts: SolveOptions = None) -> HeatCoarsening:
+    """b_r at cell centers of a periodic field: one torus cell solve, read in each kernel window."""
+    grid = a_field.grid
     d, h = grid.d, grid.h
     if grid.length < 12.0 * r:
         raise ValueError(f"torus side {grid.length} < 12 r = {12 * r}")
-
-    grads = [np.eye(d)[k] + discrete_gradient(cset.phi[k], h, periodic=True)
-             for k in range(d)]
-    fluxes = [cset.g[k] + cset.abar[:, k] for k in range(d)]
+    cells = [cell_index(pt, grid.cell_shape, periodic=True) for pt in points]
+    n = (heat_kernel_1d(r, h).size - 1) // 2
+    centre = (n,) * d                   # the point's cell inside its window
+    sol = solve_periodic_cell(a_field, np.eye(d), opts)
+    abar = mean_flux_matrix(sol.flux)
+    means = [flux.reshape(-1, d).mean(axis=0) for flux in sol.flux]
 
     b_hats, conds, chis, bs = [], [], [], []
-    for pt in points:
-        G = np.column_stack([heat_point_value(grads[k], r, h, pt) for k in range(d)])
-        Q = np.column_stack([heat_point_value(fluxes[k], r, h, pt) for k in range(d)])
+    for cell in cells:
+        grads = [_window(sol.gradient[k], cell, n) + np.eye(d)[k] for k in range(d)]
+        fluxes = [_window(sol.flux[k], cell, n) - means[k] + abar[:, k] for k in range(d)]
+        G = np.column_stack([heat_point_value(g, r, h, centre) for g in grads])
+        Q = np.column_stack([heat_point_value(q, r, h, centre) for q in fluxes])
         c = float(np.linalg.cond(G))
-        X = _local_min_scale(a_field, pt, PROXY_DELTA, PROXY_CAP, opts)
+        X = _local_min_scale(a_field, cell, PROXY_DELTA, PROXY_CAP, opts)
         chi = float(np.clip(2.0 - X / r, 0.0, 1.0))
         if c <= COND_GATE:
             b_hat = Q @ np.linalg.inv(G)
-            b = chi * b_hat + (1.0 - chi) * cset.abar
+            b = chi * b_hat + (1.0 - chi) * abar
         else:
             b_hat = None
-            b = cset.abar.copy()
+            b = abar.copy()
         b_hats.append(b_hat); conds.append(c); chis.append(chi); bs.append(b)
     return HeatCoarsening(points=list(points), b_hat=b_hats, cond=conds, chi=chis, b=bs)
-

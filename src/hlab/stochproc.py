@@ -31,6 +31,7 @@ __all__ = [
     "network_operator",
     "network_homogenized_matrix",
     "simulate_walks",
+    "green_step_count",
     "parabolic_green",
     "green_symmetry_check",
 ]
@@ -215,6 +216,20 @@ def simulate_walks(net: ConductanceNetwork, T: float, n_paths: int, seed: int,
 # ---------------------------------------------------------------------------
 
 
+def green_step_count(t_final: float, dt: float) -> int:
+    """The number n >= 1 of implicit-Euler steps dt with n dt = t_final (up to
+    np.isclose), or a ValueError that names the time that breaks the rule."""
+    if not 0 < t_final < np.inf:
+        raise ValueError(f"horizon t_final must be finite and > 0, got {t_final!r}")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"time step dt must be finite and > 0, got {dt!r}")
+    n_steps = int(round(t_final / dt))
+    if n_steps < 1 or not np.isclose(n_steps * dt, t_final):
+        raise ValueError(f"horizon t_final = {t_final!r} must be a whole number >= 1 of "
+                         f"steps dt = {dt!r}")
+    return n_steps
+
+
 def _green_steps(net: ConductanceNetwork, t_final: float, source, dt: float):
     """Implicit-Euler density P(t_final, ., source): (density, steps, CG iterations, mass drift).
 
@@ -228,17 +243,10 @@ def _green_steps(net: ConductanceNetwork, t_final: float, source, dt: float):
     to zero, so every residual and every correction has mean zero: the scheme
     conserves mass to rounding.
     """
-    if not 0 < t_final < np.inf:
-        raise ValueError(f"horizon t_final must be finite and > 0, got {t_final!r}")
-    if not 0 < dt < np.inf:
-        raise ValueError(f"time step dt must be finite and > 0, got {dt!r}")
+    n_steps = green_step_count(t_final, dt)
     grid = net.grid
     d, h, side = grid.d, grid.h, grid.side
     source = cell_index(source, grid.cell_shape, name="source")
-    n_steps = int(round(t_final / dt))
-    if n_steps < 1 or not np.isclose(n_steps * dt, t_final):
-        raise ValueError(f"horizon t_final = {t_final!r} must be an integer number of "
-                         f"steps dt = {dt!r}")
 
     step = scipy.sparse.identity(side**d, format="csr") + dt * network_operator(net)
     u = np.zeros(grid.cell_shape)

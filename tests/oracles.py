@@ -24,10 +24,11 @@ import numpy as np
 import scipy.ndimage
 import scipy.sparse
 
-from hlab import solver, spectral
+from hlab import renorm, solver, spectral
+from hlab.correctors import periodic_homogenized_matrix
 from hlab.fields import CoefficientField
 from hlab.lattice import GridSpec, _pair_adj, discrete_gradient, gradient_adjoint
-from hlab.renorm import heat_kernel_1d
+from hlab.renorm import heat_kernel_1d, heat_point_value
 from hlab.spectral import neumann_solve_nodespace
 from hlab.stochproc import STEP_TOL, build_network, network_operator
 
@@ -45,6 +46,30 @@ def heat_convolve(f: np.ndarray, r: float, h: float, spatial_dims: int = None) -
         if w.size > f.shape[ax]:
             raise ValueError("kernel support exceeds the torus period")
         out = scipy.ndimage.convolve1d(out, w, axis=ax, mode="wrap")
+    return out
+
+
+def corrector_set_b(a_field, r, points, opts=None) -> list:
+    """(b, b_hat, cond, chi) of b_r at each point by the corrector-set route: the
+    full-torus corrected planes e_k + grad phi_k and g_k + abar e_k of
+    `periodic_homogenized_matrix`, each smoothed by `heat_point_value`."""
+    cset = periodic_homogenized_matrix(a_field, opts)
+    d, h, shape = a_field.grid.d, a_field.grid.h, a_field.grid.cell_shape
+    grads = [np.eye(d)[k] + discrete_gradient(cset.phi[k], h, periodic=True) for k in range(d)]
+    fluxes = [cset.g[k] + cset.abar[:, k] for k in range(d)]
+    out = []
+    for pt in points:
+        G = np.column_stack([heat_point_value(grads[k], r, h, pt) for k in range(d)])
+        Q = np.column_stack([heat_point_value(fluxes[k], r, h, pt) for k in range(d)])
+        c = float(np.linalg.cond(G))
+        X = renorm._local_min_scale(a_field, tuple(x % s for x, s in zip(pt, shape)),
+                                    renorm.PROXY_DELTA, renorm.PROXY_CAP, opts)
+        chi = float(np.clip(2.0 - X / r, 0.0, 1.0))
+        if c <= renorm.COND_GATE:
+            b_hat = Q @ np.linalg.inv(G)
+            out.append((chi * b_hat + (1.0 - chi) * cset.abar, b_hat, c, chi))
+        else:
+            out.append((cset.abar.copy(), None, c, chi))
     return out
 
 

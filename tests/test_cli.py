@@ -82,6 +82,7 @@ def test_jobs_below_one_rejected_before_any_solve(runner, tmp_path, monkeypatch,
     ("cascade", {"ensemble_size": "3"}, "ensemble_size"),
     ("cascade", {"extra": {"cube_level": [1, 2]}}, "'extra.cube_level'"),
     ("walk", {"extra": {"horizon": -5}}, "'extra.horizon'"),
+    ("green", {"extra": {"t": 1e-9}}, "'extra.t'"),
     ("twoscale", {"scales": [0.5, 1 / 9, 1 / 27]}, "'scales'"),
     ("twoscale", {"extra": {"slope": [0, 0]}}, "'extra.slope'"),
     ("coarsen", {"generator": {"name": "laminate", "period": 7.0}}, "'generator.period'"),
@@ -89,9 +90,9 @@ def test_jobs_below_one_rejected_before_any_solve(runner, tmp_path, monkeypatch,
     ("walk", {"grid": {"d": 5}}, "'grid.d'"),
     ("coarsen", {"solver": {"tol": 0.5}}, "'solver.tol'"),
     ("coarsen", {"kind": None}, "'kind'"),
-], ids=["size-float", "size-bool", "size-str", "extra-key", "walk-horizon", "twoscale-eps",
-        "twoscale-zero-slope", "coarsen-period", "twoscale-period", "grid-d", "solver-tol",
-        "no-kind"])
+], ids=["size-float", "size-bool", "size-str", "extra-key", "walk-horizon", "green-no-step",
+        "twoscale-eps", "twoscale-zero-slope", "coarsen-period", "twoscale-period", "grid-d",
+        "solver-tol", "no-kind"])
 def test_bad_config_rejected_before_any_solve(runner, tmp_path, monkeypatch, kind, override, key):
     import hlab.harness
 

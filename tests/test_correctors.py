@@ -109,14 +109,14 @@ class TestPeriodicHomogenized:
     def test_abar_within_ellipticity_bounds(self):
         for seed in range(5):
             f = sample_checkerboard(GridSpec(2, 1, 1), seed)
-            cset = periodic_homogenized_matrix(f, with_flux_correctors=False)
+            cset = periodic_homogenized_matrix(f)
             ev = np.linalg.eigvalsh(cset.abar)
             assert ev.min() >= f.lam - 1e-7
             assert ev.max() <= f.Lam + 1e-7
 
     def test_phi_mean_zero(self):
         f = sample_checkerboard(GridSpec(2, 1, 1), 9)
-        cset = periodic_homogenized_matrix(f, with_flux_correctors=False)
+        cset = periodic_homogenized_matrix(f)
         for phi in cset.phi:
             assert abs(phi.mean()) < 1e-12
 

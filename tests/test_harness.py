@@ -106,6 +106,7 @@ class TestConfig:
                 ("green", {"t": -1}, "'extra.t'"),
                 ("green", {"dt": 0.0}, "'extra.dt'"),
                 ("green", {"dt": 0.3}, "'extra.dt'"),
+                ("green", {"t": 1e-9}, "'extra.t'"),     # rounds to no step at all
                 ("green", {"source": [99, 99]}, "'extra.source'"),
                 ("green", {"source": [1.5, 1]}, "'extra.source'"),
                 ("green", {"source": [1]}, "'extra.source'")):
@@ -121,18 +122,23 @@ class TestConfig:
                 ("twoscale", dict(scales=[0.5, 1 / 9, 1 / 27]), "'scales'"),
                 ("twoscale", dict(scales=[3.0, 1.0, 1 / 3]), "'scales'"),
                 ("twoscale", dict(scales=[1 / 3, 1 / 9]), "'scales'"),
+                ("twoscale", dict(scales=[1 / 3, 1 / 9, 1 / 9]), "'scales'"),
                 ("twoscale", dict(extra={"slope": [1, 0, 0]}), "'extra.slope'"),
                 ("twoscale", dict(extra={"slope": [1, "0"]}), "'extra.slope'"),
                 ("twoscale", dict(extra={"slope": [0.0, 0.0]}), "'extra.slope'"),
                 ("cascade", dict(ensemble_size=2, scales=[0.5, 1, 2]), "'scales'"),
                 ("cascade", dict(ensemble_size=2, scales=[1, 2]), "'scales'"),
+                ("cascade", dict(ensemble_size=2, scales=[2, 2.0, 4]), "'scales'"),
                 ("cascade", dict(ensemble_size=2, extra={"cube_levels": [-1, 1, 2]}),
                  "'extra.cube_levels'"),
                 ("cascade", dict(ensemble_size=2, extra={"cube_levels": [1, 2]}),
                  "'extra.cube_levels'"),
+                ("cascade", dict(ensemble_size=2, extra={"cube_levels": [1, 2, 2]}),
+                 "'extra.cube_levels'"),
                 ("cascade", dict(ensemble_size=1), "ensemble_size"),
                 ("corrector", dict(scales=[-1, 1, 2], extra=fv), "'scales'"),
                 ("corrector", dict(scales=[1, 2], extra=fv), "'scales'"),
+                ("corrector", dict(scales=[2, 2, 2], extra=fv), "'scales'"),
                 ("corrector", dict(extra=fv), "'scales'"),
                 ("corrector", dict(scales=[0, 1, 2], extra=fv), "'scales'"),
                 ("coarsen", dict(scales=[0.5, 1]), "'scales'"),
@@ -329,6 +335,9 @@ class TestRateFit:
             rate_fit([1.0, 2.0], [1.0, 1.0])
         with pytest.raises(ValueError):
             rate_fit([1.0, 2.0, 4.0], [1.0, -1.0, 1.0])
+        # one scale repeated has no slope, only a rank-deficient least-squares fit
+        with pytest.raises(ValueError, match="2 distinct scales"):
+            rate_fit([3, 3, 3], [1.0, 0.5, 0.25])
         # a NaN or inf point would give a NaN slope, intercept and interval
         for scales, values in (([1, 2, 3], [1.0, np.nan, 0.5]), ([1, 2, 3], [1.0, np.inf, 0.5]),
                                ([1, np.nan, 3], [1.0, 0.7, 0.5]), ([1, 2, np.inf], [1.0, 0.7, 0.5])):

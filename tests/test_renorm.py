@@ -15,7 +15,7 @@ from hlab.renorm import (
     heat_kernel_1d,
     heat_point_value,
 )
-from oracles import heat_convolve
+from oracles import corrector_set_b, heat_convolve
 
 
 class TestKernel:
@@ -84,12 +84,29 @@ class TestConvolve:
                            f.reshape(-1, 2).mean(axis=0))
 
 
+def _bytes(x):
+    return b"" if x is None else np.asarray(x).tobytes()
+
+
+# (field, radii, points): wrapped points and radii up to the largest the torus allows, 12 r = L
+ORACLE_CASES = {
+    "checkerboard-k1": (lambda: sample_checkerboard(GridSpec(2, 3, 1), 3), [1.0, 2.0, 2.25],
+                        [(0, 0), (13, 5), (-1, 0), (26, 26), (40, -30)]),
+    "checkerboard-k2": (lambda: sample_checkerboard(GridSpec(2, 3, 2), 8), [0.5, 1.5, 2.25],
+                        [(0, 0), (53, 7), (-1, 0), (60, -55)]),
+    "checkerboard-3d": (lambda: sample_checkerboard(GridSpec(3, 2, 2), 4), [0.5, 0.75],
+                        [(0, 0, 0), (17, 3, 9), (-2, 20, 0)]),
+    "anisotropic-constant": (lambda: make_constant(GridSpec(2, 3, 1),
+                                                   np.array([[2.0, 0.3], [0.3, 1.5]])),
+                             [1.0, 2.0], [(0, 0), (13, 5), (-1, 0)]),
+}
+
+
 class TestCoarseGrainedB:
     def test_constant_field_recovers_matrix(self):
         A = np.array([[2.0, 0.3], [0.3, 1.5]])
         fld = make_constant(GridSpec(2, 3, 1), A)
-        cset = periodic_homogenized_matrix(fld, with_flux_correctors=False)
-        hc = coarse_grained_b(cset, fld, 2.0, [(0, 0), (13, 5)])
+        hc = coarse_grained_b(fld, 2.0, [(0, 0), (13, 5)])
         for b, bh, c in zip(hc.b, hc.b_hat, hc.cond):
             assert np.abs(b - A).max() < 1e-8
             assert np.abs(bh - A).max() < 1e-8
@@ -97,36 +114,54 @@ class TestCoarseGrainedB:
 
     def test_laminate_within_bounds(self):
         fld = make_laminate(GridSpec(2, 3, 2), 1.0, 4.0, 1.0, axis=1)
-        cset = periodic_homogenized_matrix(fld, with_flux_correctors=False)
-        hc = coarse_grained_b(cset, fld, 2.0, [(0, 0)])
+        hc = coarse_grained_b(fld, 2.0, [(0, 0)])
         ev = np.linalg.eigvalsh(0.5 * (hc.b[0] + hc.b[0].T))
         assert ev.min() > 0.5 and ev.max() < 5.0
         assert 0.0 <= hc.chi[0] <= 1.0
 
     def test_float_point_named(self):
         fld = make_constant(GridSpec(2, 3, 1), np.eye(2))
-        cset = periodic_homogenized_matrix(fld, with_flux_correctors=False)
         with pytest.raises(ValueError, match=r"\(13\.5, 5\)"):
-            coarse_grained_b(cset, fld, 2.0, [(13.5, 5)])
+            coarse_grained_b(fld, 2.0, [(13.5, 5)])
+
+    def test_point_wraps_periodically(self):
+        # the window and the containing cubes of the minimal scale read the wrapped cell
+        fld = sample_checkerboard(GridSpec(2, 3, 1), 3)
+        hc = coarse_grained_b(fld, 2.0, [(-1, 0), (26, 0)])
+        assert hc.points == [(-1, 0), (26, 0)]
+        for got in (hc.b, hc.b_hat, hc.cond, hc.chi):
+            assert _bytes(got[0]) == _bytes(got[1])
 
     def test_small_torus_rejected(self):
         fld = make_constant(GridSpec(2, 1, 1), np.eye(2))
-        cset = periodic_homogenized_matrix(fld, with_flux_correctors=False)
         with pytest.raises(ValueError):
-            coarse_grained_b(cset, fld, 4.0, [(0, 0)])
+            coarse_grained_b(fld, 4.0, [(0, 0)])
 
     def test_degenerate_points_blend_to_abar(self):
         # checkerboard, tiny radius: whatever the gate decides, the blended
         # value is a convex combination of b_hat and the homogenized matrix
         fld = sample_checkerboard(GridSpec(2, 3, 1), 3)
-        cset = periodic_homogenized_matrix(fld, with_flux_correctors=False)
-        hc = coarse_grained_b(cset, fld, 2.0, [(0, 0), (9, 9)])
+        abar = periodic_homogenized_matrix(fld).abar
+        hc = coarse_grained_b(fld, 2.0, [(0, 0), (9, 9)])
         for b, bh, chi in zip(hc.b, hc.b_hat, hc.chi):
             if bh is None:
-                assert np.array_equal(b, cset.abar)
+                assert np.array_equal(b, abar)
             else:
-                expect = chi * bh + (1 - chi) * cset.abar
+                expect = chi * bh + (1 - chi) * abar
                 assert np.abs(b - expect).max() < 1e-12
+
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_equals_the_corrector_set_route(self, case):
+        # reading the window of one periodic solve gives every cell the arithmetic
+        # of the full-torus corrected planes of a corrector set: the same bytes
+        make_field, radii, points = ORACLE_CASES[case]
+        fld = make_field()
+        for r in radii:
+            hc = coarse_grained_b(fld, r, points)
+            assert hc.points == points
+            want = corrector_set_b(fld, r, points)
+            for got, expect in zip(zip(hc.b, hc.b_hat, hc.cond, hc.chi), want):
+                assert [_bytes(x) for x in got] == [_bytes(x) for x in expect], (r, got)
 
 
 class TestMinimalScale:
