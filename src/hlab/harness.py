@@ -608,7 +608,7 @@ def _exp_walk(rc, jobs):
     rep = stochproc.simulate_walks(net, horizon, n_paths, rc.master_seed, times)
     return {"kind": "walk", "times": rep.times, "n_paths": n_paths,
             "covariances": rep.covariances, "target": rep.target,
-            "mean_displacement": rep.mean_displacement}
+            "mean_displacement": rep.mean_displacement, **rep.metadata}
 
 
 def _exp_green(rc, jobs):

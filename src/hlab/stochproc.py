@@ -3,7 +3,11 @@
 Both objects discretize the same generator: sites are grid cells on the
 torus, and the edge between neighboring cells carries the harmonic mean of
 their axis-diagonal coefficients.  The walk is the variable-speed
-continuous-time chain jumping across edge e at rate c_e / h^2; the Green
+continuous-time chain jumping across edge e at rate c_e / h^2.  It is sampled
+by uniformization (A. Jensen, Skand. Aktuarietidskr. 36, 1953): Poisson event
+counts at the largest site rate, and routes drawn several events at a time
+from Walker alias tables of the block's law, so its law is kept but not the
+draws of a jump-by-jump loop.  The Green
 function time-steps the matching heat equation with implicit Euler, each
 step a CG without a preconditioner: the spectrum of I + dt A lies in
 [1, 1 + dt 4d Lam / h^2], narrow on the unit lattice, and every residual has
@@ -14,6 +18,7 @@ cancels from the comparisons.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +43,7 @@ __all__ = [
 
 CELL_TOL = 1e-10    # CG tolerance of the network's periodic cell problem
 STEP_TOL = 1e-11    # CG tolerance of each implicit-Euler step of the Green function
+TABLE_SLOTS = 2**17  # the walk's alias-table slots, sites times outcomes summed over the levels
 
 
 @dataclass
@@ -118,28 +124,181 @@ def network_homogenized_matrix(net: ConductanceNetwork) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _site_rates(net: ConductanceNetwork) -> np.ndarray:
+    """The (sites, 2d) rates of each site's moves, in the order +e_0, -e_0, +e_1, ...:
+    +e_j across the edge (x, x + h e_j), -e_j across (x - h e_j, x)."""
+    d, h = net.grid.d, net.grid.h
+    inv_h2 = 1.0 / (h * h)
+    rates = np.empty((net.grid.side**d, 2 * d))
+    for j, c in enumerate(net.cond):
+        rates[:, 2 * j] = c.ravel() * inv_h2
+        rates[:, 2 * j + 1] = np.roll(c, 1, axis=j).ravel() * inv_h2
+    return rates
+
+
+def _ball(radius: int, d: int):
+    """The displacements of L1 norm <= radius as an (n, d) array, and a lookup over the
+    box [-radius, radius]^d that gives each one's row (-1 outside the ball)."""
+    box = np.indices((2 * radius + 1,) * d) - radius
+    inside = np.abs(box).sum(axis=0) <= radius
+    lookup = np.full(inside.shape, -1, dtype=np.intp)
+    lookup[inside] = np.arange(np.count_nonzero(inside))
+    return box[:, inside].T, lookup
+
+
+def _ball_size(radius: int, d: int) -> int:
+    """The number of displacements of L1 norm <= radius in d dimensions."""
+    return sum(2**k * math.comb(d, k) * math.comb(radius, k) for k in range(d + 1))
+
+
+def _alias(p: np.ndarray):
+    """Walker's alias tables (accept, alias) of each row of p, by Vose's pairing on the
+    row sorted ascending, all rows at once: with k uniform over a row's n outcomes, k is
+    kept with probability accept[k] and replaced by alias[k] otherwise.  The alias table
+    takes the smallest integer type that holds the outcomes."""
+    n_rows, n = p.shape
+    order = np.argsort(p, axis=1).astype(np.min_scalar_type(n - 1))
+    accept = np.take_along_axis(p, order, axis=1)
+    accept *= n                     # each row sums to n; entries become accepts in place
+    alias = np.empty(p.shape, dtype=order.dtype)
+    rows = np.arange(n_rows)
+    small = np.zeros(n_rows, dtype=np.intp)         # the next entry from the left
+    large = np.full(n_rows, n - 1)                  # the entry that gives away its excess
+    rest = accept[:, -1].copy()                     # what `large` still holds
+    for _ in range(n - 1):
+        # `large` tops up `small` while it holds at least 1; below 1 it is closed and the
+        # next entry down, above the mean of what is left, takes over
+        fill = rest >= 1.0
+        closed = np.where(fill, small, large)
+        weight = accept[rows, small]
+        accept[rows, closed] = np.where(fill, weight, rest)
+        alias[rows, closed] = np.where(fill, large, large - 1)
+        rest = np.where(fill, rest - (1.0 - weight), accept[rows, large - 1] - (1.0 - rest))
+        small += fill
+        large -= ~fill
+    accept[rows, small] = 1.0                       # the last entry
+    alias[rows, small] = small
+    out_accept, out_alias = np.empty_like(accept), np.empty_like(alias)
+    np.put_along_axis(out_accept, order, accept, axis=1)
+    np.put_along_axis(out_alias, order, np.take_along_axis(order, alias, axis=1), axis=1)
+    return out_accept, out_alias
+
+
+def _walk_tables(grid: GridSpec, rates: np.ndarray, levels: int) -> list:
+    """Alias tables of the laws of 1, 2, 4, ..., 2^levels uniformized events from each site.
+
+    On the chain lifted to (site, unwrapped displacement), one event moves by +-e_j with
+    probability rate / Lam* and stays with probability 1 - total / Lam*, Lam* the largest
+    site total.  The law of 2n events composes that of n with itself over the L1 ball of
+    radius 2n.  Per level: (cut, alias, destination cell), flat over (site, outcome), the
+    cut of outcome k being k + its accept, and the outcomes' displacements (outcomes, d).
+    """
+    d, side = grid.d, grid.side
+    total = rates.sum(axis=1)
+    rate = total.max()
+    moves = np.stack([sign * e for e in np.eye(d, dtype=np.intp) for sign in (1, -1)])
+    disp, lookup = _ball(1, d)
+    p = np.empty((len(total), len(disp)))
+    p[:, lookup[tuple(moves.T + 1)]] = rates / rate
+    p[:, lookup[(1,) * d]] = (rate - total) / rate
+    tables = []
+    for level in range(levels + 1):
+        if level:
+            radius = 2 ** (level - 1)
+            wide, lookup = _ball(2 * radius, d)
+            law = np.zeros((len(total), len(wide)))
+            for i, v in enumerate(disp):
+                law[:, lookup[tuple((disp + v + 2 * radius).T)]] += p[:, i, None] * p[dest[:, i]]
+            disp, p = wide, law
+        # the destination's flat index, one axis at a time, in the smallest type that fits
+        dest = np.zeros(grid.cell_shape + (len(disp),), dtype=np.min_scalar_type(-len(total)))
+        for j in range(d):
+            coord = np.arange(side).reshape([-1 if i == j else 1 for i in range(d + 1)])
+            dest += (coord + disp[:, j]) % side * side ** (d - 1 - j)
+        dest = dest.reshape(len(total), -1)
+        accept, alias = _alias(p)
+        accept += np.arange(len(disp))          # the cut k + accept[k] of each outcome k
+        tables.append((accept.ravel(), alias.ravel(), dest.ravel(), disp))
+    return tables
+
+
+def _advance(table, cell, pos, rng):
+    """One block of events for the paths in `cell`: adds each displacement to `pos` in
+    place and returns the cells the paths end in.  One uniform u on [0, n) per path
+    picks outcome k = floor(u), kept if u < k + accept[k] and replaced by its alias otherwise."""
+    cut, alias, dest, disp = table
+    n = np.intp(len(disp))      # a numpy integer: cell * n takes its type, not cell's small one
+    u = rng.random(cell.size)
+    u *= n
+    k = u.astype(np.intp)
+    row = cell * n
+    out = np.where(u < cut.take(row + k), k, alias.take(row + k))
+    pos += np.take(disp, out, axis=0)
+    return dest.take(row + out)
+
+
+def _walk_displacements(net: ConductanceNetwork, sample_times: list, n_paths: int, seed: int):
+    """The unwrapped displacements (times, paths, d), in lattice steps, at the sorted
+    sample times; the segments' event counts (times, paths); Lam*; K; the loop steps.
+    The paths are exchangeable, so rows of two times need not be the same path."""
+    grid = net.grid
+    d, n_sites = grid.d, grid.side**grid.d
+    rates = _site_rates(net)
+    rate = rates.sum(axis=1).max()
+    spans = np.diff(sample_times, prepend=0.0)
+    levels = 0      # K = 2^levels
+    while (_ball_size(2 ** (levels + 1), d) <= rate * spans.max() and n_sites * sum(
+            _ball_size(2**level, d) for level in range(levels + 2)) <= TABLE_SLOTS):
+        levels += 1
+    tables = _walk_tables(grid, rates, levels)
+
+    rng = np.random.default_rng(seed)
+    counts = rng.poisson(rate * spans[:, None], size=(len(spans), n_paths))
+    cell = np.zeros(n_paths, dtype=np.intp)
+    pos = np.zeros((n_paths, d), dtype=np.int64)
+    recorded = np.empty((len(spans), n_paths, d), dtype=np.int64)
+    steps = 0
+    for si, count in enumerate(counts):
+        # sorted by count, descending, the paths with a whole block left at block step t
+        # are the first live[t]; the bits of each remainder, largest first, follow
+        order = np.argsort(count)[::-1]
+        cell, pos, count = cell[order], pos[order], count[order]
+        live = n_paths - np.cumsum(np.bincount(count >> levels))[:-1]
+        for n in live:
+            cell[:n] = _advance(tables[levels], cell[:n], pos[:n], rng)
+        steps += len(live)
+        for level in reversed(range(levels)):
+            idx = np.flatnonzero(count >> level & 1)
+            if idx.size:
+                moved = pos[idx]
+                cell[idx] = _advance(tables[level], cell[idx], moved, rng)
+                pos[idx] = moved
+                steps += 1
+        recorded[si] = pos
+    return recorded, counts, float(rate), 2**levels, steps
+
+
 def simulate_walks(net: ConductanceNetwork, T: float, n_paths: int, seed: int,
                    sample_times=None) -> DiffusionReport:
     """Covariance of the unwrapped displacement at the sampled times.
 
-    All paths start at the origin cell; the environment wraps on the torus
-    while displacements accumulate unwrapped.  The site tables are built once
-    per call: the rate of each of the 2d moves (+e_j across the edge
-    (x, x + h e_j), -e_j across (x - h e_j, x)), their total and its inverse,
-    the cumulative-rate thresholds one contiguous column per move but the
-    last, and the flat index of the neighbour each move lands on.  Each step gathers from
-    them by a flat cell index per path, and the arrays of running paths are
-    compacted, in ascending path order, only when some path passes T.  Every
-    step draws one exponential holding time and then one uniform move choice
-    per running path, so the same seed gives the same draws, and the same
-    bits, as a loop that recomputes the rates at every step.
+    All paths start at the origin cell; the environment wraps on the torus while
+    displacements accumulate unwrapped.  The walk is sampled by uniformization: events
+    come at the rate Lam*, the largest site total, and each moves the path as its site's
+    rates say or leaves it in place.  A path's event count in each segment between
+    sample times is one Poisson draw, and its route is drawn K events at a time from
+    alias tables of the K-step law (`_walk_tables`): each loop step draws one uniform per
+    path with events left and advances it by the largest power of two <= min(K, events
+    left).  K is the largest power of two whose tables fit in `TABLE_SLOTS` and whose
+    block has no more outcomes than the longest segment's expected count (each outcome
+    costs the build about one loop step).  The law is exact up to the tables' rounding;
+    the draws are not those of a jump-by-jump loop.  `metadata` holds the work: `rate`
+    (Lam*), `block` (K), `events` (the counts' sum) and `steps` (loop steps).
     """
-    if n_paths < 2:
-        raise ValueError(f"need at least 2 paths, got n_paths = {n_paths!r}")
+    if not isinstance(n_paths, (int, np.integer)) or n_paths < 2:
+        raise ValueError(f"n_paths must be an integer >= 2, got n_paths = {n_paths!r}")
     if not 0 < T < np.inf:
         raise ValueError(f"horizon T must be finite and > 0, got {T!r}")
-    grid = net.grid
-    d, h, side = grid.d, grid.h, grid.side
     if sample_times is None:
         sample_times = [T / 2.0, 3.0 * T / 4.0, T]
     sample_times = [float(s) for s in sample_times]
@@ -150,64 +309,13 @@ def simulate_walks(net: ConductanceNetwork, T: float, n_paths: int, seed: int,
             raise ValueError(f"sample time {s!r} must lie in [0, T = {T!r}]")
     sample_times = sorted(sample_times)
 
-    n_moves = 2 * d
-    inv_h2 = 1.0 / (h * h)
-    sites = np.arange(side**d).reshape(grid.cell_shape)
-    rates = np.empty((side**d, n_moves))
-    nbr = np.empty((side**d, n_moves), dtype=np.intp)
-    move = np.zeros((n_moves, d), dtype=np.int64)
-    for j, c in enumerate(net.cond):
-        rates[:, 2 * j] = c.ravel() * inv_h2                               # +e_j
-        rates[:, 2 * j + 1] = np.roll(c, 1, axis=j).ravel() * inv_h2       # -e_j
-        nbr[:, 2 * j] = np.roll(sites, -1, axis=j).ravel()
-        nbr[:, 2 * j + 1] = np.roll(sites, 1, axis=j).ravel()
-        move[2 * j, j], move[2 * j + 1, j] = 1, -1
-    total = rates.sum(axis=1)
-    scale = 1.0 / total
-    # the last move takes whatever lies past the other thresholds, rounding included;
-    # the thresholds never decrease, so counting only these gives the same move
-    thresholds = [np.ascontiguousarray(col) for col in rates.cumsum(axis=1).T[:-1]]
-    nbr = nbr.ravel()
-
-    rng = np.random.default_rng(seed)
-    S = len(sample_times)
-    recorded = np.zeros((S, n_paths, d))
-    ids = np.arange(n_paths)                         # the running paths, ascending
-    pos = np.zeros((n_paths, d), dtype=np.int64)     # unwrapped, lattice steps
-    t = np.zeros(n_paths)
-    cell = np.zeros(n_paths, dtype=np.intp)          # flat index of pos on the torus
-
-    # rows of the (n, d) arrays move by np.take / np.compress: fancy and boolean
-    # row indexing cost about ten times as much per step
-    while ids.size:
-        n = ids.size
-        # numpy's exponential(1 / total) is (1 / total) * standard_exponential: same bits
-        tn = rng.standard_exponential(n) * scale[cell] + t
-        for si, s in enumerate(sample_times):
-            hit = (t <= s) & (s < tn)
-            if hit.any():
-                recorded[si, ids[hit]] = np.compress(hit, pos, axis=0)
-
-        u = rng.random(n) * total[cell]
-        choice = (thresholds[0][cell] < u).astype(np.intp)
-        for cum in thresholds[1:]:
-            choice += cum[cell] < u
-        pos += np.take(move, choice, axis=0)
-        cell = nbr[cell * n_moves + choice]
-        t = tn
-        running = t < T
-        if not running.all():
-            ids, t, cell = ids[running], t[running], cell[running]
-            pos = np.compress(running, pos, axis=0)
-
-    covs, means = [], []
-    for si in range(S):
-        X = recorded[si] * h
-        means.append(X.mean(axis=0))
-        covs.append(np.cov(X.T))
+    recorded, counts, rate, block, steps = _walk_displacements(net, sample_times, n_paths, seed)
+    X = recorded * net.grid.h
     return DiffusionReport(
-        times=sample_times, covariances=covs, mean_displacement=means,
+        times=sample_times, covariances=[np.cov(x.T) for x in X],
+        mean_displacement=[x.mean(axis=0) for x in X],
         target=2.0 * network_homogenized_matrix(net),
+        metadata={"rate": rate, "block": block, "events": int(counts.sum()), "steps": steps},
     )
 
 

@@ -8,7 +8,10 @@ convolution behind `renorm.heat_point_value`, the exact dual norm that
 a subcube, for comparing a solve on a cube of a field with one on its own grid.
 `zero_start_green` steps the Green function from zero guesses with the exact
 constant-coefficient inverse as preconditioner, a solver independent of the
-package's warm-started, unpreconditioned steps.
+package's warm-started, unpreconditioned steps.  `event_loop_walks` runs the
+walk jump by jump, and `uniformized_laws` gives the exact law of its
+uniformized displacement from dense tilted matrices, both independent of the
+package's block tables.
 
 The free-grid solves are also checked, bit for bit, against the whole-array
 route they replaced: the stencil built as a dict of every nonzero offset's
@@ -141,6 +144,76 @@ def zero_start_green(a_field, t_final, source, dt):
                       lambda r: spectral.torus_solve_nodespace(r, h, inverse=inverse),
                       STEP_TOL, 5000)[0][0]
     return u
+
+
+def event_loop_walks(net, T, n_paths, seed, sample_times):
+    """The walk jump by jump: each step gathers every running path's rates from the edge
+    arrays, draws an exponential holding time and then a move.  The event-loop oracle
+    that `simulate_walks` is compared with in law.
+
+    Returns the displacements (sample times, paths, d) at the sorted sample times.
+    """
+    d, h, side = net.grid.d, net.grid.h, net.grid.side
+    sample_times = sorted(float(s) for s in sample_times)
+    rng = np.random.default_rng(seed)
+    pos = np.zeros((n_paths, d), dtype=np.int64)
+    t = np.zeros(n_paths)
+    recorded = np.zeros((len(sample_times), n_paths, d))
+    inv_h2 = 1.0 / (h * h)
+    active = t < T
+    while active.any():
+        idx = np.nonzero(active)[0]
+        site = tuple((pos[idx, j] % side) for j in range(d))
+        rates = np.empty((idx.size, 2 * d))
+        for j in range(d):
+            rates[:, 2 * j] = net.cond[j][site] * inv_h2
+            back = list(site)
+            back[j] = (site[j] - 1) % side
+            rates[:, 2 * j + 1] = net.cond[j][tuple(back)] * inv_h2
+        total = rates.sum(axis=1)
+        tn = t[idx] + rng.exponential(1.0 / total)
+        for si, s in enumerate(sample_times):
+            hit = (t[idx] <= s) & (s < tn)
+            if hit.any():
+                recorded[si, idx[hit]] = pos[idx[hit]]
+        u = rng.random(idx.size) * total
+        choice = (rates.cumsum(axis=1) < u[:, None]).sum(axis=1)
+        choice = np.minimum(choice, 2 * d - 1)
+        pos[idx, choice // 2] += np.where(choice % 2 == 0, 1, -1)
+        t[idx] = tn
+        active = t < T
+    return recorded * h
+
+
+def uniformized_laws(net, steps, radius):
+    """The law of the unwrapped displacement after n = 0, ..., steps events of the
+    uniformized walk from every site, by dense tilted matrices.
+
+    The jump rates are the off-diagonal entries of -`network_operator`, Lam* is its
+    largest diagonal entry, and one event is the matrix I - A / Lam* (side >= 3, so each
+    neighbour pair is one move).  With each move's entry multiplied by exp(i theta . m),
+    the matrix's n-th power applied to ones gives E_x exp(i theta . X_n) at every site x;
+    a DFT over theta on the grid 2 pi Z^d / N, N = 2 radius + 1, returns the law, exactly
+    when the walk cannot leave the box [-radius, radius]^d (radius >= steps).
+
+    Returns Lam* and an array (steps + 1, sites) + (N,) * d, displacement delta at index
+    delta mod N.
+    """
+    d, side = net.grid.d, net.grid.side
+    A = network_operator(net).toarray()
+    rate = A.diagonal().max()
+    one_event = np.eye(len(A)) - A / rate
+    coords = np.indices(net.grid.cell_shape).reshape(d, -1)
+    move = (coords[:, None, :] - coords[:, :, None] + 1) % side - 1     # (d, from, to)
+    N = 2 * radius + 1
+    theta = 2 * np.pi * np.indices((N,) * d).reshape(d, -1).T / N
+    tilted = one_event * np.exp(1j * np.einsum("tj,jxy->txy", theta, move))
+    chars = [np.ones((len(theta), len(A)), dtype=complex)]
+    for _ in range(steps):
+        chars.append(np.einsum("txy,ty->tx", tilted, chars[-1]))
+    chars = np.stack(chars).reshape((steps + 1,) + (N,) * d + (len(A),))
+    laws = np.fft.fftn(chars, axes=tuple(range(1, d + 1))).real / N**d
+    return rate, np.moveaxis(laws, -1, 1)
 
 
 def dict_stencil(a, h, periodic):

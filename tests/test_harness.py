@@ -507,3 +507,7 @@ class TestRunExperiment:
                                output_dir=str(tmp_path))
         summary = run_experiment(cfg)
         assert np.asarray(summary["target"]).shape == (2, 2)
+        # the walk's work counters reach summary.json
+        written = json.loads((tmp_path / "summary.json").read_text())
+        assert written["rate"] == 4.0 and written["block"] >= 1
+        assert written["events"] > 0 and written["steps"] > 0

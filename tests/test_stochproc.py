@@ -2,20 +2,22 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+import scipy.special
+import scipy.stats
 
 import hlab.spectral
 import hlab.stochproc
 from hlab.fields import (
-    GaussianFieldParams,
     make_constant,
     make_laminate,
     sample_checkerboard,
-    sample_gaussian_field,
 )
 from hlab.lattice import GridSpec
 from hlab.solver import cg
 from hlab.stochproc import (
+    _site_rates,
+    _walk_displacements,
+    _walk_tables,
     build_network,
     green_symmetry_check,
     network_homogenized_matrix,
@@ -23,7 +25,7 @@ from hlab.stochproc import (
     parabolic_green,
     simulate_walks,
 )
-from oracles import zero_start_green
+from oracles import event_loop_walks, uniformized_laws, zero_start_green
 
 
 class TestNetwork:
@@ -98,84 +100,119 @@ class TestNetwork:
         assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
-def _reference_walks(net, T, n_paths, seed, sample_times):
-    """The event loop that gathers each path's rates from the edge arrays at every
-    step; the oracle for `simulate_walks`, which must make the same draws.
-
-    Returns the covariances and mean displacements at the sample times, and each
-    path's last jump time before T (0 if it never jumped).
-    """
-    d, h, side = net.grid.d, net.grid.h, net.grid.side
-    sample_times = sorted(float(s) for s in sample_times)
-    rng = np.random.default_rng(seed)
-    pos = np.zeros((n_paths, d), dtype=np.int64)
-    t = np.zeros(n_paths)
-    recorded = np.zeros((len(sample_times), n_paths, d))
-    last_jump = np.zeros(n_paths)
-    inv_h2 = 1.0 / (h * h)
-    active = t < T
-    while active.any():
-        idx = np.nonzero(active)[0]
-        site = tuple((pos[idx, j] % side) for j in range(d))
-        rates = np.empty((idx.size, 2 * d))
-        for j in range(d):
-            rates[:, 2 * j] = net.cond[j][site] * inv_h2
-            back = list(site)
-            back[j] = (site[j] - 1) % side
-            rates[:, 2 * j + 1] = net.cond[j][tuple(back)] * inv_h2
-        total = rates.sum(axis=1)
-        tn = t[idx] + rng.exponential(1.0 / total)
-        for si, s in enumerate(sample_times):
-            hit = (t[idx] <= s) & (s < tn)
-            if hit.any():
-                recorded[si, idx[hit]] = pos[idx[hit]]
-        u = rng.random(idx.size) * total
-        choice = (rates.cumsum(axis=1) < u[:, None]).sum(axis=1)
-        choice = np.minimum(choice, 2 * d - 1)
-        pos[idx, choice // 2] += np.where(choice % 2 == 0, 1, -1)
-        t[idx] = tn
-        active = t < T
-        last_jump[idx[tn < T]] = tn[tn < T]
-    X = recorded * h
-    return [np.cov(x.T) for x in X], [x.mean(axis=0) for x in X], last_jump
+def _table_laws(table, n_sites):
+    """Each outcome's probability read back from one level's cut and alias tables."""
+    cut, alias, _, disp = table
+    n = len(disp)
+    accept = cut.reshape(n_sites, n) - np.arange(n)
+    prob = accept.copy()
+    np.add.at(prob, (np.arange(n_sites)[:, None], alias.reshape(n_sites, n)), 1.0 - accept)
+    return prob / n
 
 
-def _walk_field(kind, d, k, seed):
-    if kind == "laminate":    # periodic layers need an even side: k -> 2k (h = 1/6 at k = 3)
-        return make_laminate(GridSpec(d, 1, 2 * k), 1.0, 4.0, 1.0, axis=1 + seed % d)
-    if kind == "checkerboard":
-        return sample_checkerboard(GridSpec(d, 1, k), seed)
-    return sample_gaussian_field(GridSpec(d, 1, k), seed,
-                                 GaussianFieldParams(amplitude=0.5, decay=1.0))
+def _moment_errors(X):
+    """Per coordinate, the standard deviation of X and of each centred product."""
+    Y = X - X.mean(axis=0)
+    return Y.std(axis=0), np.einsum("pi,pj->pij", Y, Y).std(axis=0)
 
 
 class TestWalks:
-    @settings(max_examples=30, deadline=None)
-    @given(d=st.sampled_from([2, 3]), kind=st.sampled_from(["laminate", "checkerboard", "gaussian"]),
-           k=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2**32 - 1),
-           n_paths=st.integers(2, 300), steps=st.floats(0.5, 20.0),
-           fractions=st.lists(st.sampled_from([0.0, 1e-4, 0.5]) | st.floats(0.0, 1.0),
-                              min_size=1, max_size=3))
-    @example(d=3, kind="checkerboard", k=3, seed=5, n_paths=300, steps=10.0,
-             fractions=[1e-4, 0.5, 0.5])
-    @example(d=2, kind="laminate", k=3, seed=0, n_paths=2, steps=3.0, fractions=[1.0, 0.0, 1.0])
-    def test_matches_reference_event_loop(self, d, kind, k, seed, n_paths, steps, fractions):
-        # a repeated time, one inside the first holding interval (1e-4 T) and paths
-        # that pass T on different steps all take the same draws as the oracle;
-        # T = steps h^2 keeps the expected jumps per path near 2d steps mean(c).
-        # The last jump time of each of the first four paths, and the float just
-        # below it, are sample times too: a jump time off by one ulp either way
-        # records the position on the wrong side of that jump.
-        net = build_network(_walk_field(kind, d, k, seed))
-        T = steps * net.grid.h**2
-        _, _, last_jump = _reference_walks(net, T, n_paths, seed, [T])
-        edges = [s for s in last_jump[:4] if s > 0]
-        times = [f * T for f in fractions] + edges + list(np.nextafter(edges, 0.0))
-        rep = simulate_walks(net, T, n_paths, seed, times)
-        covs, means, _ = _reference_walks(net, T, n_paths, seed, times)
-        assert rep.times == sorted(times)
-        for got, ref in zip(rep.covariances + rep.mean_displacement, covs + means):
-            assert np.array_equal(got, ref)
+    @pytest.mark.parametrize("fld, levels", [
+        (sample_checkerboard(GridSpec(2, 1, 1), 3), 3),
+        (make_laminate(GridSpec(2, 1, 2), 1.0, 4.0, 1.0, axis=1), 3),   # h = 1/2
+        (sample_checkerboard(GridSpec(3, 1, 1), 4), 2),
+    ], ids=["checkerboard-2d", "laminate-2d", "checkerboard-3d"])
+    def test_block_laws_are_kernel_powers(self, fld, levels):
+        # each level's outcome probabilities, read back from its alias tables, are the
+        # 2^l-th power of the lifted one-step kernel: the dense tilted-matrix oracle
+        net = build_network(fld)
+        grid = net.grid
+        n_sites = grid.side**grid.d
+        rate, laws = uniformized_laws(net, 2**levels, 2**levels)
+        box = laws.shape[-1]
+        tables = _walk_tables(grid, _site_rates(net), levels)
+        assert len(tables) == levels + 1
+        assert _site_rates(net).sum(axis=1).max() == pytest.approx(rate, rel=1e-15)
+        coords = np.indices(grid.cell_shape).reshape(grid.d, -1).T
+        for level, table in enumerate(tables):
+            _, alias, dest, disp = table
+            assert np.abs(disp).sum(axis=1).max() == 2**level
+            want = laws[2**level][(slice(None),) + tuple((disp % box).T)]
+            assert np.abs(_table_laws(table, n_sites) - want).max() <= 1e-13
+            assert np.abs(want.sum(axis=1) - 1.0).max() <= 1e-13     # no mass off the ball
+            ends = np.ravel_multi_index(tuple((coords[:, None] + disp).T), grid.cell_shape,
+                                        mode="wrap").T
+            assert np.array_equal(dest.reshape(n_sites, -1), ends)
+            assert alias.dtype.itemsize == 1 and dest.dtype.itemsize == 1
+
+    def test_displacement_law_chi_square(self):
+        # X_T on a 3^2 checkerboard with Lam* T = 3 against the uniformization series
+        # sum_n Poisson(n; Lam* T) P_n(0, .), truncated where the tail is below 1e-15
+        net = build_network(sample_checkerboard(GridSpec(2, 1, 1), 3))
+        steps = 25
+        rate, laws = uniformized_laws(net, steps, steps)
+        T = 3.0 / rate
+        n = np.arange(steps + 1)
+        weights = np.exp(n * np.log(3.0) - 3.0 - scipy.special.gammaln(n + 1))
+        law = np.tensordot(weights, laws[:, 0], axes=1)
+        n_paths = 20_000
+        X, counts, *_ = _walk_displacements(net, [T], n_paths, seed=2024)
+        box = law.shape[0]
+        observed = np.zeros_like(law)
+        np.add.at(observed, tuple((X[0] % box).T), 1)
+        expected = n_paths * law
+        big = expected >= 5.0
+        obs = np.append(observed[big], observed[~big].sum())
+        exp = np.append(expected[big], expected[~big].sum())
+        stat = ((obs - exp) ** 2 / exp).sum()
+        assert big.sum() > 20
+        assert scipy.stats.chi2.sf(stat, len(obs) - 1) >= 1e-3
+        assert counts.mean() == pytest.approx(3.0, rel=0.05)
+
+    @pytest.mark.parametrize("fld, T", [
+        (make_laminate(GridSpec(2, 1, 2), 1.0, 4.0, 1.0, axis=1), 8.0),
+        (sample_checkerboard(GridSpec(3, 1, 1), 5), 10.0),
+    ], ids=["laminate-2d", "checkerboard-3d"])
+    def test_moments_match_event_loop(self, fld, T):
+        # mean and covariance at two sample times agree with the jump-by-jump oracle
+        # within 4 standard errors of their difference
+        net = build_network(fld)
+        times = [T / 3.0, T]
+        n_paths = 4000
+        rep = simulate_walks(net, T, n_paths, seed=8, sample_times=times)
+        assert rep.metadata["block"] >= 4
+        ref = event_loop_walks(net, T, n_paths, 9, times)
+        for mean, cov, X in zip(rep.mean_displacement, rep.covariances, ref):
+            sd, sd_prod = _moment_errors(X)
+            scale = np.sqrt(2.0 / n_paths)
+            assert np.all(np.abs(mean - X.mean(axis=0)) <= 4.0 * scale * sd)
+            assert np.all(np.abs(cov - np.cov(X.T)) <= 4.0 * scale * sd_prod)
+
+    def test_steps_bounded_by_blocks(self):
+        # the bench laminate takes blocks of K = 8; each segment takes at most
+        # ceil(max count / K) + log2 K loop steps, and the report's counters say so
+        net = build_network(make_laminate(GridSpec(2, 2, 2), 1.0, 4.0, 1.0, axis=1))
+        times = [0.0, 25.0, 25.0, 100.0]
+        _, counts, rate, block, steps = _walk_displacements(net, times, 500, seed=5)
+        assert (rate, block) == (pytest.approx(44.8, rel=1e-14), 8)
+        assert steps <= sum(-(-c.max() // block) + np.log2(block) for c in counts if c.max())
+        assert steps >= sum(c.max() // block for c in counts)
+        rep = simulate_walks(net, 100.0, 500, seed=5, sample_times=times)
+        assert rep.metadata == {"rate": rate, "block": block, "events": int(counts.sum()),
+                                "steps": steps}
+        assert np.array_equal(rep.covariances[0], np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("n_paths", [2.5, 2.0, "16", None])
+    def test_paths_must_be_an_integer(self, n_paths):
+        net = build_network(make_constant(GridSpec(2, 1, 1), np.eye(2)))
+        with pytest.raises(ValueError, match="n_paths"):
+            simulate_walks(net, 2.0, n_paths, 0)
+
+    def test_numpy_integer_paths(self):
+        net = build_network(make_constant(GridSpec(2, 1, 1), np.eye(2)))
+        a = simulate_walks(net, 2.0, np.int64(16), 0)
+        b = simulate_walks(net, 2.0, 16, 0)
+        assert np.array_equal(a.covariances[-1], b.covariances[-1])
 
     def test_reproducible_and_seed_sensitive(self):
         net = build_network(sample_checkerboard(GridSpec(2, 1, 1), 0))
@@ -186,12 +223,13 @@ class TestWalks:
         assert not np.array_equal(a.covariances[-1], c.covariances[-1])
 
     def test_constant_identity_covariance(self):
-        # simple random walk: cov(X_t) = 2 t I, within sampling error
+        # simple random walk: cov(X_t) = 2 t I, within sampling error; the mean within
+        # 4 standard errors, sqrt(2 t / paths) each
         net = build_network(make_constant(GridSpec(2, 1, 1), np.eye(2)))
         rep = simulate_walks(net, 20.0, 3000, seed=11, sample_times=[20.0])
         C = rep.covariances[0] / 20.0
         assert np.abs(C - 2.0 * np.eye(2)).max() < 0.25
-        assert np.abs(rep.mean_displacement[0]).max() < 0.2
+        assert np.abs(rep.mean_displacement[0]).max() < 4.0 * np.sqrt(2.0 * 20.0 / 3000)
         assert np.abs(rep.target - 2.0 * np.eye(2)).max() < 1e-8
 
     def test_sample_times_validated(self):
