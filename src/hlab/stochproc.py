@@ -18,7 +18,6 @@ cancels from the comparisons.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +42,8 @@ __all__ = [
 
 CELL_TOL = 1e-10    # CG tolerance of the network's periodic cell problem
 STEP_TOL = 1e-11    # CG tolerance of each implicit-Euler step of the Green function
-TABLE_SLOTS = 2**17  # the walk's alias-table slots, sites times outcomes summed over the levels
+TABLE_SLOTS = 2**17  # past K = 2, the walk's alias-table slots: sites times outcomes, all levels
+SLOT_DRAWS = 8       # a walk table slot costs the build about as much as this many path draws
 
 
 @dataclass
@@ -84,11 +84,16 @@ def build_network(a_field: CoefficientField) -> ConductanceNetwork:
 # ---------------------------------------------------------------------------
 
 
+def _behind(net: ConductanceNetwork) -> list:
+    """Per axis j: array over cells, the conductance of the edge (x - h e_j, x)."""
+    return [np.roll(c, 1, axis=j) for j, c in enumerate(net.cond)]
+
+
 def network_operator(net: ConductanceNetwork):
     """The network Laplacian sum_j D_j^T c_j D_j on the torus cells, as a sparse matrix,
     with D_j v = (v(x + h e_j) - v(x)) / h and c_j the conductance of the edge (x, x + h e_j)."""
     d, h = net.grid.d, net.grid.h
-    behind = [np.roll(c, 1, axis=j) for j, c in enumerate(net.cond)]   # edges (x - h e_j, x)
+    behind = _behind(net)
     stencil = {(0,) * d: sum(c + b for c, b in zip(net.cond, behind)) / h**2}
     for e, c, b in zip(np.eye(d, dtype=int), net.cond, behind):
         stencil[tuple(e)], stencil[tuple(-e)] = -c / h**2, -b / h**2
@@ -127,13 +132,8 @@ def network_homogenized_matrix(net: ConductanceNetwork) -> np.ndarray:
 def _site_rates(net: ConductanceNetwork) -> np.ndarray:
     """The (sites, 2d) rates of each site's moves, in the order +e_0, -e_0, +e_1, ...:
     +e_j across the edge (x, x + h e_j), -e_j across (x - h e_j, x)."""
-    d, h = net.grid.d, net.grid.h
-    inv_h2 = 1.0 / (h * h)
-    rates = np.empty((net.grid.side**d, 2 * d))
-    for j, c in enumerate(net.cond):
-        rates[:, 2 * j] = c.ravel() * inv_h2
-        rates[:, 2 * j + 1] = np.roll(c, 1, axis=j).ravel() * inv_h2
-    return rates
+    edges = [c for pair in zip(net.cond, _behind(net)) for c in pair]
+    return np.stack([c.ravel() for c in edges], axis=1) * (1.0 / net.grid.h**2)
 
 
 def _ball(radius: int, d: int):
@@ -146,11 +146,6 @@ def _ball(radius: int, d: int):
     return box[:, inside].T, lookup
 
 
-def _ball_size(radius: int, d: int) -> int:
-    """The number of displacements of L1 norm <= radius in d dimensions."""
-    return sum(2**k * math.comb(d, k) * math.comb(radius, k) for k in range(d + 1))
-
-
 def _alias(p: np.ndarray):
     """Walker's alias tables (accept, alias) of each row of p, by Vose's pairing on the
     row sorted ascending, all rows at once: with k uniform over a row's n outcomes, k is
@@ -161,23 +156,24 @@ def _alias(p: np.ndarray):
     accept = np.take_along_axis(p, order, axis=1)
     accept *= n                     # each row sums to n; entries become accepts in place
     alias = np.empty(p.shape, dtype=order.dtype)
-    rows = np.arange(n_rows)
-    small = np.zeros(n_rows, dtype=np.intp)         # the next entry from the left
-    large = np.full(n_rows, n - 1)                  # the entry that gives away its excess
-    rest = accept[:, -1].copy()                     # what `large` still holds
+    acc, ali = accept.reshape(-1), alias.reshape(-1)     # flat views, row r at r * n
+    base = np.arange(0, n_rows * n, n)
+    small = base.copy()             # the next entry from the left
+    large = base + (n - 1)          # the entry that gives away its excess
+    rest = acc[large]               # what `large` still holds
     for _ in range(n - 1):
         # `large` tops up `small` while it holds at least 1; below 1 it is closed and the
         # next entry down, above the mean of what is left, takes over
         fill = rest >= 1.0
         closed = np.where(fill, small, large)
-        weight = accept[rows, small]
-        accept[rows, closed] = np.where(fill, weight, rest)
-        alias[rows, closed] = np.where(fill, large, large - 1)
-        rest = np.where(fill, rest - (1.0 - weight), accept[rows, large - 1] - (1.0 - rest))
+        weight = acc.take(small)
+        acc[closed] = np.where(fill, weight, rest)
+        ali[closed] = np.where(fill, large, large - 1) - base
+        rest = np.where(fill, rest - (1.0 - weight), acc.take(large - 1) - (1.0 - rest))
         small += fill
         large -= ~fill
-    accept[rows, small] = 1.0                       # the last entry
-    alias[rows, small] = small
+    acc[small] = 1.0                # the last entry
+    ali[small] = small - base
     out_accept, out_alias = np.empty_like(accept), np.empty_like(alias)
     np.put_along_axis(out_accept, order, accept, axis=1)
     np.put_along_axis(out_alias, order, np.take_along_axis(order, alias, axis=1), axis=1)
@@ -246,9 +242,15 @@ def _walk_displacements(net: ConductanceNetwork, sample_times: list, n_paths: in
     rates = _site_rates(net)
     rate = rates.sum(axis=1).max()
     spans = np.diff(sample_times, prepend=0.0)
-    levels = 0      # K = 2^levels
-    while (_ball_size(2 ** (levels + 1), d) <= rate * spans.max() and n_sites * sum(
-            _ball_size(2**level, d) for level in range(levels + 2)) <= TABLE_SLOTS):
+
+    def fits(levels):       # K = 2^levels
+        outcomes = [len(_ball(2**level, d)[0]) for level in range(levels + 1)]
+        return (outcomes[-1] <= rate * spans.max()
+                and SLOT_DRAWS * n_sites * outcomes[-1] <= n_paths * rate * spans.sum() / 2**levels
+                and (levels == 1 or n_sites * sum(outcomes) <= TABLE_SLOTS))
+
+    levels = 0
+    while fits(levels + 1):
         levels += 1
     tables = _walk_tables(grid, rates, levels)
 
@@ -283,17 +285,17 @@ def simulate_walks(net: ConductanceNetwork, T: float, n_paths: int, seed: int,
     """Covariance of the unwrapped displacement at the sampled times.
 
     All paths start at the origin cell; the environment wraps on the torus while
-    displacements accumulate unwrapped.  The walk is sampled by uniformization: events
-    come at the rate Lam*, the largest site total, and each moves the path as its site's
-    rates say or leaves it in place.  A path's event count in each segment between
-    sample times is one Poisson draw, and its route is drawn K events at a time from
-    alias tables of the K-step law (`_walk_tables`): each loop step draws one uniform per
-    path with events left and advances it by the largest power of two <= min(K, events
-    left).  K is the largest power of two whose tables fit in `TABLE_SLOTS` and whose
-    block has no more outcomes than the longest segment's expected count (each outcome
-    costs the build about one loop step).  The law is exact up to the tables' rounding;
-    the draws are not those of a jump-by-jump loop.  `metadata` holds the work: `rate`
-    (Lam*), `block` (K), `events` (the counts' sum) and `steps` (loop steps).
+    displacements accumulate unwrapped.  The walk is sampled by uniformization at the
+    largest site total Lam*: a path's event count in each segment between sample times
+    is one Poisson draw, and each loop step advances every path with events left by the
+    largest power of two <= min(K, events left), from alias tables of that block's law
+    (`_walk_tables`).  K is the largest power of two whose level pays for its tables: no
+    more outcomes than the longest segment's expected count (each costs the build about
+    one loop step), no more slots (sites times outcomes) than the path draws it saves
+    over `SLOT_DRAWS`, and past K = 2 all levels within `TABLE_SLOTS`.  The law is exact
+    up to the tables' rounding; the draws are not those of a jump-by-jump loop.
+    `metadata` holds the work: `rate` (Lam*), `block` (K), `events` (the counts' sum)
+    and `steps` (loop steps).
     """
     if not isinstance(n_paths, (int, np.integer)) or n_paths < 2:
         raise ValueError(f"n_paths must be an integer >= 2, got n_paths = {n_paths!r}")
